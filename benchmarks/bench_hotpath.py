@@ -15,12 +15,10 @@ Three arms per configuration:
     spilling).
 
 ``legacy_hotpaths``
-    Same code base with the pre-rewrite hot loops re-enabled
-    (:func:`repro.simulator.use_legacy_links` +
-    :func:`repro.runtime.memory.use_legacy_memory_scans`): O(n)-per-event
-    links with spurious wake-ups, full-scan eviction checks.  Virtual time
-    must agree with ``current`` to ~1 ulp; the wall-clock ratio isolates the
-    rewritten loops.
+    Same code base with the pre-rewrite link model re-enabled
+    (:func:`repro.simulator.use_legacy_links`): O(n)-per-event links with
+    spurious wake-ups.  Virtual time must agree with ``current`` to ~1 ulp;
+    the wall-clock ratio isolates the rewritten link loop.
 
 ``pre_pr`` (optional, ``--pre-pr-src PATH``)
     The same sweep executed by a subprocess whose ``PYTHONPATH`` points at a
@@ -297,10 +295,9 @@ def _run_arm(configs):
 
 
 def _run_legacy_arm(configs):
-    from repro.runtime.memory import use_legacy_memory_scans
     from repro.simulator import use_legacy_links
 
-    with use_legacy_links(), use_legacy_memory_scans():
+    with use_legacy_links():
         return _run_arm(configs)
 
 
@@ -601,7 +598,6 @@ def _correctness_checks():
     """Determinism and cross-implementation functional equivalence."""
     import numpy as np
 
-    from repro.runtime.memory import use_legacy_memory_scans
     from repro.simulator import use_legacy_links
 
     first = _run_one("kmeans", 2, 2, 40_960, {"iterations": 12, "seed": 0})
@@ -622,7 +618,7 @@ def _correctness_checks():
         return ctx.runtime.engine.now, ctx.gather(workload.centroids)
 
     vt_new, result_new = functional_result()
-    with use_legacy_links(), use_legacy_memory_scans():
+    with use_legacy_links():
         vt_old, result_old = functional_result()
     checks["functional_results_bit_identical"] = bool(
         np.array_equal(result_new, result_old)

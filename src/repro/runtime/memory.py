@@ -14,7 +14,6 @@ simulator, which is what makes spilling visible in the measured run times.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,27 +26,7 @@ __all__ = [
     "MemoryManager",
     "OutOfMemoryError",
     "MemoryStats",
-    "use_legacy_memory_scans",
 ]
-
-#: When True, eviction-candidate selection and the evictable-bytes check use
-#: the original full-scan/sort code paths instead of the LRU index and the
-#: per-space counters.  Only the perf harness flips this (to quantify the
-#: indexed rewrite against pre-rewrite behaviour); the LRU index is still
-#: maintained so the manager can switch back at any time.
-_LEGACY_SCANS = False
-
-
-@contextmanager
-def use_legacy_memory_scans(enabled: bool = True):
-    """Run with the pre-rewrite O(n)-scan memory-manager hot paths."""
-    global _LEGACY_SCANS
-    previous = _LEGACY_SCANS
-    _LEGACY_SCANS = enabled
-    try:
-        yield
-    finally:
-        _LEGACY_SCANS = previous
 
 
 class OutOfMemoryError(RuntimeError):
@@ -96,11 +75,36 @@ class _ChunkState:
 
 
 @dataclass
+class _Block:
+    """Why a staging attempt failed.  Free plus evictable bytes of ``space``
+    never exceed ``capacity - pinned - own`` (``own``: the request's unpinned
+    bytes there), and ``limit = capacity - own - needed``; so while each
+    required chunk still matches ``snapshot`` and more than ``limit`` bytes
+    of ``space`` are pinned, a retry must fail."""
+
+    space: MemorySpace
+    limit: int
+    #: ``(state, space, meta, pins == 0)`` of each required chunk
+    snapshot: Tuple[Tuple[_ChunkState, Optional[MemorySpace], ChunkMeta, bool], ...]
+
+    def holds(self, chunks: Dict[ChunkId, _ChunkState], pinned: Dict[MemorySpace, int]) -> bool:
+        """True when a retry of the blocked request is certain to fail."""
+        if pinned[self.space] <= self.limit:
+            return False
+        for state, space, meta, unpinned in self.snapshot:
+            if (chunks.get(meta.chunk_id) is not state or state.space is not space
+                    or state.meta is not meta or (state.pins == 0) != unpinned):
+                return False
+        return True
+
+
+@dataclass
 class _PendingStage:
     task_id: int
     requirements: List[Tuple[ChunkId, str]]
     callback: Callable[[], None]
-    background: bool = False
+    background: bool
+    block: _Block  # why the last attempt failed
 
 
 class MemoryManager:
@@ -161,11 +165,12 @@ class MemoryManager:
         #: eviction (old data pushed down the hierarchy, not a use) enter at
         #: the front so they remain first in line for the next spill level.
         self._lru: Dict[MemorySpace, "OrderedDict[ChunkId, _ChunkState]"] = {}
-        #: this worker's host space, interned once — ``_target_space`` sits on
-        #: the staging hot path and must not construct a space per call
+        #: this worker's host and disk spaces, interned once — staging looks
+        #: them up on its hot path and must not construct a space per call
         self._host_space = node.host_space
+        self._disk_space = node.disk_space
         spaces = [dev.memory_space for dev in node.devices]
-        spaces += [self._host_space, node.disk_space]
+        spaces += [self._host_space, self._disk_space]
         for space in spaces:
             if capacities and space in capacities:
                 cap = capacities[space]
@@ -430,11 +435,12 @@ class MemoryManager:
         count as stall events, and the chunks they materialise are remembered
         so the stall they avoid later can be credited to the memory plan.
         """
-        if not self._try_stage(task_id, requirements, callback, background=background):
+        block = self._try_stage(task_id, requirements, callback, background=background)
+        if block is not None:
             if not background:
                 self.stats.staging_stalls += 1
             self._pending.append(
-                _PendingStage(task_id, requirements, callback, background)
+                _PendingStage(task_id, requirements, callback, background, block)
             )
 
     def unstage(self, task_id: int) -> None:
@@ -446,13 +452,20 @@ class MemoryManager:
         self._retry_pending()
 
     def _retry_pending(self) -> None:
+        """Retry the queued requests in FIFO order; one whose block holds would
+        fail again, without side effects, so it stays queued untried."""
         still_pending: List[_PendingStage] = []
+        chunks, pinned = self._chunks, self._pinned
         for pending in self._pending:
-            if not self._try_stage(
-                pending.task_id, pending.requirements, pending.callback,
-                background=pending.background, retry=True,
-            ):
-                still_pending.append(pending)
+            if not pending.block.holds(chunks, pinned):
+                block = self._try_stage(
+                    pending.task_id, pending.requirements, pending.callback,
+                    background=pending.background, retry=True,
+                )
+                if block is None:
+                    continue
+                pending.block = block
+            still_pending.append(pending)
         self._pending = still_pending
 
     # ------------------------------------------------------------------ #
@@ -465,7 +478,9 @@ class MemoryManager:
         callback: Callable[[], None],
         background: bool = False,
         retry: bool = False,
-    ) -> bool:
+    ) -> Optional[_Block]:
+        """Commit the request atomically and return ``None``, or change
+        nothing and return the :class:`_Block` it must wait on."""
         # Fast path: a single already-resident requirement (sends, recvs and
         # most copies) needs no capacity checks, no transfers and no per-space
         # accounting — just touch, pin and fire.  Accounting is identical to
@@ -495,7 +510,7 @@ class MemoryManager:
                         self.stats.staging_stalls_avoided += 1
                     self._prepared.discard(chunk_id)
                 callback()
-                return True
+                return None
 
         # Resolve targets and verify feasibility per memory space.  The two
         # common kinds are dispatched inline (interned spaces, so the
@@ -538,19 +553,12 @@ class MemoryManager:
         # as unevictable for this requester even though it is not pinned.
         requester = self._requester_of(requirements)
         for space, nbytes in needed.items():
-            if _LEGACY_SCANS:
-                evictable = sum(
-                    st.meta.nbytes
-                    for st in self._chunks.values()
-                    if st.space == space and st.pins == 0
-                    and st.meta.chunk_id not in plan_ids
-                )
-            else:
-                evictable = self._used[space] - self._pinned[space]
-                for chunk_id in plan_ids:
-                    st = self._chunks[chunk_id]
-                    if st.space == space and st.pins == 0:
-                        evictable -= st.meta.nbytes
+            own = 0
+            for chunk_id in plan_ids:
+                st = chunks[chunk_id]
+                if st.space == space and st.pins == 0:
+                    own += st.meta.nbytes
+            evictable = self._used[space] - self._pinned[space] - own
             evictable -= self._protected_foreign_bytes(space, requester)
             lower = self._lower_space(space)
             if lower is not None and self._pinned[lower]:
@@ -564,7 +572,8 @@ class MemoryManager:
                 )
                 evictable = min(evictable, max(0, receivable))
             if self.free_bytes(space) + evictable < nbytes:
-                return False
+                snapshot = tuple((st, st.space, st.meta, st.pins == 0) for st, _ in plan)
+                return _Block(space, self._capacity[space] - own - nbytes, snapshot)
 
         # Commit: make room, move/allocate, pin.  Bookkeeping happens now (so
         # the reservation is atomic); the incoming data transfers occupy their
@@ -618,7 +627,7 @@ class MemoryManager:
 
         if not transfers:
             callback()
-            return True
+            return None
 
         remaining = {"count": len(transfers)}
 
@@ -629,7 +638,7 @@ class MemoryManager:
 
         for resource, nbytes, label in transfers:
             resource.request(nbytes, _one_done, label=label)
-        return True
+        return None
 
     def _touch(self, state: _ChunkState) -> None:
         self._use_counter += 1
@@ -734,9 +743,9 @@ class MemoryManager:
     # ------------------------------------------------------------------ #
     def _lower_space(self, space: MemorySpace) -> Optional[MemorySpace]:
         if space.kind is MemoryKind.GPU:
-            return MemorySpace(self.worker, MemoryKind.HOST)
+            return self._host_space
         if space.kind is MemoryKind.HOST:
-            return MemorySpace(self.worker, MemoryKind.DISK)
+            return self._disk_space
         return None
 
     def _make_room(
@@ -759,18 +768,6 @@ class MemoryManager:
         missing = nbytes - self.free_bytes(space)
         if missing <= 0:
             return
-        if _LEGACY_SCANS:
-            candidates = sorted(
-                (
-                    st
-                    for st in self._chunks.values()
-                    if st.space == space and st.pins == 0
-                    and st.meta.chunk_id not in protect
-                ),
-                key=lambda st: st.last_use,
-            )
-        else:
-            candidates = self._lru[space].values()
         quotas = self._tenant_quota
         lower_space = self._lower_space(space)
         #: bytes the next level down can still receive; ``None`` = unbounded.
@@ -786,7 +783,7 @@ class MemoryManager:
         #: per rival tenant: bytes still evictable before hitting its quota
         allowance: Dict[int, int] = {}
         victims: List[_ChunkState] = []
-        for state in candidates:
+        for state in self._lru[space].values():
             if missing <= 0:
                 break
             if state.pins or state.meta.chunk_id in protect:
@@ -807,13 +804,12 @@ class MemoryManager:
             missing -= state.meta.nbytes
         # Moving a victim mutates the index, so evict after the walk.
         for victim in victims:
-            lower = self._lower_space(space)
-            if lower is None:
+            if lower_space is None:
                 raise OutOfMemoryError(
                     f"cannot evict from {space}: no lower memory level exists"
                 )
-            self._make_room(lower, victim.meta.nbytes, requester=requester)
-            self._move(victim, lower, eviction=True)
+            self._make_room(lower_space, victim.meta.nbytes, requester=requester)
+            self._move(victim, lower_space, eviction=True)
         # Each eviction front-inserted its victim into the lower space, which
         # reverses the batch's relative order; re-front in reverse so the
         # oldest victim is first in line for the next spill level again.

@@ -257,7 +257,9 @@ class Scheduler:
         stalled = getattr(self.memory, "_pending", ())
         for pending in list(stalled)[:10]:
             chunks = ", ".join(f"chunk#{cid}({kind})" for cid, kind in pending.requirements)
+            space, limit = pending.block.space, pending.block.limit
             lines.append(
-                f"  task {pending.task_id} stalled in memory staging on [{chunks}]"
+                f"  task {pending.task_id} stalled in memory staging on [{chunks}]: blocked on "
+                f"{space} with {self.memory.pinned_bytes(space)} bytes pinned (limit {limit})"
             )
         return "\n".join(lines)

@@ -12,9 +12,8 @@ and cancellation pattern:
   compaction, and partial ``run(max_events=...)`` drains.
 
 The final test is a functional-equivalence check one level up: a small
-HotSpot run must produce the identical virtual time whether the rewritten
-hot paths or the legacy ones (``use_legacy_links`` +
-``use_legacy_memory_scans``) drive it.
+HotSpot run must produce the identical virtual time whether the engine's
+batched ``run()`` loop or its reference ``step()`` path dispatches it.
 """
 
 from hypothesis import given, settings, strategies as st

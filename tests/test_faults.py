@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro import Context, azure_nc24rsv2
+from repro.core.chunk import ChunkMeta
+from repro.core.geometry import Region
 from repro.errors import (
     ArgumentTypeError,
     ArgumentValueError,
@@ -250,6 +252,35 @@ def test_simulation_stalled_reports_outstanding_tasks():
     runtime._outstanding -= 2
     assert "2 tasks still outstanding" in str(exc.value)
     assert "worker 0" in str(exc.value)
+
+
+def test_simulation_stalled_reports_what_a_staging_request_waits_for():
+    """Task 2 can never stage: task 1 pins 5/8 of the GPU and never unstages."""
+    ctx = make_ctx(mode="functional")
+    runtime = ctx.runtime
+    memory = runtime.workers[0].memory
+    device = ctx.cluster.device_ids()[0]
+    space = device.memory_space
+    elems = memory.capacity(space) * 5 // 8 // 4
+    metas = [
+        ChunkMeta(chunk_id=cid, region=Region((0,), (elems,)), dtype=np.float32,
+                  home=device)
+        for cid in (10_001, 10_002)
+    ]
+    for meta in metas:
+        memory.register(meta)
+    memory.stage(1, [(10_001, "gpu")], lambda: None)
+    memory.stage(2, [(10_002, "gpu")], lambda: None)
+    runtime._outstanding += 1
+    with pytest.raises(SimulationStalled) as exc:
+        runtime.run_until_idle()
+    runtime._outstanding -= 1
+    nbytes = metas[0].nbytes
+    assert (
+        f"task 2 stalled in memory staging on [chunk#10002(gpu)]: blocked on "
+        f"{space} with {nbytes} bytes pinned "
+        f"(limit {memory.capacity(space) - nbytes})"
+    ) in str(exc.value)
 
 
 # --------------------------------------------------------------------------- #

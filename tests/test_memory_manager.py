@@ -1,5 +1,8 @@
 """Tests for the per-worker memory manager: staging, LRU eviction and spilling."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -307,26 +310,223 @@ def test_batch_eviction_preserves_relative_lru_order():
     assert manager.lru_order(host) == [1, 2]
 
 
-def test_legacy_scan_mode_matches_indexed_eviction():
-    from repro.runtime.memory import use_legacy_memory_scans
+def test_eviction_skips_a_recently_touched_chunk():
+    manager, engine = make_manager(gpu_capacity=6 * MB)
+    for cid in (1, 2, 3):
+        manager.register(chunk(cid, 2))
+        stage(manager, engine, cid, [(cid, "gpu")])
+        manager.unstage(cid)
+    stage(manager, engine, 10, [(2, "gpu")])  # touch 2; 1 is LRU
+    manager.unstage(10)
+    manager.register(chunk(4, 4))
+    stage(manager, engine, 11, [(4, "gpu")])  # evicts 1 and 3
+    assert manager.residency(1).kind is MemoryKind.HOST
+    assert manager.residency(3).kind is MemoryKind.HOST
+    assert manager.residency(2).kind is MemoryKind.GPU
+    assert manager.residency(4).kind is MemoryKind.GPU
 
-    def scenario():
-        manager, engine = make_manager(gpu_capacity=6 * MB)
-        for cid in (1, 2, 3):
-            manager.register(chunk(cid, 2))
-            stage(manager, engine, cid, [(cid, "gpu")])
-            manager.unstage(cid)
-        stage(manager, engine, 10, [(2, "gpu")])  # touch 2; 1 is LRU
-        manager.unstage(10)
-        manager.register(chunk(4, 4))
-        stage(manager, engine, 11, [(4, "gpu")])  # evicts 1 and 3
-        return {cid: manager.residency(cid).kind for cid in (1, 2, 3, 4)}
 
-    indexed = scenario()
-    with use_legacy_memory_scans():
-        legacy = scenario()
-    assert indexed == legacy
-    assert indexed[1] is MemoryKind.HOST
-    assert indexed[3] is MemoryKind.HOST
-    assert indexed[2] is MemoryKind.GPU
-    assert indexed[4] is MemoryKind.GPU
+# --------------------------------------------------------------------------- #
+# queued staging requests: retries skipped while their block holds
+# --------------------------------------------------------------------------- #
+class _FullRetryManager(MemoryManager):
+    """Reference: re-attempts every queued request on every unstage/release."""
+
+    def _retry_pending(self):
+        still_pending = []
+        for pending in self._pending:
+            if self._try_stage(
+                pending.task_id, pending.requirements, pending.callback,
+                background=pending.background, retry=True,
+            ) is not None:
+                still_pending.append(pending)
+        self._pending = still_pending
+
+
+def _count_attempts(manager):
+    """Wrap ``manager._try_stage`` so every attempt is counted."""
+    calls = [0]
+    attempt = manager._try_stage
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return attempt(*args, **kwargs)
+
+    manager._try_stage = counted
+    return calls
+
+
+class _Side:
+    """One manager under a random program, with its engine and callback log."""
+
+    def __init__(self, cls, tenants):
+        cluster = Cluster(azure_nc24rsv2(nodes=1, gpus_per_node=2))
+        node = cluster.node(0)
+        self.engine = Engine()
+        resources = WorkerResources(self.engine, node, DEFAULT_OVERHEADS, Trace())
+        self.spaces = [dev.memory_space for dev in node.devices]
+        self.spaces += [node.host_space, node.disk_space]
+        capacities = dict(zip(self.spaces, (8 * MB, 8 * MB, 12 * MB, 256 * MB)))
+        self.manager = cls(node, resources, capacities=capacities,
+                           chunk_tenants=tenants)
+        if tenants is not None:
+            for tenant in (0, 1):
+                self.manager.set_tenant_quota(tenant, 0.4)
+        self.attempts = _count_attempts(self.manager)
+        self.fired = []
+        self.outcomes = []
+
+    def apply(self, op, *args):
+        try:
+            if op == "stage":
+                task_id, requirements, background = args
+                self.manager.stage(task_id, requirements,
+                                   lambda: self.fired.append(task_id), background)
+            elif op == "run":
+                self.engine.run()
+            else:
+                getattr(self.manager, op)(*args)
+            self.outcomes.append(None)
+        except OutOfMemoryError as exc:
+            self.outcomes.append(str(exc))
+
+    def observed(self):
+        manager = self.manager
+        return (
+            list(self.fired), list(self.outcomes), self.engine.now,
+            {cid: manager.residency(cid) for cid in manager._chunks},
+            [manager.lru_order(space) for space in self.spaces],
+            [manager.used_bytes(space) for space in self.spaces],
+            [manager.pinned_bytes(space) for space in self.spaces],
+            manager.stats,
+            [pending.task_id for pending in manager._pending],
+        )
+
+
+def _random_program(seed):
+    """Drive the skipping manager and the full-retry reference in lockstep;
+    returns their attempt counts after asserting identical state each step."""
+    rng = random.Random(seed)
+    tenants = ({}, {}) if seed % 2 else (None, None)
+    fast = _Side(MemoryManager, tenants[0])
+    full = _Side(_FullRetryManager, tenants[1])
+    devices = [DeviceId(0, 0), DeviceId(0, 1)]
+    chunk_ids, unstaged, reservations = [], set(), []
+    next_task = 0
+    for step in range(120):
+        roll = rng.random()
+        if roll < 0.15 or len(chunk_ids) < 4:
+            cid = len(chunk_ids) + 1
+            elems = rng.randint(1, 4) * MB // 8  # 0.5 to 2 MB of float32
+            meta = ChunkMeta(chunk_id=cid, region=Region((0,), (elems,)),
+                             dtype=np.float32, home=rng.choice(devices), array_id=1)
+            tenant = rng.randrange(2)
+            for tags in tenants:
+                if tags is not None:
+                    tags[cid] = tenant
+            chunk_ids.append(cid)
+            op = ("register", meta)
+        elif roll < 0.55:
+            next_task += 1
+            if rng.random() < 0.6:
+                picked = rng.sample(chunk_ids, rng.randint(1, 4))
+                requirements = [(cid, "gpu") for cid in picked]
+            else:
+                requirements = [(rng.choice(chunk_ids), rng.choice(["host", "any"]))]
+            op = ("stage", next_task, requirements, rng.random() < 0.2)
+        elif roll < 0.8:
+            ready = sorted(set(full.fired) - unstaged)
+            if not ready:
+                continue
+            task_id = rng.choice(ready)
+            unstaged.add(task_id)
+            op = ("unstage", task_id)
+        elif roll < 0.9:
+            if reservations and rng.random() < 0.5:
+                op = ("release", reservations.pop(rng.randrange(len(reservations))))
+            else:
+                reservations.append(1000 + step)
+                space = rng.choice(full.spaces[:3])
+                keep = rng.sample(chunk_ids, rng.randint(0, 3))
+                op = ("reserve", space, keep, rng.randint(0, 8) * MB,
+                      reservations[-1], rng.random() < 0.5)
+        elif roll < 0.93:
+            cid = rng.choice(chunk_ids)
+            meta = full.manager._chunks[cid].meta
+            op = ("retarget_home", cid, replace(meta, home=rng.choice(devices)))
+        else:
+            op = ("run",)
+        fast.apply(*op)
+        full.apply(*op)
+        assert fast.observed() == full.observed(), f"seed {seed}, step {step}: {op}"
+    return fast.attempts[0], full.attempts[0]
+
+
+def test_skipped_retries_match_the_full_retry_loop():
+    """Seeded differential: skipping retries whose block holds changes no
+    callback, residency, LRU order, counter or queue, step by step."""
+    fast_total = full_total = 0
+    for seed in range(40):
+        fast, full = _random_program(seed)
+        fast_total += fast
+        full_total += full
+    assert fast_total < full_total  # the programs do exercise skipping
+
+
+def test_blocked_request_is_not_retried_while_pinned_exceeds_its_limit():
+    manager, engine = make_manager(gpu_capacity=4 * MB)
+    for cid, mb in ((1, 2), (2, 1), (3, 1), (4, 3)):
+        manager.register(chunk(cid, mb))
+    for task in (1, 2, 3):
+        assert stage(manager, engine, task, [(task, "gpu")])
+    # 4 MB pinned: the 3 MB request fits only once pinned <= 4 - 3 = 1 MB
+    assert not stage(manager, engine, 4, [(4, "gpu")])
+    attempts = _count_attempts(manager)
+    manager.unstage(3)  # 3 MB pinned
+    manager.unstage(2)  # 2 MB pinned
+    assert attempts[0] == 0
+    assert manager.residency(4) is None
+    manager.unstage(1)  # nothing pinned
+    engine.run()
+    assert attempts[0] == 1
+    assert manager.residency(4).kind is MemoryKind.GPU
+
+
+def _blocked_behind_own_chunk(b_kind):
+    """Task 3 stages ``[(1, "gpu"), (2, b_kind)]`` on a full 4 MB GPU that
+    holds chunk 2 unpinned and chunk 3 pinned by task 2, so it is blocked
+    with limit 4 - 2 (own) - 2 (needed) = 0 MB and 2 MB pinned."""
+    manager, engine = make_manager(gpu_capacity=4 * MB)
+    for cid in (1, 2, 3):
+        manager.register(chunk(cid, 2))
+    stage(manager, engine, 1, [(2, "gpu")])
+    manager.unstage(1)
+    assert stage(manager, engine, 2, [(3, "gpu")])
+    done = []
+    manager.stage(3, [(1, "gpu"), (2, b_kind)], lambda: done.append(3))
+    engine.run()
+    assert not done
+    return manager, engine, done
+
+
+def test_blocked_request_is_retried_once_its_own_chunk_moves():
+    """The limit alone would skip this retry: the GPU stays as pinned as
+    before, but chunk 2 left the GPU, so the request no longer needs its room."""
+    manager, engine, done = _blocked_behind_own_chunk("host")
+    assert stage(manager, engine, 4, [(2, "host")])  # moves chunk 2 to host
+    manager.unstage(4)
+    engine.run()
+    assert done == [3]
+    assert manager.residency(1).kind is MemoryKind.GPU
+
+
+def test_blocked_request_is_retried_once_its_own_chunk_is_pinned():
+    """Task 4 pins chunk 2 in place, then task 2 unpins chunk 3: 2 MB stay
+    pinned, above the limit, yet chunk 3 is now evictable room."""
+    manager, engine, done = _blocked_behind_own_chunk("gpu")
+    assert stage(manager, engine, 4, [(2, "gpu")])
+    manager.unstage(2)
+    engine.run()
+    assert done == [3]
+    assert manager.residency(1).kind is MemoryKind.GPU
+    assert manager.residency(3).kind is MemoryKind.HOST
