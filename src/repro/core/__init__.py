@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .geometry import Region
 from .kernel import CompiledKernel, KernelDef, Param
-from .planner import Planner, PlanningError
+from .planning import Planner, PlanningError
 from .reductions import REDUCE_OPS, ReduceOp, get_reduce_op
 from .types import ArrayView, LaunchContext, Matrix, Scalar, Tensor, Vector, AccessViolation
 from .wrapper import WrapperCache

@@ -55,12 +55,8 @@ class Scheduler:
         self.stage_threshold = stage_threshold
         self.policy = get_policy(policy)
 
-        self._waiting: Dict[int, List] = {}
         self._staged_bytes: Dict[object, int] = {}
         self._throttled: Dict[object, List[T.Task]] = {}
-        #: Total tasks across all throttle backlogs, so ``pending_tasks`` is
-        #: O(1) instead of summing every backlog on each call.
-        self._throttled_count = 0
         #: per-throttle-key count of backlogged tasks per non-zero priority,
         #: so ``_drain_throttled`` finds the top priority without scanning
         #: the whole backlog on every completion
@@ -81,12 +77,15 @@ class Scheduler:
     # submission and readiness
     # ------------------------------------------------------------------ #
     def submit(self, tasks: List[T.Task]) -> None:
-        """Receive a DAG fragment from the driver."""
-        # Plans carry hundreds of tasks with several deps each; reading the
-        # runtime's finished-set directly keeps the double dependency walk
-        # (count, then subscribe) free of per-dep method-call overhead.
-        finished = self.runtime._finished
-        subscribe = self.runtime.subscribe
+        """Receive a DAG fragment from the driver.
+
+        Each dependency still registered with the runtime as unfinished gets
+        the task's countdown entry appended to its waiter list; the runtime
+        decrements the entry as those dependencies complete and calls
+        :meth:`_ready` when it reaches zero.
+        """
+        waiters = self.runtime._waiters
+        ready = self._ready
         blacklist = self.blacklist
         for task in tasks:
             self.tasks_submitted += 1
@@ -96,35 +95,20 @@ class Scheduler:
                     f"(failed permanently); plans must be rebuilt against the "
                     f"surviving topology"
                 )
-            deps = task.deps
-            unmet = 0
-            for dep in deps:
-                if dep not in finished:
-                    unmet += 1
-            if not unmet:
-                self._ready(task)
-                continue
-            # One countdown entry and ONE shared callback per task (not one
-            # closure per dependency); the entry is mutated in place.
-            self._waiting[task.task_id] = [task, unmet]
-            callback = self._make_dep_callback(task.task_id)
-            for dep in deps:
-                if dep not in finished:
-                    subscribe(dep, callback)
-
-    def _make_dep_callback(self, task_id: int):
-        waiting = self._waiting
-
-        def _dep_done() -> None:
-            entry = waiting.get(task_id)
+            entry = None
+            for dep in task.deps:
+                if dep in waiters:
+                    if entry is None:
+                        entry = [task, 1, ready]
+                    else:
+                        entry[1] += 1
+                    subscribed = waiters[dep]
+                    if subscribed is None:
+                        waiters[dep] = [entry]
+                    else:
+                        subscribed.append(entry)
             if entry is None:
-                return
-            entry[1] -= 1
-            if entry[1] == 0:
-                del waiting[task_id]
-                self._ready(entry[0])
-
-        return _dep_done
+                ready(task)
 
     def _ready(self, task: T.Task) -> None:
         """Dependencies satisfied: pass through the scheduler control path."""
@@ -155,7 +139,6 @@ class Scheduler:
         staged = self._staged_bytes.get(key, 0)
         if requirements and staged > 0 and staged + footprint > self.stage_threshold:
             self._throttled.setdefault(key, []).append(task)
-            self._throttled_count += 1
             self._throttled_info[task.task_id] = (requirements, footprint)
             if task.priority > 0:
                 counts = self._throttled_priorities.setdefault(key, {})
@@ -221,7 +204,6 @@ class Scheduler:
                 if staged > 0 and staged + footprint > self.stage_threshold:
                     continue
                 backlog.pop(index)
-                self._throttled_count -= 1
                 del self._throttled_info[task.task_id]
                 if task.priority > 0 and priority_counts:
                     remaining = priority_counts.get(task.priority, 0) - 1
@@ -237,17 +219,21 @@ class Scheduler:
     # ------------------------------------------------------------------ #
     # diagnostics
     # ------------------------------------------------------------------ #
-    def pending_tasks(self) -> int:
-        """Tasks neither finished nor currently staged (waiting + throttled)."""
-        return len(self._waiting) + self._throttled_count
-
     def describe_stuck(self) -> str:
         """Human-readable dump of stuck tasks and the resources they wait on
-        (dependency counts, staging-throttle keys, memory-staging queues) for
-        :class:`~repro.errors.SimulationStalled` reports."""
-        lines = [f"worker {self.worker}: {len(self._waiting)} waiting tasks"]
-        for task, remaining in list(self._waiting.values())[:10]:
-            lines.append(f"  {task} waiting on {remaining} dependencies ({task.deps})")
+        (unfinished dependencies, staging-throttle keys, memory-staging
+        queues) for :class:`~repro.errors.SimulationStalled` reports."""
+        waiters = self.runtime._waiters
+        ready = self._ready
+        waiting = {}
+        for entries in waiters.values():
+            for entry in entries or ():
+                if entry[2] == ready:
+                    waiting[entry[0].task_id] = entry
+        lines = [f"worker {self.worker}: {len(waiting)} waiting tasks"]
+        for task, unmet, _ in list(waiting.values())[:10]:
+            unfinished = [dep for dep in task.deps if dep in waiters]
+            lines.append(f"  {task} waiting on {unmet} unfinished dependencies {unfinished}")
         for key, queue in self._throttled.items():
             if queue:
                 lines.append(

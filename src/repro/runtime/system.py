@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, List, Optional
 
 from ..core.array import ArrayIdAllocator
 from ..core.chunk import ChunkIdAllocator
@@ -219,8 +219,12 @@ class RuntimeSystem:
             )
             self.workers.append(worker)
 
-        self._finished: Set[TaskId] = set()
-        self._subscribers: Dict[TaskId, List[Callable[[], None]]] = {}
+        #: Completion tracking: every submitted task id that has not finished
+        #: yet maps to the countdown entries of the tasks waiting on it
+        #: (``None`` until the first waiter subscribes).  An entry is
+        #: ``[task, unmet dependencies, owning scheduler's ready callback]``
+        #: and sits in the list of every unfinished dependency of its task.
+        self._waiters: Dict[TaskId, Optional[list]] = {}
         self._outstanding = 0
         self.plans_submitted = 0
         self.plan_cache_hits = 0
@@ -272,31 +276,24 @@ class RuntimeSystem:
     # ------------------------------------------------------------------ #
     # completion tracking (shared by all schedulers)
     # ------------------------------------------------------------------ #
-    def is_finished(self, task_id: TaskId) -> bool:
-        """True when the task id has completed."""
-        return task_id in self._finished
-
-    def subscribe(self, task_id: TaskId, callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` once ``task_id`` completes (immediately if it has)."""
-        if task_id in self._finished:
-            callback()
-            return
-        subscribers = self._subscribers.get(task_id)
-        if subscribers is None:
-            self._subscribers[task_id] = [callback]
-        else:
-            subscribers.append(callback)
-
     def notify_completion(self, task_id: TaskId) -> None:
-        """Mark a task finished and fire its subscribers (schedulers call this)."""
-        if task_id in self._finished:
-            raise RuntimeError(f"task {task_id} completed twice")
-        self._finished.add(task_id)
+        """Mark a task finished and release its waiters (schedulers call this).
+
+        Waiters are released in the order they subscribed, and a task whose
+        last unmet dependency this was goes to its scheduler's ready path.
+        """
+        try:
+            entries = self._waiters.pop(task_id)
+        except KeyError:
+            raise RuntimeError(
+                f"task {task_id} completed twice (or was never submitted)"
+            ) from None
         self._outstanding -= 1
-        callbacks = self._subscribers.pop(task_id, None)
-        if callbacks is not None:
-            for callback in callbacks:
-                callback()
+        if entries is not None:
+            for entry in entries:
+                entry[1] -= 1
+                if not entry[1]:
+                    entry[2](entry[0])
         if self._tenancy:
             tenant = self._task_tenant.pop(task_id, None)
             if tenant is not None:
@@ -334,6 +331,10 @@ class RuntimeSystem:
         if self.record_plans:
             self.recorded_plans.append(plan)
         self._outstanding += plan.task_count
+        waiters = self._waiters
+        for tasks in plan.tasks_by_worker.values():
+            for task in tasks:
+                waiters[task.task_id] = None
         if plan.tenant is not None:
             self._tenancy = True
             tenant = plan.tenant

@@ -85,7 +85,3 @@ class Worker:
                 if not self.memory.knows(task.chunk.chunk_id):
                     self.memory.register(task.chunk)
         self.scheduler.submit(tasks)
-
-    def pending_tasks(self) -> int:
-        """Tasks of this worker neither finished nor staged."""
-        return self.scheduler.pending_tasks()

@@ -8,10 +8,13 @@ benchmark harnesses use it to report utilisation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = ["TraceInterval", "Trace"]
+
+_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,28 @@ class Trace:
     item appends one interval), so intervals are stored as plain tuples and
     only materialised into :class:`TraceInterval` objects when the
     :attr:`intervals` API is actually consulted (analysis/report time).
+
+    Busy time is kept as intervals arrive.  Resources record an interval when
+    it ends, at the engine's current time, so per resource the ends never
+    decrease.  The merged busy components of a resource then form a stack
+    ordered by time, and a new interval absorbs exactly the components that
+    end at or after its start.  Each component carries the running total of
+    the component lengths, summed left to right from 0.0 as a sort-and-merge
+    over the whole history would sum them, so busy totals are read in O(1)
+    and are the same floats bit for bit.
     """
 
-    __slots__ = ("_raw", "_materialised")
+    __slots__ = ("_raw", "_materialised", "_busy")
 
     def __init__(self) -> None:
         #: raw (resource, label, start, end) tuples, in record order
         self._raw: List[tuple] = []
         self._materialised: Optional[List[TraceInterval]] = None
+        #: resource -> flat ``array("d")`` of (start, end, total) triples, one
+        #: per merged busy component in time order, where ``total`` is the busy
+        #: time through that component.  A sentinel triple (-inf, -inf, 0.0)
+        #: comes first, so the merge loop needs no emptiness check.
+        self._busy: Dict[str, array] = {}
 
     @property
     def intervals(self) -> List[TraceInterval]:
@@ -55,7 +72,30 @@ class Trace:
         return cached
 
     def record(self, resource: str, label: str, start: float, end: float) -> None:
-        """Append one busy interval for ``resource``."""
+        """Append one busy interval for ``resource``.
+
+        Raises :class:`ValueError` when ``end`` is earlier than the end of the
+        resource's previous interval: busy time is only kept for ends that
+        never decrease.
+        """
+        busy = self._busy.get(resource)
+        if busy is None:
+            busy = self._busy[resource] = array("d", (_NEG_INF, _NEG_INF, 0.0))
+        if end < busy[-2]:
+            raise ValueError(
+                f"trace interval of {resource!r} ends at {end!r}, before the "
+                f"previous end {busy[-2]!r}"
+            )
+        # Absorb every component that ends at or after ``start``.
+        merged = start
+        while busy[-2] >= start:
+            merged = busy[-3]
+            del busy[-3:]
+        if start < merged:
+            merged = start
+        busy.append(merged)
+        busy.append(end)
+        busy.append(busy[-3] + (end - merged))
         self._raw.append((resource, label, start, end))
 
     def for_resource(self, resource: str) -> List[TraceInterval]:
@@ -64,23 +104,8 @@ class Trace:
 
     def busy_time(self, resource: str) -> float:
         """Total busy time of ``resource`` (intervals may overlap for shared resources)."""
-        spans = sorted(
-            (raw[2], raw[3]) for raw in self._raw if raw[0] == resource
-        )
-        total = 0.0
-        cur_start: Optional[float] = None
-        cur_end = 0.0
-        for start, end in spans:
-            if cur_start is None:
-                cur_start, cur_end = start, end
-            elif start <= cur_end:
-                cur_end = max(cur_end, end)
-            else:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-        if cur_start is not None:
-            total += cur_end - cur_start
-        return total
+        busy = self._busy.get(resource)
+        return busy[-1] if busy is not None else 0.0
 
     def utilisation(self, resource: str, makespan: float) -> float:
         """Busy fraction of a resource over the traced horizon."""
@@ -107,16 +132,10 @@ class Trace:
         return total
 
     def _merged(self, resource: str) -> List[tuple]:
-        spans = sorted((raw[2], raw[3]) for raw in self._raw if raw[0] == resource)
-        merged: List[tuple] = []
-        for start, end in spans:
-            if merged and start <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-            else:
-                merged.append((start, end))
-        return merged
+        busy = self._busy.get(resource)
+        return list(zip(busy[3::3], busy[4::3])) if busy is not None else []
 
     def summary(self) -> Dict[str, float]:
         """Busy time per resource."""
-        resources = {raw[0] for raw in self._raw}
-        return {name: self.busy_time(name) for name in sorted(resources)}
+        busy = self._busy
+        return {name: busy[name][-1] for name in sorted(busy)}

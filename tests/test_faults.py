@@ -11,9 +11,11 @@ import random
 import numpy as np
 import pytest
 
-from repro import Context, azure_nc24rsv2
+from repro import BlockDist, Context, azure_nc24rsv2
+from repro.core import tasks as T
 from repro.core.chunk import ChunkMeta
 from repro.core.geometry import Region
+from repro.core.tasks import ExecutionPlan
 from repro.errors import (
     ArgumentTypeError,
     ArgumentValueError,
@@ -281,6 +283,31 @@ def test_simulation_stalled_reports_what_a_staging_request_waits_for():
         f"{space} with {nbytes} bytes pinned "
         f"(limit {memory.capacity(space) - nbytes})"
     ) in str(exc.value)
+
+
+def test_simulation_stalled_names_only_the_unfinished_dependency():
+    """A join waits on a finished task and on a receive whose message never comes."""
+    ctx = make_ctx(mode="functional")
+    runtime = ctx.runtime
+    x = ctx.ones(64, BlockDist(32), name="x")
+    ctx.synchronize()
+    chunk = x.chunks[0]
+    plan = ExecutionPlan()
+    done = plan.add(T.CombineTask(task_id=runtime.task_ids.next_id(), worker=0))
+    recv = plan.add(T.RecvTask(
+        task_id=runtime.task_ids.next_id(), worker=0, chunk_id=chunk.chunk_id,
+        region=chunk.region, src_worker=0, tag=runtime.message_tags.next_id(),
+        nbytes=chunk.nbytes,
+    ))
+    join = plan.add(T.CombineTask(
+        task_id=runtime.task_ids.next_id(), worker=0, deps=(done.task_id, recv.task_id),
+    ))
+    runtime.submit_plan(plan)
+    with pytest.raises(SimulationStalled) as exc:
+        runtime.run_until_idle()
+    report = str(exc.value)
+    assert "worker 0: 1 waiting tasks" in report
+    assert f"{join} waiting on 1 unfinished dependencies [{recv.task_id}]" in report
 
 
 # --------------------------------------------------------------------------- #

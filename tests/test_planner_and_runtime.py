@@ -15,8 +15,9 @@ from repro import (
     azure_nc24rsv2,
 )
 from repro.core import tasks as T
-from repro.core.planner import PlanningError
+from repro.core.planning import PlanningError
 from repro.core.tasks import ExecutionPlan
+from repro.kernels import create_workload
 from repro.runtime.system import ExecutionMode
 
 
@@ -251,6 +252,31 @@ def test_overlap_of_compute_and_pcie_is_visible_in_trace():
     trace = ctx.trace()
     overlap = trace.overlap_time("w0.gpu0.compute", "w0.pcie")
     assert overlap > 0
+
+
+def test_completion_state_is_released_after_every_pass():
+    """The runtime keeps completion entries only for tasks still in flight."""
+    ctx = make_ctx(mode=ExecutionMode.SIMULATE)
+    work = create_workload("hotspot3", ctx, 64 * 64, chunk_elems=64 * 16, iterations=2)
+    work.prepare()
+    completed = 0
+    for _ in range(3):
+        work.submit()
+        ctx.synchronize()
+        assert ctx.runtime._waiters == {}
+        assert ctx.stats().tasks_completed > completed
+        completed = ctx.stats().tasks_completed
+
+
+def test_a_task_completing_twice_is_rejected():
+    ctx = make_ctx()
+    runtime = ctx.runtime
+    plan = ExecutionPlan()
+    task = plan.add(T.CombineTask(task_id=runtime.task_ids.next_id(), worker=0))
+    runtime.submit_plan(plan)
+    runtime.run_until_idle()
+    with pytest.raises(RuntimeError, match="completed twice"):
+        runtime.notify_completion(task.task_id)
 
 
 def test_deleted_array_cannot_be_used():

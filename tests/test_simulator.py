@@ -1,7 +1,10 @@
 """Tests for the discrete-event engine, resources and trace analysis."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import Context, azure_nc24rsv2
+from repro.kernels import create_workload
 from repro.simulator import (
     BandwidthResource,
     ChannelResource,
@@ -422,3 +425,84 @@ def test_resources_record_into_trace():
     engine.run()
     assert trace.busy_time("gpu0") == pytest.approx(1.0)
     assert trace.summary() == {"gpu0": pytest.approx(1.0)}
+
+
+def _reference_busy(spans) -> float:
+    """Busy time by sorting the whole history and merging it left to right."""
+    total = 0.0
+    cur_start = None
+    cur_end = 0.0
+    for start, end in sorted(spans):
+        if cur_start is None:
+            cur_start, cur_end = start, end
+        elif start <= cur_end:
+            cur_end = max(cur_end, end)
+        else:
+            total += cur_end - cur_start
+            cur_start, cur_end = start, end
+    if cur_start is not None:
+        total += cur_end - cur_start
+    return total
+
+
+def _reference_summary(intervals) -> dict:
+    spans = {}
+    for iv in intervals:
+        spans.setdefault(iv.resource, []).append((iv.start, iv.end))
+    return {name: _reference_busy(spans[name]) for name in sorted(spans)}
+
+
+def _hexed(busy: dict) -> dict:
+    return {name: value.hex() for name, value in busy.items()}
+
+
+#: grid values make zero-length, touching and nested intervals common;
+#: arbitrary floats exercise the rounding of the summed lengths
+_TIMES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+    st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abc"), _TIMES, _TIMES), max_size=60))
+def test_trace_busy_time_equals_sort_merge_reference(steps):
+    """Like the engine, the stream is stamped with a clock that never goes back."""
+    trace = Trace()
+    now = 0.0
+    for resource, advance, duration in steps:
+        now += advance
+        trace.record(resource, "work", now - duration, now)
+    expected = _reference_summary(trace.intervals)
+    assert _hexed(trace.summary()) == _hexed(expected)
+    for resource in "abcd":
+        assert trace.busy_time(resource).hex() == expected.get(resource, 0.0).hex()
+
+
+def test_trace_rejects_an_interval_ending_before_the_previous_one():
+    trace = Trace()
+    trace.record("gpu", "k1", 0.0, 2.0)
+    trace.record("pcie", "copy", 0.0, 1.0)  # each resource keeps its own order
+    with pytest.raises(ValueError, match="before the previous end"):
+        trace.record("gpu", "k2", 0.5, 1.5)
+    assert trace.busy_time("gpu") == 2.0
+    assert len(trace.intervals) == 2
+
+
+def test_faulted_run_busy_time_equals_reference_over_recorded_intervals():
+    """Failed attempts are never recorded, so the totals still match the trace."""
+    ctx = Context(
+        azure_nc24rsv2(nodes=1, gpus_per_node=2),
+        mode="simulate",
+        faults="transfer=0.2,compute=0.2,retry=8",
+        fault_seed=5,
+    )
+    work = create_workload("hotspot3", ctx, 64 * 64, chunk_elems=64 * 16, iterations=4)
+    work.prepare()
+    work.submit()
+    ctx.synchronize()
+    stats = ctx.stats()
+    assert stats.transfer_faults_injected > 0
+    assert ctx.runtime.fault_injector.compute_faults_injected > 0
+    expected = _reference_summary(ctx.trace().intervals)
+    assert _hexed(stats.resource_busy) == _hexed(expected)
