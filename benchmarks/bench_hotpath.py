@@ -8,40 +8,16 @@ the simulator itself needs, not the virtual time it predicts:
 * peak RSS of the process,
 * the run's virtual time (so perf work can prove it didn't change results).
 
-Three arms per configuration:
+Every configuration runs the as-checked-out implementation (the ``current``
+arm).  A before/after comparison of a change is perfbench's recipe
+(``perfbench/README.md``, "Comparing a parent commit and a change"), not an
+arm of this script.
 
-``current``
-    The as-checked-out implementation (virtual-service links, indexed LRU
-    spilling).
+One correctness gate runs alongside the measurements: **determinism** — the
+same configuration run twice must produce a bit-identical virtual time (no
+hidden state leaks between runs).
 
-``legacy_hotpaths``
-    Same code base with the pre-rewrite link model re-enabled
-    (:func:`repro.simulator.use_legacy_links`): O(n)-per-event links with
-    spurious wake-ups.  Virtual time must agree with ``current`` to ~1 ulp;
-    the wall-clock ratio isolates the rewritten link loop.
-
-``pre_pr`` (optional, ``--pre-pr-src PATH``)
-    The same sweep executed by a subprocess whose ``PYTHONPATH`` points at a
-    checkout of the previous PR (e.g. a ``git worktree`` of the base commit).
-    This is the honest end-to-end speedup — it includes wins the in-process
-    toggles cannot reproduce (e.g. ``ChunkMeta.nbytes`` memoisation).
-
-Two correctness gates run alongside the measurements:
-
-* **determinism** — the same configuration run twice must produce a
-  bit-identical virtual time (the rewrite introduced no hidden state);
-* **functional equivalence** — a functional-mode K-Means run must produce
-  bit-identical numerical results under ``current`` and ``legacy_hotpaths``.
-
-Virtual times between the arms agree exactly for uninterrupted links and to
-~1 ulp per rate change on shared links; on long event-order-sensitive runs
-those ulps amplify through scheduling ties into percent-level drift (as any
-FP/compiler change would).  The drift is *reported* per config
-(``virtual_time`` fields and ``summary.max_virtual_time_drift_vs_*``) rather
-than asserted, because the legacy arithmetic is path-dependent and cannot be
-reproduced by any O(log n) formulation.
-
-A third sweep measures the **launch window**: the HotSpot double-stencil
+A launch-window sweep measures the **launch window**: the HotSpot double-stencil
 (fusion evidence) and the CGC application (reduce-heavy chains the fusion
 pass must leave alone — an overhead-neutrality control) run under four arms
 (window, ``no_fusion``, ``no_prefetch``, ``eager``/lookahead-1), recording
@@ -57,7 +33,7 @@ fails the run when chain fusion stops removing at least
 :data:`CHAIN_EVENT_RATIO_GATE` engine events versus pairwise-only fusion, or
 when functional results stop being bit-identical with fusion off.
 
-A fourth sweep measures **window-aware memory planning** on spill-stress
+A window-memory sweep measures **window-aware memory planning** on spill-stress
 configurations (capped GPU pools): a bench-local out-of-core streaming
 pipeline (each window group's working set fits the pool — promotion regime)
 and the K-Means spill configuration (working set overflows the pool —
@@ -85,7 +61,6 @@ import argparse
 import json
 import os
 import resource
-import subprocess
 import sys
 import time
 
@@ -256,30 +231,19 @@ def _run_one(workload, total_gpus, per_node, n, params, mode="simulate",
         "events_processed": engine.events_processed,
         "events_per_second": engine.events_processed / wall if wall > 0 else 0.0,
         "peak_rss_kb": _peak_rss_kb(),
+        "events_cancelled": engine.events_cancelled,
     }
-    # Only present on the rewritten engine (absent when this file runs against
-    # a pre-PR checkout in --emit-arm-json mode).
-    if hasattr(engine, "events_cancelled"):
-        metrics["events_cancelled"] = engine.events_cancelled
     stats = ctx.stats()
-    if hasattr(stats, "memory"):
-        metrics["evictions"] = sum(
-            m.evictions_to_host + m.evictions_to_disk for m in stats.memory.values()
-        )
-    # launch-window counters (absent on pre-window checkouts in --emit-arm-json)
+    metrics["evictions"] = sum(
+        m.evictions_to_host + m.evictions_to_disk for m in stats.memory.values()
+    )
     for counter in ("launches_fused", "launches_fused_chain", "fused_chain_max_len",
                     "reductions_fused", "transfers_prefetched", "window_flushes",
                     "network_bytes", "chunks_preevicted", "prefetch_promotions",
                     "staging_stalls", "staging_stalls_avoided"):
-        if hasattr(stats, counter):
-            metrics[counter] = getattr(stats, counter)
-    if hasattr(stats, "memory"):
-        metrics["staging_evictions"] = sum(
-            getattr(m, "staging_evictions", 0) for m in stats.memory.values()
-        )
-    cache = getattr(getattr(ctx, "planner", None), "cache", None)
-    if cache is not None:
-        metrics["plan_cache_hit_rate"] = cache.hit_rate
+        metrics[counter] = getattr(stats, counter)
+    metrics["staging_evictions"] = sum(m.staging_evictions for m in stats.memory.values())
+    metrics["plan_cache_hit_rate"] = ctx.planner.cache.hit_rate
     return metrics
 
 
@@ -292,13 +256,6 @@ def _run_arm(configs):
         print(f"  {key}: {results[key]['wall_seconds']:.2f}s, "
               f"{results[key]['events_processed']} events", file=sys.stderr)
     return results
-
-
-def _run_legacy_arm(configs):
-    from repro.simulator import use_legacy_links
-
-    with use_legacy_links():
-        return _run_arm(configs)
 
 
 def _run_window_arms(quick: bool) -> dict:
@@ -584,67 +541,16 @@ def _run_window_memory_arms(quick: bool) -> dict:
     return {"results": results, "summary": summary, "checks": checks}
 
 
-def _run_pre_pr_arm(configs, pre_pr_src: str, quick: bool):
-    """Run the sweep in a subprocess importing ``repro`` from ``pre_pr_src``."""
-    env = dict(os.environ, PYTHONPATH=pre_pr_src)
-    cmd = [sys.executable, os.path.abspath(__file__), "--emit-arm-json"]
-    if quick:
-        cmd.append("--quick")
-    out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
-    return json.loads(out.stdout)
-
-
 def _correctness_checks():
-    """Determinism and cross-implementation functional equivalence."""
-    import numpy as np
-
-    from repro.simulator import use_legacy_links
-
+    """Determinism: the same configuration run twice, bit-identical."""
     first = _run_one("kmeans", 2, 2, 40_960, {"iterations": 12, "seed": 0})
     second = _run_one("kmeans", 2, 2, 40_960, {"iterations": 12, "seed": 0})
-    checks = {
+    return {
         "determinism_virtual_time": first["virtual_time"],
         "determinism_bit_identical": (
             first["virtual_time"].hex() == second["virtual_time"].hex()
         ),
     }
-
-    def functional_result():
-        from repro.kernels import create_workload
-
-        ctx = _make_context(2, 2, {}, mode="functional")
-        workload = create_workload("kmeans", ctx, 40_960, iterations=12, seed=0)
-        workload.run()
-        return ctx.runtime.engine.now, ctx.gather(workload.centroids)
-
-    vt_new, result_new = functional_result()
-    with use_legacy_links():
-        vt_old, result_old = functional_result()
-    checks["functional_results_bit_identical"] = bool(
-        np.array_equal(result_new, result_old)
-    )
-    checks["functional_virtual_time_drift"] = abs(vt_new - vt_old) / max(vt_old, 1e-12)
-    return checks
-
-
-def _summarise(results: dict) -> dict:
-    summary = {}
-    for arm in [a for a in ("legacy_hotpaths", "pre_pr") if a in results]:
-        shared = [k for k in results[arm] if k in results["current"]]
-        if not shared:
-            continue
-        wall_new = sum(results["current"][k]["wall_seconds"] for k in shared)
-        wall_old = sum(results[arm][k]["wall_seconds"] for k in shared)
-        ev_new = sum(results["current"][k]["events_processed"] for k in shared)
-        ev_old = sum(results[arm][k]["events_processed"] for k in shared)
-        summary[f"speedup_vs_{arm}"] = wall_old / wall_new if wall_new else 0.0
-        summary[f"event_ratio_vs_{arm}"] = ev_old / ev_new if ev_new else 0.0
-        summary[f"max_virtual_time_drift_vs_{arm}"] = max(
-            abs(results[arm][k]["virtual_time"] - results["current"][k]["virtual_time"])
-            / max(results["current"][k]["virtual_time"], 1e-12)
-            for k in shared
-        )
-    return summary
 
 
 def _baseline_rows(results: dict, baseline_path: str, tolerance: float = 0.25):
@@ -731,12 +637,6 @@ def main(argv=None) -> int:
                         help="result JSON path (default benchmarks/results/BENCH_hotpath.json)")
     parser.add_argument("--baseline", default=None,
                         help="compare event counts against this committed baseline JSON")
-    parser.add_argument("--pre-pr-src", default=None, metavar="PATH",
-                        help="src/ of a pre-PR checkout to measure as a third arm")
-    parser.add_argument("--no-legacy", action="store_true",
-                        help="skip the in-process legacy_hotpaths arm")
-    parser.add_argument("--emit-arm-json", action="store_true",
-                        help="internal: run the sweep and print metrics JSON to stdout")
     parser.add_argument("--summary", default=None, metavar="PATH",
                         help="append a markdown regression table to PATH "
                              "(defaults to $GITHUB_STEP_SUMMARY when set)")
@@ -746,22 +646,11 @@ def main(argv=None) -> int:
     configs = list(QUICK_CONFIGS if args.quick else FULL_CONFIGS)
     configs += _spill_configs(args.quick)
 
-    if args.emit_arm_json:
-        print(json.dumps(_run_arm(configs)))
-        return 0
-
     results = {}
     print("arm: current", file=sys.stderr)
     results["current"] = _run_arm(configs)
-    if not args.no_legacy:
-        print("arm: legacy_hotpaths", file=sys.stderr)
-        results["legacy_hotpaths"] = _run_legacy_arm(configs)
-    if args.pre_pr_src:
-        print("arm: pre_pr (subprocess)", file=sys.stderr)
-        results["pre_pr"] = _run_pre_pr_arm(configs, args.pre_pr_src, args.quick)
 
     checks = _correctness_checks()
-    summary = _summarise(results)
     window = _run_window_arms(args.quick)
     chain = _run_chain_arms(args.quick)
     window_memory = _run_window_memory_arms(args.quick)
@@ -806,7 +695,6 @@ def main(argv=None) -> int:
                   "+ chain-fusion + window-memory"),
         "results": results,
         "checks": checks,
-        "summary": summary,
         "launch_window": window,
         "chain_fusion": chain,
         "window_memory": window_memory,
@@ -819,7 +707,6 @@ def main(argv=None) -> int:
         args.output or os.path.join(RESULTS_DIR, "BENCH_hotpath.json"), payload
     )
     print(f"wrote {output}")
-    print(json.dumps(summary, indent=2, sort_keys=True))
     print(json.dumps(window["summary"], indent=2, sort_keys=True))
     print(json.dumps(chain["summary"], indent=2, sort_keys=True))
     print(json.dumps(window_memory["summary"], indent=2, sort_keys=True))
@@ -831,9 +718,6 @@ def main(argv=None) -> int:
                             baseline_path=args.baseline)
     if not checks["determinism_bit_identical"]:
         print("FAIL: repeated run virtual time not bit-identical", file=sys.stderr)
-        return 1
-    if not checks["functional_results_bit_identical"]:
-        print("FAIL: functional results differ between implementations", file=sys.stderr)
         return 1
     if not checks["window_fusion_effective"]:
         print("FAIL: fusion did not reduce events/bytes on the double-stencil sweep",

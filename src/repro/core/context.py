@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import ArgumentTypeError, ArgumentValueError, FaultError
+from ..errors import ArgumentTypeError, ArgumentValueError
 from ..hardware.specs import ClusterSpec, azure_nc24rsv2
 from ..hardware.topology import DeviceId
 from ..perfmodel.costs import DEFAULT_OVERHEADS, OverheadModel
@@ -85,17 +85,13 @@ class Context:
     ):
         if runtime is not None:
             # Multi-tenant serving: attach to an existing runtime instead of
-            # building one.  Fault injection is owned by the serving system
-            # (one injector for the shared cluster), never by a tenant.
-            if faults is not None:
+            # building one.  Faults and the disk tier are runtime-wide, so
+            # they are configured where the shared runtime is built.
+            if faults is not None or disk:
                 raise ArgumentValueError(
-                    "faults must be configured on the serving system, not on "
-                    "a tenant context attached to a shared runtime"
-                )
-            if disk:
-                raise ArgumentValueError(
-                    "the disk tier must be configured on the serving system, "
-                    "not on a tenant context attached to a shared runtime"
+                    "faults and the disk tier are runtime-wide: configure them "
+                    "with ServingSystem(faults=..., disk=...), not on a tenant "
+                    "context attached to a shared runtime"
                 )
             self.runtime = runtime
             self.mode = runtime.mode
@@ -105,6 +101,9 @@ class Context:
             if isinstance(mode, str):
                 mode = ExecutionMode(mode)
             self.mode = mode
+            # Fault tolerance (``faults``: a FaultSpec, a ``--inject-faults``
+            # spec string or None) and the compressed disk tier (``disk``,
+            # ratios drawn from ``disk_seed``) are owned by the runtime.
             self.runtime = RuntimeSystem(
                 cluster,
                 mode=mode,
@@ -114,6 +113,10 @@ class Context:
                 memory_capacities=memory_capacities,
                 scheduler_policy=scheduler_policy,
                 record_plans=record_plans,
+                faults=faults,
+                fault_seed=fault_seed,
+                disk=disk,
+                disk_seed=disk_seed,
             )
         self.cluster = self.runtime.cluster
         #: tenant identity under multi-tenant serving; ``None`` single-tenant
@@ -155,30 +158,9 @@ class Context:
         #: lazy expression frontend: operators on DistributedArray record DAGs
         #: here; ``lazy=False`` makes every operator launch one kernel eagerly
         self.expr = ExprEngine(self, lazy=lazy)
-        #: Fault tolerance: ``faults`` is a FaultSpec, a ``--inject-faults``
-        #: spec string, or None (the default: zero-overhead fault-free path).
-        #: Even an empty FaultSpec() enables lineage tracking, so tests can
-        #: trigger failures manually through :meth:`fail_device`.
-        #: Disk tier: ``disk=True`` turns on the compressed third memory level
-        #: (spill-to-disk with per-chunk compression ratios drawn
-        #: deterministically from ``disk_seed``) and the planner's staged
-        #: disk→host promotions.  Off by default: the two-level baseline path
-        #: stays bit-identical to builds without the disk tier.
-        if disk and runtime is None:
-            from ..perfmodel.compression import CompressionModel
-
-            self.runtime.enable_disk_model(CompressionModel(seed=disk_seed))
-        self.fault_injector = None
-        if faults is not None:
-            from ..runtime.recovery import LineageTracker
-            from ..simulator.faults import FaultInjector, FaultSpec
-
-            spec = FaultSpec.parse(faults) if isinstance(faults, str) else faults
-            self.fault_injector = FaultInjector(spec, seed=fault_seed)
-            self.runtime.fault_injector = self.fault_injector
-            self.runtime.lineage = LineageTracker()
-            self.runtime.recovery_handler = self._recover_device
-            self.fault_injector.install(self.runtime)
+        #: registered last, once fully built: device recovery sweeps every
+        #: attached context's arrays and planner
+        self.runtime.contexts.append(self)
 
     # ------------------------------------------------------------------ #
     # cluster information
@@ -374,153 +356,12 @@ class Context:
     # fault tolerance (device failure and recovery)
     # ------------------------------------------------------------------ #
     def fail_device(self, device: Union[DeviceId, Tuple[int, int]]) -> None:
-        """Mark one GPU permanently failed (manual chaos-testing hook).
+        """Mark one GPU permanently failed; see :meth:`RuntimeSystem.fail_device`.
 
-        Recovery — lineage replay of lost chunks, rehoming, blacklisting and
-        forced redistribution onto the survivors — runs at the next quiescent
-        point, i.e. inside the next :meth:`synchronize` (or gather).
-        Requires the context to have been constructed with ``faults=...``.
+        Recovery runs inside the next :meth:`synchronize` (or gather) and
+        requires the context to have been constructed with ``faults=...``.
         """
-        if self.fault_injector is None:
-            raise FaultError(
-                "fault tolerance is not enabled; construct the Context with "
-                "faults=FaultSpec() (or a spec string) to use fail_device"
-            )
-        if isinstance(device, tuple):
-            device = DeviceId(*device)
-        try:
-            self.cluster.device(device)
-        except KeyError:
-            raise FaultError(f"unknown device {device}") from None
-        if self.cluster.is_failed(device):
-            return
-        self.fault_injector.fail_device(device)
-
-    def _buffer_of(self, chunk_id) -> Optional[np.ndarray]:
-        """The live buffer of a chunk on whichever worker stores it."""
-        for worker in self.runtime.workers:
-            if chunk_id in worker.storage:
-                return worker.storage.buffer(chunk_id)
-        return None
-
-    def _recover_device(
-        self, device: DeviceId, peers: Optional[List["Context"]] = None
-    ) -> None:
-        """Recover from one permanent device failure at a quiescent point.
-
-        Phase A (driver-side, instantaneous in virtual time except for the
-        lump costs charged at the end): shrink the topology, account for lost
-        vs surviving chunks, replay the lost chunks' lineage, rehome every
-        chunk of the dead device onto a survivor, and invalidate all cached
-        plans.  Phase B: force-redistribute every affected array under its
-        own distribution against the shrunken device list; the caller's
-        run-until-idle loop drains those plans before returning.
-
-        ``peers`` lists every context attached to this runtime (multi-tenant
-        serving).  Worker-level recovery runs once; the array sweep and the
-        forced redistribution run per owning context, so each affected
-        tenant's arrays are rebuilt through its *own* planner/window (plans
-        stay tenant-tagged) and untouched tenants see no new plans at all.
-        """
-        runtime = self.runtime
-        cluster = self.cluster
-        if peers is None:
-            peers = [self]
-        if cluster.is_failed(device):
-            return
-        cluster.mark_failed(device)
-        survivors = cluster.device_ids()
-        if not survivors:
-            raise FaultError(
-                f"device {device} failed and no devices survive; cannot recover"
-            )
-        runtime.devices_failed += 1
-        worker = runtime.workers[device.worker]
-        worker.scheduler.blacklist.add(device)
-
-        lost, surviving = worker.memory.mark_device_failed(device)
-        runtime.chunks_lost += len(lost)
-        runtime.replicas_promoted += len(surviving)
-        for chunk_id in lost:
-            worker.storage.poison(chunk_id)
-        replayed = 0
-        if runtime.lineage is not None and lost and self.functional:
-            replayed = runtime.lineage.replay(
-                lost, self._buffer_of, runtime.kernel_registry
-            )
-        runtime.tasks_replayed += replayed
-        restored = sum(
-            worker.storage.meta(cid).nbytes for cid in lost if cid in worker.storage
-        )
-
-        # Rehome every chunk whose home was the dead device: prefer a
-        # same-worker survivor (metadata swap only), else adopt the host-
-        # resident bytes on the first surviving worker.
-        same_worker = [d for d in survivors if d.worker == device.worker]
-        new_home = same_worker[0] if same_worker else survivors[0]
-        affected: List[Tuple["Context", DistributedArray]] = []
-        for owner in peers:
-            for array in list(owner.arrays.values()):
-                if not any(chunk.home == device for chunk in array.chunks):
-                    continue
-                affected.append((owner, array))
-                new_chunks: List[ChunkMeta] = []
-                for chunk in array.chunks:
-                    if chunk.home != device:
-                        new_chunks.append(chunk)
-                        continue
-                    new_chunks.append(self._rehome_chunk(chunk, new_home))
-                array.chunks = new_chunks
-                array.layout_epoch += 1
-        # Leftovers (temporaries still alive at the quiescent point).
-        for chunk_id in lost + surviving:
-            if chunk_id in worker.storage and worker.storage.meta(chunk_id).home == device:
-                self._rehome_chunk(worker.storage.meta(chunk_id), new_home)
-
-        # Cached recipes were planned against the pre-failure topology (cache
-        # keys omit the device list) — drop everything, plain and fused.
-        for owner in peers:
-            owner.planner.invalidate_all()
-
-        # Make the recovery visible in virtual time as deterministic lump
-        # costs: one fixed control charge per replayed lineage record, and
-        # the restored bytes crossing PCIe back toward the devices.
-        if replayed:
-            worker.resources.cpu.request(
-                replayed * self.runtime.overheads.plan_per_task,
-                lambda: None,
-                label="lineage replay",
-            )
-        if restored:
-            worker.resources.pcie.request(restored, lambda: None, label="recovery restore")
-
-        # Phase B: re-chunk every affected array under its own distribution,
-        # now evaluated against the shrunken healthy device list (each owner
-        # plans through its own planner, so the plans carry its tenant tag).
-        for owner, array in affected:
-            owner.redistribute(array, array.distribution)
-            runtime.redistributes_forced += 1
-
-    def _rehome_chunk(self, chunk: ChunkMeta, new_home: DeviceId) -> ChunkMeta:
-        """Retarget one chunk of a failed device onto ``new_home``."""
-        runtime = self.runtime
-        old_worker = runtime.workers[chunk.worker]
-        new_meta = _dc_replace(chunk, home=new_home)
-        if new_home.worker == chunk.worker:
-            # Same worker: swap metadata in place, bytes stay where they are
-            # (host memory after mark_device_failed / lineage replay).
-            old_worker.storage.replace_meta(new_meta)
-            old_worker.memory.retarget_home(chunk.chunk_id, new_meta)
-        else:
-            dest = runtime.workers[new_home.worker]
-            buffer = old_worker.storage.buffer(chunk.chunk_id)
-            dest.storage.adopt(new_meta, buffer)
-            dest.memory.adopt_resident(new_meta)
-            old_worker.memory.delete(chunk.chunk_id)
-            old_worker.storage.delete(chunk.chunk_id)
-        if runtime.lineage is not None:
-            runtime.lineage.note_rehome(new_meta)
-        return new_meta
+        self.runtime.fail_device(device)
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore

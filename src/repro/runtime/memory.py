@@ -146,7 +146,8 @@ class MemoryManager:
         #: the per-space counters so quota checks never scan chunks
         self._tenant_used: Dict[Tuple[int, MemorySpace], int] = defaultdict(int)
         self._tenant_pinned: Dict[Tuple[int, MemorySpace], int] = defaultdict(int)
-        #: Compressed disk tier (``Context(disk=True)``): a
+        #: Compressed disk tier (set by ``RuntimeSystem(disk=True)`` before
+        #: any chunk exists): a
         #: :class:`~repro.perfmodel.compression.CompressionModel` sampling a
         #: deterministic per-chunk compression ratio.  When set, disk
         #: transfers charge *compressed* bytes on the per-direction disk

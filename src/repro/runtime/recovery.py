@@ -22,11 +22,17 @@ Costs of this scheme, by design:
   the context — inputs must be durable for lineage recovery to be possible;
 * replay is functional-mode only (it needs real buffers); in simulate mode
   recovery still rehomes chunks and charges costs but cannot rebuild bytes.
+
+:func:`recover_device` is the one recovery path: the runtime calls it per
+failed device at a quiescent point, whichever front-end — a single
+:class:`~repro.core.context.Context` or a multi-tenant
+:class:`~repro.runtime.serving.ServingSystem` — submitted the work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,8 +42,9 @@ from ..core.chunk import ChunkId, ChunkMeta
 from ..core.reductions import get_reduce_op
 from ..core.types import ArrayView, LaunchContext
 from ..errors import FaultError
+from ..hardware.topology import DeviceId
 
-__all__ = ["LineageTracker"]
+__all__ = ["LineageTracker", "recover_device"]
 
 
 @dataclass
@@ -410,3 +417,136 @@ class LineageTracker:
         dst_slices = region.as_local_slices(self._meta[dst].region)
         dst_buf = scratch[dst]
         dst_buf[dst_slices] = combine(dst_buf[dst_slices], src_view)
+
+
+# --------------------------------------------------------------------------- #
+# device recovery (the runtime calls this at a quiescent point)
+# --------------------------------------------------------------------------- #
+def recover_device(runtime, device: DeviceId) -> None:
+    """Recover from one permanent device failure at a quiescent point.
+
+    Phase A (driver-side, instantaneous in virtual time except for the lump
+    costs charged at the end): shrink the topology, account for lost vs
+    surviving chunks, replay the lost chunks' lineage, rehome every chunk of
+    the dead device onto a survivor, and invalidate all cached plans.  Phase
+    B: force-redistribute every affected array under its own distribution
+    against the shrunken device list; the caller's run-until-idle loop
+    drains those plans before returning.
+
+    Worker-level recovery runs once; the array sweep and the forced
+    redistribution run per context in ``runtime.contexts``, so under
+    multi-tenant serving each affected tenant's arrays are rebuilt through
+    its *own* planner/window (plans stay tenant-tagged) and untouched
+    tenants see no new plans at all.
+    """
+    from .system import ExecutionMode
+
+    cluster = runtime.cluster
+    if cluster.is_failed(device):
+        return
+    cluster.mark_failed(device)
+    survivors = cluster.device_ids()
+    if not survivors:
+        raise FaultError(
+            f"device {device} failed and no devices survive; cannot recover"
+        )
+    runtime.devices_failed += 1
+    worker = runtime.workers[device.worker]
+    worker.scheduler.blacklist.add(device)
+
+    lost, surviving = worker.memory.mark_device_failed(device)
+    runtime.chunks_lost += len(lost)
+    runtime.replicas_promoted += len(surviving)
+    for chunk_id in lost:
+        worker.storage.poison(chunk_id)
+    replayed = 0
+    if (
+        runtime.lineage is not None
+        and lost
+        and runtime.mode is ExecutionMode.FUNCTIONAL
+    ):
+        replayed = runtime.lineage.replay(
+            lost, lambda chunk_id: _buffer_of(runtime, chunk_id),
+            runtime.kernel_registry,
+        )
+    runtime.tasks_replayed += replayed
+    restored = sum(
+        worker.storage.meta(cid).nbytes for cid in lost if cid in worker.storage
+    )
+
+    # Rehome every chunk whose home was the dead device: prefer a same-worker
+    # survivor (metadata swap only), else adopt the host-resident bytes on
+    # the first surviving worker.
+    same_worker = [d for d in survivors if d.worker == device.worker]
+    new_home = same_worker[0] if same_worker else survivors[0]
+    affected = []
+    for owner in runtime.contexts:
+        for array in list(owner.arrays.values()):
+            if not any(chunk.home == device for chunk in array.chunks):
+                continue
+            affected.append((owner, array))
+            new_chunks: List[ChunkMeta] = []
+            for chunk in array.chunks:
+                if chunk.home != device:
+                    new_chunks.append(chunk)
+                    continue
+                new_chunks.append(_rehome_chunk(runtime, chunk, new_home))
+            array.chunks = new_chunks
+            array.layout_epoch += 1
+    # Leftovers (temporaries still alive at the quiescent point).
+    for chunk_id in lost + surviving:
+        if chunk_id in worker.storage and worker.storage.meta(chunk_id).home == device:
+            _rehome_chunk(runtime, worker.storage.meta(chunk_id), new_home)
+
+    # Cached recipes were planned against the pre-failure topology (cache
+    # keys omit the device list) — drop everything, plain and fused.
+    for owner in runtime.contexts:
+        owner.planner.invalidate_all()
+
+    # Make the recovery visible in virtual time as deterministic lump costs:
+    # one fixed control charge per replayed lineage record, and the restored
+    # bytes crossing PCIe back toward the devices.
+    if replayed:
+        worker.resources.cpu.request(
+            replayed * runtime.overheads.plan_per_task,
+            lambda: None,
+            label="lineage replay",
+        )
+    if restored:
+        worker.resources.pcie.request(restored, lambda: None, label="recovery restore")
+
+    # Phase B: re-chunk every affected array under its own distribution, now
+    # evaluated against the shrunken healthy device list (each owner plans
+    # through its own planner, so the plans carry its tenant tag).
+    for owner, array in affected:
+        owner.redistribute(array, array.distribution)
+        runtime.redistributes_forced += 1
+
+
+def _buffer_of(runtime, chunk_id: ChunkId) -> Optional[np.ndarray]:
+    """The live buffer of a chunk on whichever worker stores it."""
+    for worker in runtime.workers:
+        if chunk_id in worker.storage:
+            return worker.storage.buffer(chunk_id)
+    return None
+
+
+def _rehome_chunk(runtime, chunk: ChunkMeta, new_home: DeviceId) -> ChunkMeta:
+    """Retarget one chunk of a failed device onto ``new_home``."""
+    old_worker = runtime.workers[chunk.worker]
+    new_meta = _dc_replace(chunk, home=new_home)
+    if new_home.worker == chunk.worker:
+        # Same worker: swap metadata in place, bytes stay where they are
+        # (host memory after mark_device_failed / lineage replay).
+        old_worker.storage.replace_meta(new_meta)
+        old_worker.memory.retarget_home(chunk.chunk_id, new_meta)
+    else:
+        dest = runtime.workers[new_home.worker]
+        buffer = old_worker.storage.buffer(chunk.chunk_id)
+        dest.storage.adopt(new_meta, buffer)
+        dest.memory.adopt_resident(new_meta)
+        old_worker.memory.delete(chunk.chunk_id)
+        old_worker.storage.delete(chunk.chunk_id)
+    if runtime.lineage is not None:
+        runtime.lineage.note_rehome(new_meta)
+    return new_meta

@@ -21,12 +21,7 @@ from typing import Dict
 from ..hardware.topology import DeviceId, Node
 from ..perfmodel.costs import OverheadModel
 from ..simulator.engine import Engine
-from ..simulator.resources import (
-    BandwidthResource,
-    ChannelResource,
-    Resource,
-    bandwidth_resource_class,
-)
+from ..simulator.resources import BandwidthResource, ChannelResource, Resource
 from ..simulator.trace import Trace
 
 __all__ = ["WorkerResources"]
@@ -46,7 +41,6 @@ class WorkerResources:
         spec = node.spec
         self.node = node
         prefix = f"w{worker}"
-        link_cls = bandwidth_resource_class()
 
         self.gpu_compute: Dict[DeviceId, ChannelResource] = {}
         self.gpu_dtod: Dict[DeviceId, BandwidthResource] = {}
@@ -55,26 +49,26 @@ class WorkerResources:
             self.gpu_compute[device.device_id] = ChannelResource(
                 engine, f"{name}.compute", channels=1, trace=trace
             )
-            self.gpu_dtod[device.device_id] = link_cls(
+            self.gpu_dtod[device.device_id] = BandwidthResource(
                 engine, f"{name}.dtod", bandwidth=device.spec.mem_bandwidth, trace=trace
             )
             self.gpu_compute[device.device_id].fault_role = "compute"
             self.gpu_dtod[device.device_id].fault_role = "transfer"
 
-        self.pcie = link_cls(
+        self.pcie = BandwidthResource(
             engine,
             f"{prefix}.pcie",
             bandwidth=spec.pcie_bandwidth,
             latency=spec.pcie_latency,
             trace=trace,
         )
-        self.nic = link_cls(
+        self.nic = BandwidthResource(
             engine,
             f"{prefix}.nic",
             bandwidth=1e9,  # replaced below: interconnect bandwidth comes from the cluster
             trace=trace,
         )
-        self.disk = link_cls(
+        self.disk = BandwidthResource(
             engine,
             f"{prefix}.disk",
             bandwidth=min(spec.disk.read_bandwidth, spec.disk.write_bandwidth),
@@ -87,27 +81,27 @@ class WorkerResources:
         # read/write bandwidths and raw bytes on the codec throughputs.  The
         # default spill path keeps using the symmetric ``disk`` link above, so
         # runs without the disk model are bit-identical with older baselines.
-        self.disk_read = link_cls(
+        self.disk_read = BandwidthResource(
             engine,
             f"{prefix}.disk_read",
             bandwidth=spec.disk.read_bandwidth,
             latency=spec.disk.latency,
             trace=trace,
         )
-        self.disk_write = link_cls(
+        self.disk_write = BandwidthResource(
             engine,
             f"{prefix}.disk_write",
             bandwidth=spec.disk.write_bandwidth,
             latency=spec.disk.latency,
             trace=trace,
         )
-        self.compress = link_cls(
+        self.compress = BandwidthResource(
             engine,
             f"{prefix}.compress",
             bandwidth=spec.disk.compress_throughput,
             trace=trace,
         )
-        self.decompress = link_cls(
+        self.decompress = BandwidthResource(
             engine,
             f"{prefix}.decompress",
             bandwidth=spec.disk.decompress_throughput,
@@ -133,9 +127,8 @@ class WorkerResources:
         """Configure the NIC from the cluster's interconnect spec."""
         self.nic.bandwidth = bandwidth
         self.nic.latency = latency
-        if hasattr(self.nic, "nominal_bandwidth"):
-            # keep degradation windows relative to the configured bandwidth
-            self.nic.nominal_bandwidth = bandwidth
+        # keep degradation windows relative to the configured bandwidth
+        self.nic.nominal_bandwidth = bandwidth
 
     def compute_for(self, device: DeviceId) -> ChannelResource:
         """The compute (SM) resource of one local GPU."""

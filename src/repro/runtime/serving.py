@@ -29,11 +29,14 @@ Three mechanisms make that safe and fair:
   ``fairshare`` scheduling policy can drain mixed worker backlogs in WFQ
   order.
 
-Fault tolerance composes: the serving system owns the fault injector, and a
-permanent device failure is recovered at a quiescent point for *all* tenant
-contexts in one sweep — each affected tenant's arrays are rebuilt through
-its own planner, and tenants with no chunks on the dead device see no
-recovery plans at all.
+Runtime-wide features are configured once, on the serving system, and
+reach the shared runtime through its keyword arguments:
+``ServingSystem(faults=..., disk=...)`` turns on fault injection and the
+compressed disk tier for every tenant (a tenant context rejects both).  A
+permanent device failure is recovered by the runtime at a quiescent point
+for *all* tenant contexts in one sweep — each affected tenant's arrays are
+rebuilt through its own planner, and tenants with no chunks on the dead
+device see no recovery plans at all.
 
 The whole layer is driver-side orchestration of the single discrete-event
 simulation; with one tenant and the default policy it degenerates to exactly
@@ -287,7 +290,9 @@ class ServingSystem:
     tenant cannot flood the workers' backlogs.  ``max_active`` additionally
     caps how many jobs may be in flight at once (admission control);
     ``max_active=1`` serialises the whole trace, which is the baseline arm
-    of the serving benchmark.
+    of the serving benchmark.  Every other keyword argument (``faults``,
+    ``fault_seed``, ``disk``, ``disk_seed``, ...) configures the shared
+    :class:`~repro.runtime.system.RuntimeSystem`.
     """
 
     def __init__(
@@ -298,8 +303,6 @@ class ServingSystem:
         inflight_tasks: int = 96,
         scheduler_policy: object = "fairshare",
         memory_capacities=None,
-        faults: object = None,
-        fault_seed: int = 0,
         **runtime_kwargs,
     ):
         if cluster is None:
@@ -324,17 +327,6 @@ class ServingSystem:
         #: jobs finished, in completion order (the report's job list keeps
         #: submission order; this one is what the fairness tests inspect)
         self.completed: List[JobRecord] = []
-        self.fault_injector = None
-        if faults is not None:
-            from ..runtime.recovery import LineageTracker
-            from ..simulator.faults import FaultInjector, FaultSpec
-
-            spec = FaultSpec.parse(faults) if isinstance(faults, str) else faults
-            self.fault_injector = FaultInjector(spec, seed=fault_seed)
-            self.runtime.fault_injector = self.fault_injector
-            self.runtime.lineage = LineageTracker()
-            self.runtime.recovery_handler = self._recover_device
-            self.fault_injector.install(self.runtime)
 
     # ------------------------------------------------------------------ #
     # tenants and jobs
@@ -394,20 +386,8 @@ class ServingSystem:
             self.submit(job)
 
     def fail_device(self, device) -> None:
-        """Mark a GPU permanently failed mid-trace (requires ``faults=``)."""
-        if self.fault_injector is None:
-            raise ArgumentValueError(
-                "fault injection is not enabled; construct the ServingSystem "
-                "with faults=FaultSpec() (or a spec string)"
-            )
-        self.fault_injector.fail_device(device)
-
-    def _recover_device(self, device) -> None:
-        """Recover every tenant from one device failure (quiescent point)."""
-        if not self._tenants:
-            return
-        primary = self._tenants[0].context
-        primary._recover_device(device, peers=self.contexts)
+        """Mark a GPU permanently failed mid-trace; see :meth:`RuntimeSystem.fail_device`."""
+        self.runtime.fail_device(device)
 
     # ------------------------------------------------------------------ #
     # the serving loop
@@ -473,8 +453,8 @@ class ServingSystem:
                 injector = self.runtime.fault_injector
                 if injector is not None and injector.pending_failures:
                     # Stop-the-world recovery at a quiescent point: drain all
-                    # in-flight work, then the recovery handler sweeps every
-                    # tenant (run_until_idle drives both).
+                    # in-flight work, then recover_device sweeps every tenant
+                    # (run_until_idle drives both).
                     self.runtime.run_until_idle()
                     continue
                 running = any(t.running is not None for t in self._tenants)

@@ -13,20 +13,23 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.array import ArrayIdAllocator
 from ..core.chunk import ChunkIdAllocator
 from ..core.tasks import ExecutionPlan, TaskId, TaskIdAllocator
-from ..errors import SimulationStalled
+from ..errors import FaultError, SimulationStalled
 from ..hardware.specs import ClusterSpec
-from ..hardware.topology import Cluster
+from ..hardware.topology import Cluster, DeviceId
+from ..perfmodel.compression import CompressionModel
 from ..perfmodel.costs import DEFAULT_OVERHEADS, OverheadModel
 from ..simulator.engine import Engine
+from ..simulator.faults import FaultInjector, FaultSpec
 from ..simulator.resources import ChannelResource
 from ..simulator.trace import Trace
 from .memory import MemoryStats, OutOfMemoryError
 from .network import NetworkFabric, RpcChannel
+from .recovery import LineageTracker, recover_device
 from .scheduler import DEFAULT_STAGE_THRESHOLD
 from .worker import Worker
 
@@ -164,6 +167,10 @@ class RuntimeSystem:
         memory_capacities=None,
         scheduler_policy=None,
         record_plans: bool = False,
+        faults: object = None,
+        fault_seed: int = 0,
+        disk: bool = False,
+        disk_seed: int = 0,
     ):
         self.cluster = Cluster(cluster_spec)
         self.mode = mode
@@ -218,6 +225,13 @@ class RuntimeSystem:
                 cluster_spec.interconnect.bandwidth, cluster_spec.interconnect.latency
             )
             self.workers.append(worker)
+        #: Compressed disk tier (``disk=True``): the per-chunk compression
+        #: model shared by every worker's memory manager, drawing its ratios
+        #: deterministically from ``disk_seed``.  ``None`` keeps the symmetric
+        #: disk link, bit-identical with runs that never enable the tier.
+        self.disk_model = CompressionModel(seed=disk_seed) if disk else None
+        for worker in self.workers:
+            worker.memory.disk_model = self.disk_model
 
         #: Completion tracking: every submitted task id that has not finished
         #: yet maps to the countdown entries of the tasks waiting on it
@@ -233,23 +247,15 @@ class RuntimeSystem:
         #: ``repro.analysis`` can rebuild the full task DAG (Fig. 4) afterwards.
         self.record_plans = record_plans
         self.recorded_plans: List[ExecutionPlan] = []
-        #: Fault tolerance (``Context(faults=...)``): the seeded injector, the
-        #: lineage tracker observing every submitted plan, and the recovery
-        #: callback invoked per failed device at the next quiescent point.
-        #: All three stay ``None`` in fault-free runs.
-        self.fault_injector = None
-        self.lineage = None
-        self.recovery_handler: Callable = None
+        #: every :class:`~repro.core.context.Context` attached to this runtime,
+        #: in attach order; device recovery sweeps their arrays
+        self.contexts: List[object] = []
         #: recovery counters aggregated into :class:`RuntimeStats`
         self.devices_failed = 0
         self.chunks_lost = 0
         self.replicas_promoted = 0
         self.tasks_replayed = 0
         self.redistributes_forced = 0
-        #: Compressed disk tier: the per-chunk compression model shared by
-        #: every worker's memory manager (``None`` = legacy symmetric disk
-        #: link, bit-identical with pre-disk-tier baselines).
-        self.disk_model = None
         #: checkpoint/restore counters aggregated into :class:`RuntimeStats`
         self.checkpoints_written = 0
         self.chunks_checkpointed = 0
@@ -272,6 +278,17 @@ class RuntimeSystem:
         #: count drops to zero (the serving loop uses it to detect job
         #: completion without polling)
         self.on_tenant_idle: Callable = None
+        #: Fault tolerance: ``faults`` is a FaultSpec, a ``--inject-faults``
+        #: spec string, or None (the zero-overhead fault-free path, where the
+        #: injector and the lineage tracker stay ``None``).  Even an empty
+        #: FaultSpec() enables lineage tracking, so :meth:`fail_device` works.
+        self.fault_injector = None
+        self.lineage = None
+        if faults is not None:
+            spec = FaultSpec.parse(faults) if isinstance(faults, str) else faults
+            self.fault_injector = FaultInjector(spec, seed=fault_seed)
+            self.lineage = LineageTracker()
+            self.fault_injector.install(self)
 
     # ------------------------------------------------------------------ #
     # completion tracking (shared by all schedulers)
@@ -372,9 +389,9 @@ class RuntimeSystem:
         """Advance virtual time until every submitted task has completed.
 
         Device failures marked by the fault injector are recovered *at the
-        quiescent point*: in-flight work drains to completion first, then the
-        recovery handler (lineage replay + rehoming + forced redistribution,
-        see :mod:`repro.runtime.recovery`) runs per failed device, and the
+        quiescent point*: in-flight work drains to completion first, then
+        :func:`~repro.runtime.recovery.recover_device` (lineage replay +
+        rehoming + forced redistribution) runs per failed device, and the
         loop resumes to drain the recovery's own plans.
 
         Raises :class:`~repro.errors.SimulationStalled` when the event queue
@@ -384,13 +401,9 @@ class RuntimeSystem:
         while True:
             self.engine.run()
             injector = self.fault_injector
-            if (
-                injector is not None
-                and injector.pending_failures
-                and self.recovery_handler is not None
-            ):
+            if injector is not None and injector.pending_failures:
                 for device in injector.take_pending_failures():
-                    self.recovery_handler(device)
+                    recover_device(self, device)
                 continue
             if self._outstanding > 0:
                 details = "\n".join(
@@ -409,19 +422,31 @@ class RuntimeSystem:
         return self.engine.now
 
     # ------------------------------------------------------------------ #
-    # compressed disk tier
+    # fault tolerance
     # ------------------------------------------------------------------ #
-    def enable_disk_model(self, model) -> None:
-        """Switch every worker's disk tier to the compressed model.
+    def fail_device(self, device: Union[DeviceId, Tuple[int, int]]) -> None:
+        """Mark one GPU permanently failed (manual chaos-testing hook).
 
-        ``model`` is a :class:`~repro.perfmodel.compression.CompressionModel`
-        (deterministic per-chunk ratios).  Must be called before any chunk is
-        spilled: flipping the model mid-run would let a chunk be written at
-        one size and read back at another.
+        Recovery — lineage replay of lost chunks, rehoming, blacklisting and
+        forced redistribution onto the survivors — runs at the next quiescent
+        point, i.e. inside the next :meth:`run_until_idle`.  Failing a device
+        that has already failed does nothing.  Requires ``faults=...``.
         """
-        self.disk_model = model
-        for worker in self.workers:
-            worker.memory.disk_model = model
+        if self.fault_injector is None:
+            raise FaultError(
+                "fault tolerance is not enabled; construct the Context or "
+                "ServingSystem with faults=FaultSpec() (or a spec string) to "
+                "use fail_device"
+            )
+        if isinstance(device, tuple):
+            device = DeviceId(*device)
+        try:
+            self.cluster.device(device)
+        except KeyError:
+            raise FaultError(f"unknown device {device}") from None
+        if self.cluster.is_failed(device):
+            return
+        self.fault_injector.fail_device(device)
 
     # ------------------------------------------------------------------ #
     # statistics

@@ -13,13 +13,7 @@ simulator rather than from hard-coded formulas.
 
 from .engine import Engine, EventHandle
 from .faults import DeviceFailure, Degradation, FaultInjector, FaultSpec, RetryPolicy
-from .resources import (
-    BandwidthResource,
-    ChannelResource,
-    LegacyBandwidthResource,
-    Resource,
-    use_legacy_links,
-)
+from .resources import BandwidthResource, ChannelResource, Resource
 from .trace import Trace, TraceInterval
 
 __all__ = [
@@ -33,8 +27,6 @@ __all__ = [
     "Resource",
     "ChannelResource",
     "BandwidthResource",
-    "LegacyBandwidthResource",
-    "use_legacy_links",
     "Trace",
     "TraceInterval",
 ]

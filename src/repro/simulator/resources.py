@@ -24,24 +24,15 @@ min-heap, so an arrival or completion costs O(log n), and the link keeps
 exactly one pending wake-up armed at the earliest finish time — cancelled and
 re-armed whenever an arrival or completion moves that time.
 
-:class:`LegacyBandwidthResource` preserves the original per-transfer
-recomputation so the perf harness in ``benchmarks/bench_hotpath.py`` can
-measure the rewrite against the exact pre-rewrite behaviour.  Besides being
-O(n) per event, the legacy link had two wake-up flaws the rewrite corrects —
-it never re-armed its pending wake-up when the active set changed, so
+Re-arming is what makes the model correct, not just fast.  The first
+implementation never re-armed its pending wake-up when the active set
+changed, so
 
 * an arrival that *slowed* the link made the armed wake-up fire early as a
   spurious no-op event, and
 * an arrival that would finish *before* the armed wake-up (a short transfer
   joining a long one) was only detected at the old wake time and completed
   late, stealing bandwidth from the other transfers in the meantime.
-
-The second flaw means simulated virtual times legitimately change with the
-rewrite (the new link is the correct processor-sharing model); the remaining
-differences are ~1-ulp FP rounding on rate-change crossings that can amplify
-through scheduling ties on long runs.  :func:`use_legacy_links` switches
-which implementation :class:`~repro.runtime.resources.WorkerResources`
-instantiates.
 """
 
 from __future__ import annotations
@@ -49,21 +40,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Deque, List, Optional, Tuple
 
 from .engine import Engine, EventHandle
 from .trace import Trace
 
-__all__ = [
-    "Resource",
-    "ChannelResource",
-    "BandwidthResource",
-    "LegacyBandwidthResource",
-    "use_legacy_links",
-    "legacy_links_enabled",
-]
+__all__ = ["Resource", "ChannelResource", "BandwidthResource"]
 
 Callback = Callable[[], None]
 
@@ -72,31 +54,6 @@ Callback = Callable[[], None]
 #: them as unfinished can produce wake-ups whose delay underflows below the
 #: clock's floating-point resolution and the simulation stops making progress.
 _BYTE_EPSILON = 0.5
-
-#: When True, ``WorkerResources`` builds :class:`LegacyBandwidthResource`
-#: links.  Only the perf harness should flip this (via :func:`use_legacy_links`).
-_LEGACY_LINKS = False
-
-
-def legacy_links_enabled() -> bool:
-    """True while :func:`use_legacy_links` is active."""
-    return _LEGACY_LINKS
-
-
-@contextmanager
-def use_legacy_links(enabled: bool = True):
-    """Build the pre-rewrite O(n)-per-event links inside this context.
-
-    Exists so ``benchmarks/bench_hotpath.py`` can measure the virtual-service
-    rewrite against the original implementation in the same process.
-    """
-    global _LEGACY_LINKS
-    previous = _LEGACY_LINKS
-    _LEGACY_LINKS = enabled
-    try:
-        yield
-    finally:
-        _LEGACY_LINKS = previous
 
 
 class Resource:
@@ -266,8 +223,7 @@ class _Transfer:
 
         Computed from the admission snapshot rather than the (rounded) finish
         tag so that a transfer whose active set never changes completes at
-        exactly ``size / rate`` — bit-identical to the legacy per-transfer
-        decrement for the uninterrupted case.
+        exactly ``size / rate``.
         """
         return self.size - (virtual - self.admit_virtual)
 
@@ -317,8 +273,8 @@ class BandwidthResource(Resource):
         #: slab of recycled transfer records (bounded by peak concurrency)
         self._free: List[_Transfer] = []
         self.bytes_transferred = 0.0
-        #: Wake-ups that were armed but superseded before firing (the legacy
-        #: implementation processed these as spurious no-op events).
+        #: Wake-ups that were armed but superseded before firing (never
+        #: processed as spurious no-op events, see the module docstring).
         self.wakeups_cancelled = 0
 
     @property
@@ -491,121 +447,3 @@ class BandwidthResource(Resource):
             # Otherwise ulp(_virtual) eventually exceeds _BYTE_EPSILON on
             # high-bandwidth links and the completion check can never pass.
             self._virtual = 0.0
-
-
-class LegacyBandwidthResource(Resource):
-    """Pre-rewrite processor-sharing link (reference for the perf harness).
-
-    Recomputes every active transfer's remaining bytes on each event and never
-    re-arms a scheduled wake-up, so an arrival that slows the shared rate
-    leaves a stale wake-up behind that fires early as a no-op — and an arrival
-    that would finish *before* the pending wake-up completes late (see the
-    module docstring).  Kept verbatim so ``benchmarks/bench_hotpath.py`` can
-    quantify the rewrite; do not use in new code.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        name: str,
-        bandwidth: float,
-        latency: float = 0.0,
-        trace: Optional[Trace] = None,
-        max_concurrency: Optional[int] = None,
-    ):
-        super().__init__(engine, name, trace)
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.bandwidth = bandwidth
-        self.latency = latency
-        self.max_concurrency = max_concurrency
-        self._active: List["_LegacyTransfer"] = []
-        self._waiting: Deque["_LegacyTransfer"] = deque()
-        self._last_update = 0.0
-        self._wakeup_pending = False
-        self.bytes_transferred = 0.0
-        self.wakeups_cancelled = 0  # interface parity; always 0 here
-
-    @property
-    def active_transfers(self) -> int:
-        """Transfers currently sharing the (legacy) link."""
-        return len(self._active)
-
-    @property
-    def queued_transfers(self) -> int:
-        """Always 0: the legacy link also admits every transfer at once."""
-        return len(self._waiting)
-
-    def request(self, amount: float, callback: Callback, label: str = "") -> None:
-        """Transfer ``amount`` bytes with the pre-rewrite O(n) bookkeeping."""
-        if amount < 0:
-            raise ValueError(f"negative transfer size {amount!r}")
-        self.bytes_transferred += amount
-        transfer = _LegacyTransfer(
-            remaining=float(amount) + self.latency * self.bandwidth,
-            callback=callback,
-            label=label,
-            started=self.engine.now,
-        )
-        self._advance()
-        if self.max_concurrency is not None and len(self._active) >= self.max_concurrency:
-            self._waiting.append(transfer)
-        else:
-            self._active.append(transfer)
-        self._reschedule()
-
-    def _rate(self) -> float:
-        n = max(1, len(self._active))
-        return self.bandwidth / n
-
-    def _advance(self) -> None:
-        now = self.engine.now
-        elapsed = now - self._last_update
-        if elapsed <= 0:
-            self._last_update = now
-            return
-        if self._active:
-            rate = self._rate()
-            for transfer in self._active:
-                transfer.remaining = max(0.0, transfer.remaining - rate * elapsed)
-        self._last_update = now
-
-    def _reschedule(self) -> None:
-        if not self._active or self._wakeup_pending:
-            return
-        rate = self._rate()
-        next_done = min(t.remaining for t in self._active) / rate
-        self._wakeup_pending = True
-
-        def _wake() -> None:
-            self._wakeup_pending = False
-            self.events_processed += 1
-            self._advance()
-            finished = [t for t in self._active if t.remaining <= _BYTE_EPSILON]
-            self._active = [t for t in self._active if t.remaining > _BYTE_EPSILON]
-            while (
-                self._waiting
-                and (self.max_concurrency is None or len(self._active) < self.max_concurrency)
-            ):
-                self._active.append(self._waiting.popleft())
-            for transfer in finished:
-                self.completed_items += 1
-                self._record(transfer.label, transfer.started, self.engine.now)
-                transfer.callback()
-            self._advance()
-            self._reschedule()
-
-        self.engine.schedule(next_done, _wake)
-
-
-@dataclass
-class _LegacyTransfer:
-    remaining: float
-    callback: Callback
-    label: str
-    started: float
-
-
-def bandwidth_resource_class():
-    """The link implementation to build (honours :func:`use_legacy_links`)."""
-    return LegacyBandwidthResource if _LEGACY_LINKS else BandwidthResource

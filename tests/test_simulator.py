@@ -5,13 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Context, azure_nc24rsv2
 from repro.kernels import create_workload
-from repro.simulator import (
-    BandwidthResource,
-    ChannelResource,
-    Engine,
-    LegacyBandwidthResource,
-    Trace,
-)
+from repro.simulator import BandwidthResource, ChannelResource, Engine, Trace
 
 
 # --------------------------------------------------------------------------- #
@@ -258,29 +252,16 @@ def test_arrival_slowdown_cancels_stale_wakeup():
     assert times["b"] == pytest.approx(2.0, rel=1e-9)
     # Exactly three events were processed: the scheduled arrival and the two
     # completion wake-ups.  The wake-up armed for t=1.0 was cancelled, not
-    # fired early as a no-op (the legacy implementation processed 4 events).
+    # fired early as a no-op (a link that never re-arms processes 4 events).
     assert engine.events_processed == 3
     assert engine.events_cancelled == 1
     assert link.wakeups_cancelled == 1
 
 
-def test_legacy_link_fires_spurious_wakeup():
-    """Documents the pre-rewrite behaviour the regression test above removes."""
-    engine = Engine()
-    link = LegacyBandwidthResource(engine, "pcie", bandwidth=100.0)
-    times = {}
-    link.request(100.0, lambda: times.setdefault("a", engine.now))
-    engine.schedule(0.5, lambda: link.request(100.0, lambda: times.setdefault("b", engine.now)))
-    engine.run()
-    assert times["a"] == pytest.approx(1.5, rel=1e-9)
-    assert engine.events_processed == 4  # includes the stale no-op wake at t=1.0
-    assert engine.events_cancelled == 0
-
-
 def test_short_arrival_completes_on_time_not_at_stale_wakeup():
     """Bugfix: a short transfer joining a long one must finish at its true
-    processor-sharing time.  The legacy link only noticed it at the long
-    transfer's pre-armed wake-up, completing it late."""
+    processor-sharing time, not at the long transfer's pre-armed wake-up
+    (t=1.0, 8x late), which is when a link that never re-arms notices it."""
     engine = Engine()
     link = BandwidthResource(engine, "pcie", bandwidth=100.0)
     done = {}
@@ -291,16 +272,6 @@ def test_short_arrival_completes_on_time_not_at_stale_wakeup():
     # 1 B spent shared by 0.12, remaining 89 B at full rate -> 1.01.
     assert done["tiny"] == pytest.approx(0.12, rel=1e-9)
     assert done["big"] == pytest.approx(1.01, rel=1e-9)
-    # The legacy link completed tiny only when big's stale wake-up fired:
-    legacy_engine = Engine()
-    legacy = LegacyBandwidthResource(legacy_engine, "pcie", bandwidth=100.0)
-    late = {}
-    legacy.request(100.0, lambda: late.setdefault("big", legacy_engine.now))
-    legacy_engine.schedule(
-        0.1, lambda: legacy.request(1.0, lambda: late.setdefault("tiny", legacy_engine.now))
-    )
-    legacy_engine.run()
-    assert late["tiny"] == pytest.approx(1.0, rel=1e-9)  # 8x late
 
 
 def test_virtual_clock_rewinds_when_link_goes_idle():
@@ -371,18 +342,15 @@ def test_latency_is_shared_like_service_bytes():
 
 
 def test_uninterrupted_transfer_matches_legacy_bitwise():
-    """A transfer whose active set never changes completes at exactly the same
-    float as the legacy per-transfer decrement produces."""
-    for cls in (BandwidthResource, LegacyBandwidthResource):
-        engine = Engine()
-        link = cls(engine, "pcie", bandwidth=7.3e9, latency=3.7e-6)
-        ends = []
-        link.request(123_456_789.0, lambda: ends.append(engine.now))
-        engine.run()
-        if cls is BandwidthResource:
-            new_end = ends[0]
-        else:
-            assert ends[0].hex() == new_end.hex()
+    """A transfer whose active set never changes completes at exactly
+    ``(size + latency * bandwidth) / bandwidth`` — the same float the original
+    per-transfer decrement produced."""
+    engine = Engine()
+    link = BandwidthResource(engine, "pcie", bandwidth=7.3e9, latency=3.7e-6)
+    ends = []
+    link.request(123_456_789.0, lambda: ends.append(engine.now))
+    engine.run()
+    assert ends[0].hex() == ((123_456_789.0 + 3.7e-6 * 7.3e9) / 7.3e9).hex()
 
 
 def test_per_resource_event_counter():
