@@ -36,8 +36,9 @@ and fails on any drift — the CI perf-smoke job runs this.  Checkpoint
 they depend on the zlib build, unlike the cost-model's compression ratios.
 ``--summary PATH`` (defaulting to ``$GITHUB_STEP_SUMMARY``) appends a
 markdown table; the result JSON is always written before any gate can fail.
-To refresh the baseline after intentional changes, rerun and commit
-``benchmarks/results/BENCH_disk.json`` (see docs/operations.md).
+To refresh the baseline after intentional changes, regenerate it in place
+with the refresh command in docs/operations.md
+(``python benchmarks/bench_disk.py --output benchmarks/BENCH_disk.json``).
 """
 
 from __future__ import annotations

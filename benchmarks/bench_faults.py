@@ -41,8 +41,9 @@ counters and virtual times against the committed baseline
 chaos-smoke job runs this.  ``--summary PATH`` (defaulting to
 ``$GITHUB_STEP_SUMMARY`` when set) appends a markdown table; the result JSON
 is always written before any gate can fail.  To refresh the baseline after
-intentional changes to scheduling or recovery costs, rerun and commit
-``benchmarks/results/BENCH_faults.json``.
+intentional changes to scheduling or recovery costs, regenerate it in place
+with the refresh command in docs/operations.md
+(``python benchmarks/bench_faults.py --output benchmarks/BENCH_faults.json``).
 """
 
 from __future__ import annotations

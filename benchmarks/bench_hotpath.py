@@ -30,8 +30,10 @@ A chain-fusion sweep measures the window's **chain fusion** on the HotSpot
 triple stencil (three launches per iteration) and the two-phase K-Means
 assign+reduce split, under chain / pairwise-only / no-fusion arms; a gate
 fails the run when chain fusion stops removing at least
-:data:`CHAIN_EVENT_RATIO_GATE` engine events versus pairwise-only fusion, or
-when functional results stop being bit-identical with fusion off.
+:data:`CHAIN_EVENT_RATIO_GATE` engine events versus pairwise-only fusion,
+when it is slower than pairwise-only fusion in virtual time on a HotSpot
+triple-stencil config, or when functional results stop being bit-identical
+with fusion off.
 
 A window-memory sweep measures **window-aware memory planning** on spill-stress
 configurations (capped GPU pools): a bench-local out-of-core streaming
@@ -117,8 +119,9 @@ WINDOW_ARMS = {
 #: tail, which pairwise fusion cannot merge at all).  Three arms isolate the
 #: chain extensions: full chain fusion, the original pairwise-only pass, and
 #: no fusion.  The gate requires chain fusion to remove >= 1.3x engine events
-#: versus pairwise-only fusion on every config, with bit-identical functional
-#: results.
+#: versus pairwise-only fusion on every config, to be at least as fast as
+#: pairwise-only fusion in virtual time on the hotspot3 configs, and
+#: bit-identical functional results.
 CHAIN_QUICK_CONFIGS = [
     ("hotspot3", 4, 2, int(5.4e8 * 4), {"iterations": 20}),
     ("kmeans2", 4, 2, int(2.7e8 * 4), {"iterations": 8}),
@@ -668,7 +671,9 @@ def main(argv=None) -> int:
     # Chain fusion must demonstrably pay beyond the pairwise pass: on every
     # chain-sweep config it removes >= 1.3x engine events versus
     # pairwise-only fusion (and still beats no-fusion on events and bytes),
-    # with functionally bit-identical results.
+    # with functionally bit-identical results.  On the hotspot3 configs it
+    # must also be at least as fast as pairwise fusion in virtual time
+    # (kmeans2's ratio is recorded but not gated).
     checks["chain_fusion_effective"] = (
         chain["checks"]["functional_results_bit_identical"]
         and all(
@@ -677,7 +682,9 @@ def main(argv=None) -> int:
             and s["event_ratio_vs_no_fusion"] > 1.0
             and s["network_bytes_ratio_vs_no_fusion"] > 1.0
             and s["plan_cache_hit_rate"] > 0.9
-            for s in chain["summary"].values()
+            and (not key.startswith("hotspot3/")
+                 or s["virtual_time_ratio_vs_pairwise"] >= 1.0)
+            for key, s in chain["summary"].items()
         )
     )
     # Window-aware memory planning must demonstrably pay off on the
@@ -725,7 +732,8 @@ def main(argv=None) -> int:
         return 1
     if not checks["chain_fusion_effective"]:
         print(f"FAIL: chain fusion below the {CHAIN_EVENT_RATIO_GATE}x event gate vs "
-              "pairwise fusion on the chain sweep (or broke bit-identity)",
+              "pairwise fusion on the chain sweep, slower than pairwise fusion "
+              "on a hotspot3 config (or broke bit-identity)",
               file=sys.stderr)
         return 1
     if not checks["window_memory_effective"]:

@@ -29,7 +29,9 @@ throughput must not fall below the baseline's, and p99 latency must not
 exceed it.  ``--summary PATH`` (defaulting to ``$GITHUB_STEP_SUMMARY``)
 appends a markdown table; the result JSON is always written before any
 gate can fail.  To refresh the baseline after intentional scheduling
-changes, rerun and commit ``benchmarks/results/BENCH_serving.json``.
+changes, regenerate it in place with the refresh command in
+docs/operations.md
+(``python benchmarks/bench_serving.py --output benchmarks/BENCH_serving.json``).
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.context import Context
+from ..errors import VerificationError
 from ..hardware.specs import azure_nc24rsv2
 from ..kernels import create_workload
 from ..runtime.system import ExecutionMode, RuntimeStats
@@ -111,7 +112,11 @@ def run_workload_with_stats(
     context_kwargs: Optional[Dict] = None,
     **workload_params,
 ) -> Tuple[BenchPoint, RuntimeStats]:
-    """Like :func:`run_workload` but also return the run's :class:`RuntimeStats`."""
+    """Like :func:`run_workload` but also return the run's :class:`RuntimeStats`.
+
+    A functional run's result is checked against the workload's NumPy
+    reference, raising :class:`VerificationError` on a mismatch.
+    """
     ctx = make_context(nodes, gpus_per_node, mode, **(context_kwargs or {}))
     workload = create_workload(name, ctx, n, **workload_params)
     result = workload.run()
@@ -124,7 +129,12 @@ def run_workload_with_stats(
         elapsed=result.elapsed,
         throughput=result.throughput,
     )
-    return point, ctx.stats()
+    stats = ctx.stats()
+    if ctx.functional and not workload.verify():
+        raise VerificationError(
+            f"{name}: the functional result does not match the NumPy reference"
+        )
+    return point, stats
 
 
 def gpu_memory_limit(gpus: int = 1) -> int:

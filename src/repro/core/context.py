@@ -629,6 +629,10 @@ class Context:
         stats.fused_chain_max_len = self.window.fused_chain_max_len
         stats.reductions_fused = self.window.reductions_fused
         stats.transfers_prefetched = self.window.transfers_prefetched
+        stats.writebacks_deferred = self.window.writebacks_deferred
+        stats.writebacks_dropped = self.window.writebacks_dropped
+        stats.writeback_bytes_dropped = self.window.writeback_bytes_dropped
+        stats.units_carried = self.window.units_carried
         stats.window_memory_plans = self.window.memory_plans
         stats.disk_promotions_staged = self.window.staged_promotions
         stats.plan_cache_invalidations = self.planner.cache.invalidations

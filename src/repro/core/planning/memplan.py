@@ -144,24 +144,27 @@ class WindowMemoryPlanner:
         return self.runtime.workers[space.worker].memory
 
     @staticmethod
-    def _combine(units: Sequence["object"]):
+    def _combine(units: Sequence["object"], hold: bool = False):
         """Merge the units' access summaries into per-space working sets.
 
         Returns ``(chunks_by_space, chunk_bytes, temp_bytes_by_space)`` where
         chunk lists preserve first-use order across the whole group and the
         temp estimate is the *maximum* of any one unit's temps per space (the
         temps of different launches do not live concurrently, so summing them
-        would grossly over-state the footprint).
+        would grossly over-state the footprint).  With ``hold`` (a depth
+        drain) a unit's held write-back targets are left out: the window
+        holds those write-backs back, so the group never stages the targets.
         """
         chunks_by_space: Dict[MemorySpace, List[ChunkId]] = {}
         chunk_bytes: Dict[ChunkId, int] = {}
         temp_bytes: Dict[MemorySpace, int] = {}
         for unit in units:
             summary = unit.recipe.access_summary()
+            skip = unit.recipe.writebacks().held_targets if hold else ()
             for space, chunk_ids in summary.chunks_by_space.items():
                 bucket = chunks_by_space.setdefault(space, [])
                 for cid in chunk_ids:
-                    if cid not in chunk_bytes:
+                    if cid not in chunk_bytes and cid not in skip:
                         chunk_bytes[cid] = summary.chunk_bytes[cid]
                         bucket.append(cid)
             for space, nbytes in summary.temp_bytes_by_space.items():
@@ -171,7 +174,9 @@ class WindowMemoryPlanner:
     # ------------------------------------------------------------------ #
     # plan construction
     # ------------------------------------------------------------------ #
-    def plan_group(self, units: Sequence["object"]) -> Optional[GroupMemoryPlan]:
+    def plan_group(
+        self, units: Sequence["object"], hold: bool = False
+    ) -> Optional[GroupMemoryPlan]:
         """Build the memory plan for one drained group, or ``None`` when the
         group creates no memory pressure anywhere (the common, uncapped case —
         the pass then costs nothing).
@@ -180,9 +185,10 @@ class WindowMemoryPlanner:
         plan template that will be stamped) and ``prefetch`` (whether the
         PR-3 prefetch pass applies to it, i.e. it is not the group's first
         launch).  Must run *before* the group is stamped, while the planner's
-        conflict tables still describe only pre-group work.
+        conflict tables still describe only pre-group work.  ``hold`` marks a
+        depth drain, whose units' deferrable write-backs the window holds.
         """
-        chunks_by_space, chunk_bytes, temp_bytes = self._combine(units)
+        chunks_by_space, chunk_bytes, temp_bytes = self._combine(units, hold)
         memory_plan = GroupMemoryPlan()
 
         #: per space: the promotion regime — ("free", None) when the space has

@@ -806,12 +806,19 @@ class DependencyInjectionPass:
             return list(self._writers.get(chunk_id, []))
         return list(self._writers.get(chunk_id, [])) + list(self._readers.get(chunk_id, []))
 
-    def apply_bookkeeping(self, recipe: PlanRecipe, task_ids: List[int]) -> None:
-        """Update the conflict tables with this plan's reads and writes."""
+    def apply_bookkeeping(
+        self, recipe: PlanRecipe, task_ids: List[int], held: frozenset = frozenset()
+    ) -> None:
+        """Update the conflict tables with this plan's reads and writes.
+
+        Protos in ``held`` (write-backs the launch window holds back) stay
+        out of the tables until the window submits them.
+        """
         new_writes: Dict[ChunkId, List[int]] = {}
         new_reads: Dict[ChunkId, List[int]] = {}
         for chunk_id, proto_index in recipe.writes:
-            new_writes.setdefault(chunk_id, []).append(task_ids[proto_index])
+            if proto_index not in held:
+                new_writes.setdefault(chunk_id, []).append(task_ids[proto_index])
         for chunk_id, proto_index in recipe.reads:
             new_reads.setdefault(chunk_id, []).append(task_ids[proto_index])
         for chunk_id, writers in new_writes.items():
@@ -820,6 +827,13 @@ class DependencyInjectionPass:
         for chunk_id, readers in new_reads.items():
             if chunk_id not in new_writes:
                 self._readers.setdefault(chunk_id, []).extend(readers)
+
+    def record_writers(self, chunk_id: ChunkId, task_ids: List[int]) -> None:
+        """Make ``task_ids`` the chunk's latest writers (held write-backs the
+        window submits late).  Readers stay: each one either preceded the
+        write-backs' stamp, and so is already their dependency, or is a
+        pin release that a later delete must still wait for."""
+        self._writers[chunk_id] = list(task_ids)
 
 
 # --------------------------------------------------------------------------- #

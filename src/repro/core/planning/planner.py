@@ -48,7 +48,7 @@ from ..kernel import CompiledKernel
 from .. import tasks as T
 from .cache import PlanTemplateCache
 from .costmodel import TransferCostModel
-from .ir import PlanRecipe, stamp_recipe
+from .ir import PlanRecipe, StampedPlan, stamp_recipe
 from .passes import (
     DependencyInjectionPass,
     PlanningError,
@@ -411,34 +411,46 @@ class Planner:
         self.planning_seconds += time.perf_counter() - started
         return PreparedLaunch(recipe=recipe, key=key, cache_status=cache_status)
 
+    def _stamp(self, recipe: PlanRecipe, hold: bool, **kwargs) -> StampedPlan:
+        """Stamp ``recipe``, inject its conflict edges and book its accesses.
+
+        With ``hold`` the recipe's deferrable temp write-backs and their
+        temporaries' deletes are built but returned in ``held_tasks``, apart
+        from the plan, and their writes stay out of the conflict tables.
+        """
+        started = time.perf_counter()
+        held = recipe.writebacks().held if hold else frozenset()
+        stamped = stamp_recipe(
+            recipe,
+            new_task_id=self._new_task_id,
+            new_chunk_id=self._chunk_ids.next_id,
+            new_tag=self._next_tag,
+            resolve_conflicts=self.dependency_injector.resolve,
+            held=held,
+            **kwargs,
+        )
+        self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids, held)
+        stamped.plan.tenant = self.tenant
+        self.planning_seconds += time.perf_counter() - started
+        return stamped
+
     def stamp_launch(
         self,
         prepared: PreparedLaunch,
         scalars: Dict[str, object],
         launch_id: int,
         prefetch: bool = False,
-    ) -> Tuple[T.ExecutionPlan, int]:
-        """Stamp a prepared launch into a concrete plan (window drain time).
-
-        Returns ``(plan, prefetched transfer count)``.
-        """
-        started = time.perf_counter()
-        stamped = stamp_recipe(
-            prepared.recipe,
-            new_task_id=self._new_task_id,
-            new_chunk_id=self._chunk_ids.next_id,
-            new_tag=self._next_tag,
-            resolve_conflicts=self.dependency_injector.resolve,
+        hold: bool = False,
+    ) -> StampedPlan:
+        """Stamp a prepared launch into a concrete plan (window drain time)."""
+        self.launches_planned += 1
+        return self._stamp(
+            prepared.recipe, hold,
             scalars=scalars,
             launch_id=launch_id,
             cache_status=prepared.cache_status,
             prefetch=prefetch,
         )
-        self.dependency_injector.apply_bookkeeping(prepared.recipe, stamped.task_ids)
-        stamped.plan.tenant = self.tenant
-        self.launches_planned += 1
-        self.planning_seconds += time.perf_counter() - started
-        return stamped.plan, stamped.prefetched
 
     def plan_launch(
         self,
@@ -452,8 +464,7 @@ class Planner:
     ) -> T.ExecutionPlan:
         """Prepare and stamp one launch eagerly (no window involved)."""
         prepared = self.prepare_launch(kernel, grid, block, work_dist, arrays)
-        plan, _ = self.stamp_launch(prepared, scalars, launch_id)
-        return plan
+        return self.stamp_launch(prepared, scalars, launch_id).plan
 
     # ------------------------------------------------------------------ #
     # cross-launch kernel fusion (used by the launch window)
@@ -529,15 +540,12 @@ class Planner:
         launch_ids: Sequence[int],
         cache_status: Optional[str] = None,
         prefetch: bool = False,
-    ) -> Tuple[T.ExecutionPlan, int]:
-        """Stamp a fused recipe; returns ``(plan, prefetched transfer count)``."""
-        started = time.perf_counter()
-        stamped = stamp_recipe(
-            recipe,
-            new_task_id=self._new_task_id,
-            new_chunk_id=self._chunk_ids.next_id,
-            new_tag=self._next_tag,
-            resolve_conflicts=self.dependency_injector.resolve,
+        hold: bool = False,
+    ) -> StampedPlan:
+        """Stamp a fused recipe (one set of scalars and a launch id per segment)."""
+        self.launches_planned += len(launch_ids)
+        return self._stamp(
+            recipe, hold,
             scalars=scalar_sets[0] if scalar_sets else None,
             launch_id=launch_ids[0] if launch_ids else None,
             cache_status=cache_status,
@@ -545,8 +553,3 @@ class Planner:
             launch_ids=list(launch_ids),
             prefetch=prefetch,
         )
-        self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids)
-        stamped.plan.tenant = self.tenant
-        self.launches_planned += len(launch_ids)
-        self.planning_seconds += time.perf_counter() - started
-        return stamped.plan, stamped.prefetched

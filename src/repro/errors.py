@@ -31,6 +31,7 @@ __all__ = [
     "FaultError",
     "SimulationStalled",
     "CheckpointError",
+    "VerificationError",
 ]
 
 
@@ -64,3 +65,7 @@ class SimulationStalled(ReproError, RuntimeError):
 class CheckpointError(ReproError, RuntimeError):
     """A checkpoint file cannot be read back: bad magic, truncated footer,
     per-chunk checksum mismatch, or an unknown distribution type."""
+
+
+class VerificationError(ReproError, RuntimeError):
+    """A functional run's result does not match its NumPy reference."""

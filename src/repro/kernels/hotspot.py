@@ -212,6 +212,11 @@ class HotSpotDoubleWorkload(Workload):
     ``mid`` is deliberately chunked at half the superblock granularity
     (intermediates are rarely hand-aligned to the work distribution), which
     is what makes the elided intermediate traffic visible as a byte saving.
+    Each superblock's ``mid`` therefore lives in a temporary that writes back
+    into two chunks, mostly homed on other GPUs.  The next iteration
+    overwrites ``mid`` before anything reads it, so the launch window's
+    write-back cache drops those write-backs at depth drains (see
+    :mod:`repro.core.planning.window`); only the last iteration's reach home.
     """
 
     name = "hotspot2"
@@ -372,7 +377,11 @@ class HotSpotTripleWorkload(Workload):
 
     Both intermediates are chunked at half the superblock granularity (as in
     :class:`HotSpotDoubleWorkload`), which is what makes the elided
-    intermediate traffic visible as a byte saving.
+    intermediate traffic visible as a byte saving.  Their write-backs home
+    are dropped by the launch window's write-back cache whenever the next
+    iteration overwrites them first, and depth drains keep each
+    three-launch chain whole; on 2×2 GPUs at 2.16e9 elements a 20-iteration
+    pass takes 2.2 virtual seconds with both, against 34.4 without.
     """
 
     name = "hotspot3"

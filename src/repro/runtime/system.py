@@ -78,6 +78,14 @@ class RuntimeStats:
     fused_chain_max_len: int = 0
     reductions_fused: int = 0
     transfers_prefetched: int = 0
+    #: write-back cache: temp write-backs held back by depth drains, those
+    #: dropped (and their bytes) because a later launch overwrote their
+    #: region first, and drain units kept pending to lead the next drain so
+    #: fused chains stay whole
+    writebacks_deferred: int = 0
+    writebacks_dropped: int = 0
+    writeback_bytes_dropped: int = 0
+    units_carried: int = 0
     #: drains for which the memory-planning pass emitted a (non-empty) plan
     window_memory_plans: int = 0
     #: window-aware memory planning: spill victims chosen up front by reserve

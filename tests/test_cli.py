@@ -20,6 +20,18 @@ def test_run_workload_prints_table(capsys):
     assert "GPU memory limit" in out
 
 
+def test_functional_run_checks_its_answer(capsys, monkeypatch):
+    args = ["run", "hotspot3", "--n", "4096", "--nodes", "2", "--gpus", "2",
+            "--mode", "functional"]
+    assert main(args) == 0
+    capsys.readouterr()
+    from repro.kernels.hotspot import HotSpotTripleWorkload
+
+    monkeypatch.setattr(HotSpotTripleWorkload, "verify", lambda self: False)
+    assert main(args) == 1
+    assert "does not match the NumPy reference" in capsys.readouterr().err
+
+
 def test_run_with_scheduler_policy(capsys):
     assert main(["run", "md5", "--n", "1e9", "--scheduler-policy", "locality"]) == 0
     assert "md5" in capsys.readouterr().out
