@@ -6,7 +6,8 @@ barrier — ``gather``, ``synchronize`` or ``.evaluate()`` — the DAG is lowere
 elementwise subgraphs fuse into generated map kernels, interior temporaries
 are never allocated, and a dead input buffer can be reused in place.  The
 same script under ``Context(lazy=False)`` launches one kernel per operator,
-which is exactly what ``benchmarks/bench_expr.py`` measures against.
+which is exactly what the ``expr`` gate of ``benchmarks/gates.py`` measures
+against.
 
 Run with:  python examples/expressions.py
 """

@@ -8,8 +8,8 @@ per pricing round.  Under ``Context(lazy=True)`` the DAG is lowered at the
 synchronisation barrier into a handful of fused generated map kernels —
 interior temporaries elided, launches batched into one window drain — while
 ``Context(lazy=False)`` turns every operator into an eager per-op launch.
-The two arms are bit-identical by construction, which is exactly what
-``benchmarks/bench_expr.py`` gates on.
+The two arms are bit-identical by construction, which is exactly what the
+``expr`` gate of ``benchmarks/gates.py`` checks.
 
 The cumulative normal uses the logistic approximation ``1 / (1 +
 exp(-1.702 x))`` instead of the Abramowitz-Stegun polynomial because the

@@ -11,8 +11,8 @@ is in it.  The model captures that with two ingredients:
 * a **deterministic per-chunk jitter**: the ratio of each chunk is drawn
   from ±20% around its class base, keyed by ``(seed, chunk id)`` through a
   cryptographic hash, so a given seed always yields the same ratio for the
-  same chunk — runs are reproducible and the CI gate on ``BENCH_disk.json``
-  can compare byte counters exactly.
+  same chunk — runs are reproducible and the ``disk`` gate of
+  ``benchmarks/gates.py`` can compare byte counters exactly.
 
 The same model prices checkpoint files: :mod:`repro.runtime.checkpoint`
 compresses real chunk payloads with :mod:`zlib` (stdlib; the bloscpack-style

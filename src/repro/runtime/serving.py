@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.context import Context
-from ..errors import ArgumentValueError, SimulationStalled
+from ..errors import ArgumentValueError
 from ..hardware.specs import ClusterSpec, azure_nc24rsv2
 from ..kernels.base import create_workload
 from .system import ExecutionMode, RuntimeSystem
@@ -408,6 +408,10 @@ class ServingSystem:
            until completions (or the next arrival) change that.  Pending
            device failures are recovered stop-the-world at the next
            quiescent point, exactly like the single-tenant path.
+
+        A running job whose tasks can never complete raises the runtime's
+        stall report (:meth:`RuntimeSystem.stalled`), as
+        :meth:`RuntimeSystem.run_until_idle` does.
         """
         engine = self.runtime.engine
         arrivals = deque(
@@ -462,10 +466,7 @@ class ServingSystem:
                     engine.run(max_events=_ENGINE_QUANTUM)
                     continue
                 if running and self.runtime.outstanding_tasks > 0:
-                    raise SimulationStalled(
-                        "serving loop stalled: the event queue drained with "
-                        f"{self.runtime.outstanding_tasks} tasks outstanding"
-                    )
+                    raise self.runtime.stalled("serving loop")
                 if arrivals:
                     # Idle gap before the next arrival: the engine does not
                     # advance time on an empty queue, so plant a no-op event

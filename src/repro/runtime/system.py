@@ -414,15 +414,20 @@ class RuntimeSystem:
                     recover_device(self, device)
                 continue
             if self._outstanding > 0:
-                details = "\n".join(
-                    w.scheduler.describe_stuck() for w in self.workers
-                )
-                raise SimulationStalled(
-                    f"simulation stalled: the event queue drained with "
-                    f"{self._outstanding} tasks still outstanding (latent "
-                    f"deadlock)\n{details}"
-                )
+                raise self.stalled("simulation")
             return self.engine.now
+
+    def stalled(self, loop: str) -> SimulationStalled:
+        """The error for a ``loop`` whose event queue drained with tasks outstanding.
+
+        The report names every worker's stuck tasks and what each waits on
+        (:meth:`~repro.runtime.scheduler.Scheduler.describe_stuck`).
+        """
+        details = "\n".join(w.scheduler.describe_stuck() for w in self.workers)
+        return SimulationStalled(
+            f"{loop} stalled: the event queue drained with {self._outstanding} "
+            f"tasks still outstanding (latent deadlock)\n{details}"
+        )
 
     @property
     def virtual_time(self) -> float:

@@ -1,6 +1,6 @@
 """Multi-tenant serving: fairness properties, tenant isolation, determinism.
 
-Four groups, mirroring the serving layer's contract:
+Five groups, mirroring the serving layer's contract:
 
 * **Fair-share properties** (Hypothesis): on random weight/charge/eligibility
   sequences the WFQ clock never starves an eligible tenant, converges to the
@@ -10,17 +10,21 @@ Four groups, mirroring the serving layer's contract:
   for the affected tenant only; unaffected tenants' plan counters are
   untouched and their results stay bit-identical to solo runs.  The disk
   tier, configured on the serving system, leaves results bit-identical.
-* **Single-tenant regression**: the gated benchmarks replayed against their
-  committed baselines — the serving layer merged but unused must leave the
-  single-tenant path bit-identical (event counts, virtual times, hashes).
+* **Single-tenant regression**: the smoke suite's engine, hotpath, expr and
+  faults gates (``benchmarks/gates.py``) replayed in-process against
+  ``benchmarks/BENCH_gates.json`` — the serving layer merged but unused must
+  leave the single-tenant path bit-identical (event counts, virtual times,
+  counters, hashes).
+* **Stall reports**: a served job that can never finish raises the same
+  stall report as the single-tenant path, naming the unfinished dependency.
 * **Determinism**: the same serving seed replays the identical Poisson
   trace, interleaving and per-run results, including the CGC ensemble
   workload.
 """
 
+import importlib.util
+import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -29,11 +33,14 @@ from hypothesis import strategies as st
 
 import repro.apps  # noqa: F401  (registers the cgc/ensemble workloads)
 from repro.apps import EnsembleWorkload
+from repro.core import tasks as T
 from repro.core.context import Context
-from repro.errors import ArgumentValueError, FaultError
+from repro.core.distributions import BlockDist
+from repro.core.tasks import ExecutionPlan
+from repro.errors import ArgumentValueError, FaultError, SimulationStalled
 from repro.hardware import DeviceId, MemoryKind, MemorySpace
 from repro.hardware.specs import azure_nc24rsv2
-from repro.kernels import WORKLOADS, create_workload
+from repro.kernels import WORKLOADS, Workload, create_workload
 from repro.runtime.memory import OutOfMemoryError
 from repro.runtime.serving import (
     DEFAULT_MIX,
@@ -43,7 +50,10 @@ from repro.runtime.serving import (
     poisson_trace,
 )
 
-REPO = os.path.join(os.path.dirname(__file__), "..")
+_GATES_SPEC = importlib.util.spec_from_file_location(
+    "gates", os.path.join(os.path.dirname(__file__), "..", "benchmarks", "gates.py"))
+gates = importlib.util.module_from_spec(_GATES_SPEC)
+_GATES_SPEC.loader.exec_module(gates)
 
 
 def small_serving(nodes=1, gpus=2, **kwargs):
@@ -415,30 +425,70 @@ def test_tenant_quotas_under_memory_pressure(disk):
 
 
 # --------------------------------------------------------------------------- #
-# single-tenant regression: gated benches replayed against their baselines
+# single-tenant regression: smoke gates replayed against their baseline
 # --------------------------------------------------------------------------- #
-def _replay_bench(name, tmp_path, extra=()):
-    script = os.path.join(REPO, "benchmarks", f"bench_{name}.py")
-    baseline = os.path.join(REPO, "benchmarks", f"BENCH_{name}.json")
-    out = os.fspath(tmp_path / f"BENCH_{name}.json")
-    proc = subprocess.run(
-        [sys.executable, script, "--baseline", baseline, "--output", out, *extra],
-        capture_output=True, text=True, timeout=900,
-    )
-    assert proc.returncode == 0, (
-        f"bench_{name} drifted from its committed baseline:\n{proc.stderr}"
+def _replay_gate(name):
+    with open(gates.BASELINE, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    _, failures = gates.check([name], baseline)
+    assert failures == [], (
+        f"gate {name} drifted from its committed baseline:\n" + "\n".join(failures)
     )
 
 
-def test_single_tenant_engine_bench_bit_identical(tmp_path):
-    """Serving merged but unused: the engine bench must not drift a bit."""
-    _replay_bench("engine", tmp_path)
+def test_single_tenant_engine_bench_bit_identical():
+    """Serving merged but unused: the engine gate must not drift a bit."""
+    _replay_gate("engine")
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("bench", ["hotpath", "expr", "faults"])
-def test_single_tenant_gated_benches_bit_identical(bench, tmp_path):
-    _replay_bench(bench, tmp_path)
+def test_single_tenant_gated_benches_bit_identical(bench):
+    _replay_gate(bench)
+
+
+# --------------------------------------------------------------------------- #
+# stall reports: a served job that can never finish
+# --------------------------------------------------------------------------- #
+class _StuckJoin(Workload):
+    """One quantum: a join on a finished task and a receive whose message never comes."""
+
+    name = "stuck_join"
+
+    def prepare(self):
+        self.x = self.ctx.ones(64, BlockDist(32), name="x")
+
+    def submit(self):
+        runtime, chunk = self.ctx.runtime, self.x.chunks[0]
+        plan = ExecutionPlan(tenant=self.ctx.tenant)
+        done = plan.add(T.CombineTask(task_id=runtime.task_ids.next_id(), worker=0))
+        self.recv = plan.add(T.RecvTask(
+            task_id=runtime.task_ids.next_id(), worker=0, chunk_id=chunk.chunk_id,
+            region=chunk.region, src_worker=0, tag=runtime.message_tags.next_id(),
+            nbytes=chunk.nbytes,
+        ))
+        self.join = plan.add(T.CombineTask(
+            task_id=runtime.task_ids.next_id(), worker=0,
+            deps=(done.task_id, self.recv.task_id),
+        ))
+        runtime.submit_plan(plan)
+
+    def data_bytes(self):
+        return 0
+
+
+def test_stalled_serving_loop_names_the_unfinished_dependency(monkeypatch):
+    monkeypatch.setitem(WORKLOADS, _StuckJoin.name, _StuckJoin)
+    serving = small_serving(gpus=1)
+    serving.add_tenant("t0")
+    serving.submit(JobSpec(arrival=0.0, tenant=0, workload=_StuckJoin.name, n=64))
+    with pytest.raises(SimulationStalled) as exc:
+        serving.run()
+    report = str(exc.value)
+    job = serving._records[0].workload
+    assert report.startswith("serving loop stalled")
+    assert "worker 0: 1 waiting tasks" in report
+    assert f"{job.join} waiting on 1 unfinished dependencies [{job.recv.task_id}]" in report
 
 
 # --------------------------------------------------------------------------- #
