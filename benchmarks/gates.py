@@ -303,7 +303,7 @@ DISK_STREAM = dict(gpus=2, elems=256 * 10_240 * 2, arrays=10, rounds=3, flops=20
 DISK_COUNTERS = ("staging_stalls", "staging_stalls_avoided", "prefetch_promotions",
                  "disk_promotions_staged", "chunks_preevicted", "disk_stored_bytes_written",
                  "disk_stored_bytes_read")
-DISK_MEMORY = ("bytes_to_disk", "bytes_from_disk", "evictions_to_disk")
+DISK_MEMORY = ("bytes_to_disk", "bytes_from_disk", "evictions_to_disk", "disk_writes_skipped")
 DISK_ARMS = {"planned": {}, "reactive": {"window_memory": False}}
 
 
@@ -344,6 +344,8 @@ def disk(base):
         failures.append(f"{where}: disk_promotions_staged is 0")
     if planned["staging_stalls_avoided"] < 1:
         failures.append(f"{where}: staging_stalls_avoided is 0")
+    if planned["disk_writes_skipped"] < 1:
+        failures.append(f"{where}: disk_writes_skipped is 0 (no clean disk copy was reused)")
     if reactive["disk_promotions_staged"] != 0:
         failures.append("disk/reactive/out_of_core: disk_promotions_staged without a planner")
     for arm, record in (("planned", planned), ("reactive", reactive)):

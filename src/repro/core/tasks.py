@@ -97,6 +97,15 @@ class Task:
         """
         return ()
 
+    def chunk_writes(self) -> Sequence[ChunkId]:
+        """Ids of the staged chunks whose contents this task may modify.
+
+        The memory manager drops a chunk's retained disk copy when a writer
+        stages it.  The default is every staged chunk, so a task type that
+        does not say what it writes is treated as writing all it touches.
+        """
+        return tuple(chunk_id for chunk_id, _ in self.chunk_requirements())
+
     def __str__(self) -> str:
         return f"{self.kind}#{self.task_id}@w{self.worker}"
 
@@ -136,6 +145,10 @@ class FillTask(Task):
         """The filled chunk, materialised in host memory."""
         return ((self.chunk_id, "host"),)
 
+    def chunk_writes(self):
+        """The filled chunk."""
+        return (self.chunk_id,)
+
 
 @dataclass(frozen=True)
 class ArrayArgBinding:
@@ -146,6 +159,12 @@ class ArrayArgBinding:
     access_region: Region
     mode: str  # 'read' | 'write' | 'readwrite' | 'reduce'
     reduce_op: Optional[str] = None
+
+    @property
+    def writes(self) -> bool:
+        """True when the kernel may modify the bound chunk: its view is
+        writable, and :meth:`Task.chunk_writes` reports the chunk."""
+        return self.mode in ("write", "readwrite", "reduce")
 
 
 @dataclass
@@ -165,6 +184,10 @@ class LaunchTask(Task):
     def chunk_requirements(self):
         """Every bound array chunk, materialised on the GPU."""
         return tuple((binding.chunk_id, "gpu") for binding in self.array_args)
+
+    def chunk_writes(self):
+        """The chunks of the write, readwrite and reduce bindings."""
+        return tuple(binding.chunk_id for binding in self.array_args if binding.writes)
 
 
 @dataclass(frozen=True)
@@ -238,6 +261,18 @@ class FusedLaunchTask(Task):
                 seen.setdefault(epilogue.dst_chunk, (epilogue.dst_chunk, "gpu"))
         return tuple(seen.values())
 
+    def chunk_writes(self):
+        """Every segment's written bindings plus the epilogue destinations."""
+        written = {
+            binding.chunk_id
+            for bindings in self.array_args_list
+            for binding in bindings
+            if binding.writes
+        }
+        for epilogues in self.reduce_epilogues:
+            written.update(epilogue.dst_chunk for epilogue in epilogues)
+        return tuple(written)
+
 
 @dataclass
 class CopyTask(Task):
@@ -253,6 +288,10 @@ class CopyTask(Task):
     def chunk_requirements(self):
         """Both copy endpoints, materialised on the GPU."""
         return ((self.src_chunk, "gpu"), (self.dst_chunk, "gpu"))
+
+    def chunk_writes(self):
+        """The copy destination."""
+        return (self.dst_chunk,)
 
 
 @dataclass
@@ -271,6 +310,10 @@ class SendTask(Task):
         # the chunk only has to be materialised wherever it currently lives.
         return ((self.chunk_id, "any"),)
 
+    def chunk_writes(self):
+        """Nothing: a send only reads its chunk."""
+        return ()
+
 
 @dataclass
 class RecvTask(Task):
@@ -286,6 +329,10 @@ class RecvTask(Task):
         """The receiving chunk, wherever it currently lives."""
         return ((self.chunk_id, "any"),)
 
+    def chunk_writes(self):
+        """The receiving chunk."""
+        return (self.chunk_id,)
+
 
 @dataclass
 class ReduceTask(Task):
@@ -300,6 +347,10 @@ class ReduceTask(Task):
     def chunk_requirements(self):
         """Both reduce operands, materialised on the GPU."""
         return ((self.src_chunk, "gpu"), (self.dst_chunk, "gpu"))
+
+    def chunk_writes(self):
+        """The accumulator."""
+        return (self.dst_chunk,)
 
 
 @dataclass
@@ -361,6 +412,10 @@ class PromoteChunkTask(Task):
         """The promoted chunk, staged to its target level of the hierarchy."""
         return ((self.chunk_id, self.target),)
 
+    def chunk_writes(self):
+        """Nothing: a promotion only moves its chunk."""
+        return ()
+
 
 @dataclass
 class DownloadTask(Task):
@@ -373,6 +428,10 @@ class DownloadTask(Task):
     def chunk_requirements(self):
         """The downloaded chunk, wherever it currently lives."""
         return ((self.chunk_id, "any"),)
+
+    def chunk_writes(self):
+        """Nothing: a download only reads its chunk."""
+        return ()
 
 
 @dataclass

@@ -197,7 +197,7 @@ class TaskExecutor:
                 chunk.region,
                 array_shape,
                 access_region=binding.access_region,
-                writable=binding.mode in ("write", "readwrite", "reduce"),
+                writable=binding.writes,
                 name=binding.param,
             )
         launch_ctx = LaunchContext(

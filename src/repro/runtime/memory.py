@@ -9,13 +9,18 @@ and transferring previously evicted data back.  All of a task's chunks are
 reserved in one atomic action to prevent deadlocks, exactly as the paper
 describes.  Transfers issued here occupy the PCIe/disk resources of the
 simulator, which is what makes spilling visible in the measured run times.
+
+A chunk promoted out of the disk tier keeps its disk copy until a task that
+writes the chunk stages it, so spilling the still-clean chunk again only
+updates residency.  Retained copies count against the disk pool and are
+dropped, oldest first and at no cost, when the pool needs their room.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.chunk import ChunkId, ChunkMeta
 from ..errors import ArgumentValueError
@@ -48,6 +53,9 @@ class MemoryStats:
     disk_stored_bytes_read: int = 0
     evictions_to_host: int = 0
     evictions_to_disk: int = 0
+    #: evictions to disk that wrote nothing: the chunk's retained disk copy
+    #: was still clean (also counted in ``evictions_to_disk``)
+    disk_writes_skipped: int = 0
     #: evictions performed reactively inside a staging transaction (the
     #: chunk-by-chunk spilling window-aware memory planning replaces)
     staging_evictions: int = 0
@@ -72,6 +80,9 @@ class _ChunkState:
     space: Optional[MemorySpace] = None
     pins: int = 0
     last_use: int = 0
+    #: True while the chunk is resident above the disk tier and the disk
+    #: still holds a clean copy of its contents (bytes kept in the disk pool)
+    disk_copy: bool = False
 
 
 @dataclass
@@ -104,6 +115,7 @@ class _PendingStage:
     requirements: List[Tuple[ChunkId, str]]
     callback: Callable[[], None]
     background: bool
+    writes: Optional[Callable[[], Sequence[ChunkId]]]
     block: _Block  # why the last attempt failed
 
 
@@ -166,6 +178,9 @@ class MemoryManager:
         #: eviction (old data pushed down the hierarchy, not a use) enter at
         #: the front so they remain first in line for the next spill level.
         self._lru: Dict[MemorySpace, "OrderedDict[ChunkId, _ChunkState]"] = {}
+        #: chunks with a retained disk copy (``_ChunkState.disk_copy``), oldest
+        #: copy first: the order in which a full disk pool drops them
+        self._disk_copies: "OrderedDict[ChunkId, _ChunkState]" = OrderedDict()
         #: this worker's host and disk spaces, interned once — staging looks
         #: them up on its hot path and must not construct a space per call
         self._host_space = node.host_space
@@ -210,6 +225,8 @@ class MemoryManager:
                 tenant = self._tenants.get(chunk_id)
                 if tenant is not None:
                     self._tenant_used[(tenant, state.space)] -= state.meta.nbytes
+        if state.disk_copy:
+            self._drop_disk_copy(state)
         self._prepared.discard(chunk_id)
 
     def knows(self, chunk_id: ChunkId) -> bool:
@@ -228,7 +245,8 @@ class MemoryManager:
           contents are gone and must be rematerialized by lineage replay.
           Their residency is moved to host memory (where replay rebuilds
           them) without issuing transfers — recovery charges its own lump
-          costs instead.
+          costs instead.  A retained disk copy stays: nothing has written
+          the chunk since that copy was made.
         * ``surviving`` — chunks homed on the dead device whose data had been
           spilled to host or disk; the spilled replica is promoted (the data
           is intact), only the chunk's home needs retargeting.
@@ -321,6 +339,11 @@ class MemoryManager:
     def lru_order(self, space: MemorySpace) -> List[ChunkId]:
         """Resident chunks of ``space``, least recently used first."""
         return list(self._lru[space])
+
+    def disk_copies(self) -> List[ChunkId]:
+        """Chunks resident above disk with a retained clean disk copy, oldest
+        copy first (their bytes count in ``used_bytes`` of the disk space)."""
+        return list(self._disk_copies)
 
     # ------------------------------------------------------------------ #
     # tenant quotas (multi-tenant serving)
@@ -425,6 +448,7 @@ class MemoryManager:
         requirements: List[Tuple[ChunkId, str]],
         callback: Callable[[], None],
         background: bool = False,
+        writes: Optional[Callable[[], Sequence[ChunkId]]] = None,
     ) -> None:
         """Materialise and pin every required chunk, then invoke ``callback``.
 
@@ -435,13 +459,21 @@ class MemoryManager:
         promotion prefetch): their transfers delay no task, so they do not
         count as stall events, and the chunks they materialise are remembered
         so the stall they avoid later can be credited to the memory plan.
+        ``writes`` returns the ids of the chunks the task modifies (its
+        :meth:`~repro.core.tasks.Task.chunk_writes`); their retained disk
+        copies are dropped when the request commits.  It is only called
+        while some staged chunk has a retained disk copy, so runs that never
+        spill to disk never compute a write set.  ``None`` counts every
+        staged chunk as written.
         """
-        block = self._try_stage(task_id, requirements, callback, background=background)
+        block = self._try_stage(
+            task_id, requirements, callback, background=background, writes=writes
+        )
         if block is not None:
             if not background:
                 self.stats.staging_stalls += 1
             self._pending.append(
-                _PendingStage(task_id, requirements, callback, background, block)
+                _PendingStage(task_id, requirements, callback, background, writes, block)
             )
 
     def unstage(self, task_id: int) -> None:
@@ -461,7 +493,7 @@ class MemoryManager:
             if not pending.block.holds(chunks, pinned):
                 block = self._try_stage(
                     pending.task_id, pending.requirements, pending.callback,
-                    background=pending.background, retry=True,
+                    background=pending.background, retry=True, writes=pending.writes,
                 )
                 if block is None:
                     continue
@@ -479,6 +511,7 @@ class MemoryManager:
         callback: Callable[[], None],
         background: bool = False,
         retry: bool = False,
+        writes: Optional[Callable[[], Sequence[ChunkId]]] = None,
     ) -> Optional[_Block]:
         """Commit the request atomically and return ``None``, or change
         nothing and return the :class:`_Block` it must wait on."""
@@ -499,6 +532,8 @@ class MemoryManager:
             if space is target or space == target:
                 self._touch(state)
                 self._pin(state)
+                if state.disk_copy and (writes is None or chunk_id in writes()):
+                    self._drop_disk_copy(state)
                 staged_list = self._staged.get(task_id)
                 if staged_list is None:
                     self._staged[task_id] = [chunk_id]
@@ -607,6 +642,13 @@ class MemoryManager:
                         self._tenant_pinned[(tenant, space)] += state.meta.nbytes
             staged.append(state.meta.chunk_id)
         self._staged.setdefault(task_id, []).extend(staged)
+        if self._disk_copies:
+            # The writer is about to change these chunks: their disk copies
+            # go stale now, at commit, not when the request was queued.
+            for chunk_id in plan_ids if writes is None else writes():
+                state = chunks[chunk_id]
+                if state.disk_copy:
+                    self._drop_disk_copy(state)
 
         if background:
             # A promotion materialised these chunks ahead of use: remember
@@ -769,6 +811,16 @@ class MemoryManager:
         missing = nbytes - self.free_bytes(space)
         if missing <= 0:
             return
+        if space.kind is MemoryKind.DISK:
+            # Retained copies are the cheapest room there is: dropping one
+            # moves no data.
+            copies = self._disk_copies
+            while missing > 0 and copies:
+                state = next(iter(copies.values()))
+                self._drop_disk_copy(state)
+                missing -= state.meta.nbytes
+            if missing <= 0:
+                return
         quotas = self._tenant_quota
         lower_space = self._lower_space(space)
         #: bytes the next level down can still receive; ``None`` = unbounded.
@@ -803,13 +855,17 @@ class MemoryManager:
                     allowance[tenant] = left - state.meta.nbytes
             victims.append(state)
             missing -= state.meta.nbytes
-        # Moving a victim mutates the index, so evict after the walk.
+        # Moving a victim mutates the index, so evict after the walk.  A
+        # clean victim going to disk needs no room there: its copy's bytes
+        # are already in the pool (read at its turn, as the room made for an
+        # earlier victim may have dropped the copy).
         for victim in victims:
             if lower_space is None:
                 raise OutOfMemoryError(
                     f"cannot evict from {space}: no lower memory level exists"
                 )
-            self._make_room(lower_space, victim.meta.nbytes, requester=requester)
+            if not (victim.disk_copy and lower_space is self._disk_space):
+                self._make_room(lower_space, victim.meta.nbytes, requester=requester)
             self._move(victim, lower_space, eviction=True)
         # Each eviction front-inserted its victim into the lower space, which
         # reverses the batch's relative order; re-front in reverse so the
@@ -834,11 +890,24 @@ class MemoryManager:
         nbytes = state.meta.nbytes
         chunk_id = state.meta.chunk_id
         if source is not None:
-            self._used[source] -= nbytes
             del self._lru[source][chunk_id]
             if state.pins:
                 self._pinned[source] -= nbytes
-        self._used[target] += nbytes
+            if source.kind is MemoryKind.DISK:
+                # Promoted out of the disk tier: the copy stays, and so do its
+                # bytes in the disk pool.
+                state.disk_copy = True
+                self._disk_copies[chunk_id] = state
+            else:
+                self._used[source] -= nbytes
+        # Spilling a chunk whose disk copy is still clean writes nothing: the
+        # copy becomes its residency, its bytes already in the pool.
+        clean = state.disk_copy and target.kind is MemoryKind.DISK
+        if clean:
+            state.disk_copy = False
+            del self._disk_copies[chunk_id]
+        else:
+            self._used[target] += nbytes
         self._lru[target][chunk_id] = state
         if self._tenants:
             tenant = self._tenants.get(chunk_id)
@@ -867,7 +936,7 @@ class MemoryManager:
         if source is None:
             return []  # fresh allocation from the pool: no data to move
 
-        transfers = self._transfer_requests(source, target, state.meta)
+        transfers = self._transfer_requests(source, target, state.meta, clean)
         if eviction:
             if target.kind is MemoryKind.HOST:
                 self.stats.evictions_to_host += 1
@@ -884,8 +953,18 @@ class MemoryManager:
             return []
         return transfers
 
-    def _disk_write_requests(self, meta: ChunkMeta):
-        """The requests that write one chunk to the disk tier."""
+    def _drop_disk_copy(self, state: _ChunkState) -> None:
+        """Forget a chunk's retained disk copy and free its disk-pool bytes."""
+        state.disk_copy = False
+        del self._disk_copies[state.meta.chunk_id]
+        self._used[self._disk_space] -= state.meta.nbytes
+
+    def _disk_write_requests(self, meta: ChunkMeta, clean: bool):
+        """The requests that write one chunk to the disk tier; none when its
+        retained disk copy is still ``clean``."""
+        if clean:
+            self.stats.disk_writes_skipped += 1
+            return []
         nbytes = meta.nbytes
         self.stats.bytes_to_disk += nbytes
         if self.disk_model is None:
@@ -912,8 +991,11 @@ class MemoryManager:
             (self.resources.decompress, nbytes, "decompress"),
         ]
 
-    def _transfer_requests(self, source: MemorySpace, target: MemorySpace, meta: ChunkMeta):
-        """The (resource, bytes, label) requests implied by moving a chunk."""
+    def _transfer_requests(
+        self, source: MemorySpace, target: MemorySpace, meta: ChunkMeta, clean: bool
+    ):
+        """The (resource, bytes, label) requests implied by moving a chunk;
+        ``clean`` skips the disk write of a chunk whose disk copy is current."""
         pair = (source.kind, target.kind)
         nbytes = meta.nbytes
         requests = []
@@ -924,13 +1006,13 @@ class MemoryManager:
             self.stats.bytes_to_gpu += nbytes
             requests.append((self.resources.pcie, nbytes, "stage h2d"))
         elif pair == (MemoryKind.HOST, MemoryKind.DISK):
-            requests.extend(self._disk_write_requests(meta))
+            requests.extend(self._disk_write_requests(meta, clean))
         elif pair == (MemoryKind.DISK, MemoryKind.HOST):
             requests.extend(self._disk_read_requests(meta))
         elif pair == (MemoryKind.GPU, MemoryKind.DISK):
             self.stats.bytes_from_gpu += nbytes
             requests.append((self.resources.pcie, nbytes, "spill d2h"))
-            requests.extend(self._disk_write_requests(meta))
+            requests.extend(self._disk_write_requests(meta, clean))
         elif pair == (MemoryKind.DISK, MemoryKind.GPU):
             requests.extend(self._disk_read_requests(meta))
             self.stats.bytes_to_gpu += nbytes

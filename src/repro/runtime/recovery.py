@@ -391,7 +391,7 @@ class LineageTracker:
                 meta.region,
                 array_shapes[binding.param],
                 access_region=binding.access_region,
-                writable=binding.mode in ("write", "readwrite", "reduce"),
+                writable=binding.writes,
                 name=binding.param,
             )
         launch_ctx = LaunchContext(

@@ -157,10 +157,13 @@ class Scheduler:
 
         if requirements:
             # Promotions are issued ahead of any consumer: their staging is
-            # background work and must not count as a stall event.
+            # background work and must not count as a stall event.  The write
+            # set is passed uncomputed: the manager asks for it at commit,
+            # and only while a staged chunk keeps a disk copy.
             self.memory.stage(
                 task.task_id, requirements, _staged,
                 background=isinstance(task, T.PromoteChunkTask),
+                writes=task.chunk_writes,
             )
         else:
             _staged()

@@ -4,9 +4,10 @@ Three layers:
 
 * **MemoryManager unit tests** — the GPU → host → disk eviction cascade and
   the disk → host → GPU promotion chain, including the compressed byte
-  accounting (``disk_stored_bytes_*`` vs the raw ``bytes_to_disk``) and the
+  accounting (``disk_stored_bytes_*`` vs the raw ``bytes_to_disk``), the
   pinned-host capacity guard that keeps staged promotions from deadlocking
-  the cascade.
+  the cascade, and clean disk copies: a promoted chunk keeps its disk copy
+  until a writer's staging commits, so spilling it again writes nothing.
 * **End-to-end out-of-core runs** — ``Context(disk=True)`` with a dataset
   larger than host memory: bit-identical results with the planner on or
   off, staged disk→host promotions observed, and the default two-level
@@ -78,9 +79,9 @@ def chunk(chunk_id, mb, device=GPU0):
                      dtype=np.float32, home=device, array_id=1)
 
 
-def stage(manager, engine, task_id, requirements):
+def stage(manager, engine, task_id, requirements, writes=None):
     done = []
-    manager.stage(task_id, requirements, lambda: done.append(task_id))
+    manager.stage(task_id, requirements, lambda: done.append(task_id), writes=writes)
     engine.run()
     return bool(done)
 
@@ -188,6 +189,165 @@ def test_pinned_host_capacity_bounds_the_gpu_cascade():
     manager.release(reservation=9)
     engine.run()
     assert done == [9]
+
+
+# --------------------------------------------------------------------------- #
+# MemoryManager: clean disk copies
+# --------------------------------------------------------------------------- #
+GPU0_SPACE = GPU0.memory_space
+
+
+def read_only():
+    return ()
+
+
+def spill_to_disk(manager, engine):
+    """Push every unpinned chunk from the GPU to host, then from host to disk."""
+    for space in (GPU0_SPACE, HOST0):
+        manager.reserve(space, [], manager.capacity(space), pin=False)
+        engine.run()
+
+
+def assert_disk_bytes(manager):
+    """Disk-pool bytes are the disk-resident chunks plus the retained copies."""
+    resident = manager.footprint([(cid, "any") for cid in manager.lru_order(DISK0)])
+    copies = manager.footprint([(cid, "any") for cid in manager.disk_copies()])
+    assert manager.used_bytes(DISK0) == resident + copies
+
+
+def sink_to_disk(manager, engine, chunk_ids):
+    """Register ``chunk_ids`` (1 MB each) on the GPU, then spill them to disk."""
+    for cid in chunk_ids:
+        manager.register(chunk(cid, 1))
+        assert stage(manager, engine, 100 + cid, [(cid, "gpu")])
+        manager.unstage(100 + cid)
+    spill_to_disk(manager, engine)
+    assert [manager.residency(cid) for cid in chunk_ids] == [DISK0] * len(chunk_ids)
+
+
+def test_read_only_chunk_is_written_to_disk_once():
+    manager, engine = make_manager(model=CompressionModel(seed=7))
+    sink_to_disk(manager, engine, [1])
+    assert manager.stats.bytes_to_disk == 1 * MB
+    written = manager.stats.disk_stored_bytes_written
+    # Promoted by a reader: the disk copy stays, and so do its pool bytes.
+    assert stage(manager, engine, 200, [(1, "gpu")], writes=read_only)
+    manager.unstage(200)
+    assert manager.residency(1) == GPU0_SPACE
+    assert manager.disk_copies() == [1]
+    assert manager.used_bytes(DISK0) == 1 * MB
+    # Spilled again: residency changes, nothing is compressed or written.
+    spill_to_disk(manager, engine)
+    assert manager.residency(1) == DISK0
+    assert manager.disk_copies() == []
+    stats = manager.stats
+    assert (stats.evictions_to_disk, stats.disk_writes_skipped) == (2, 1)
+    assert stats.bytes_to_disk == 1 * MB
+    assert stats.disk_stored_bytes_written == written
+    assert manager.resources.disk_write.completed_items == 1
+    assert manager.resources.compress.completed_items == 1
+    assert_disk_bytes(manager)
+
+
+def test_chunk_written_after_promotion_is_written_back():
+    manager, engine = make_manager(model=CompressionModel(seed=7))
+    sink_to_disk(manager, engine, [1])
+    assert stage(manager, engine, 200, [(1, "gpu")], writes=lambda: (1,))
+    # The writer's commit dropped the copy and freed its disk bytes.
+    assert manager.disk_copies() == []
+    assert manager.used_bytes(DISK0) == 0
+    manager.unstage(200)
+    spill_to_disk(manager, engine)
+    assert manager.residency(1) == DISK0
+    assert manager.stats.disk_writes_skipped == 0
+    assert manager.stats.bytes_to_disk == 2 * MB
+    assert manager.resources.disk_write.completed_items == 2
+    assert_disk_bytes(manager)
+
+
+def test_queued_writer_drops_the_copy_made_while_it_waited():
+    """The copy is dropped when the writer's staging commits: a chunk spilled
+    and promoted again while the writer waits gets a new copy, which must
+    not survive the write."""
+    manager, engine = make_manager(gpu=4 * MB)
+    sink_to_disk(manager, engine, [1])
+    assert stage(manager, engine, 200, [(1, "gpu")], writes=read_only)
+    manager.unstage(200)
+    manager.register(chunk(2, 2))
+    manager.register(chunk(3, 2))
+    assert stage(manager, engine, 300, [(3, "gpu")])  # pinned: GPU is full
+    assert manager.disk_copies() == [1]
+
+    writer = []
+    manager.stage(400, [(1, "gpu"), (2, "gpu")], lambda: writer.append(400),
+                  writes=lambda: (1,))
+    engine.run()
+    assert not writer  # blocked behind chunk 3's pin
+
+    # While the writer waits, chunk 1 goes back to disk (clean) and a reader
+    # promotes it again, making a new copy.
+    spill_to_disk(manager, engine)
+    assert manager.residency(1) == DISK0
+    assert stage(manager, engine, 500, [(1, "gpu")], writes=read_only)
+    manager.unstage(500)
+    engine.run()
+    assert not writer
+    assert manager.disk_copies() == [1]
+
+    manager.unstage(300)
+    engine.run()
+    assert writer == [400]
+    assert manager.disk_copies() == []
+    assert manager.used_bytes(DISK0) == 0
+    assert_disk_bytes(manager)
+
+
+def test_delete_and_device_failure_keep_disk_bytes_consistent():
+    manager, engine = make_manager()
+    sink_to_disk(manager, engine, [1, 2, 3, 4])
+    for task, cid in enumerate((1, 2, 3), start=200):
+        assert stage(manager, engine, task, [(cid, "gpu")], writes=read_only)
+        manager.unstage(task)
+    assert manager.disk_copies() == [1, 2, 3]
+    assert manager.used_bytes(DISK0) == 4 * MB
+    assert_disk_bytes(manager)
+
+    manager.delete(2)  # a chunk with a retained copy
+    assert manager.disk_copies() == [1, 3]
+    assert manager.used_bytes(DISK0) == 3 * MB
+    assert_disk_bytes(manager)
+    manager.delete(4)  # a disk-resident chunk
+    assert manager.used_bytes(DISK0) == 2 * MB
+    assert_disk_bytes(manager)
+
+    # Chunks lost with their GPU keep their copies: nothing wrote them.
+    lost, _ = manager.mark_device_failed(GPU0)
+    assert sorted(lost) == [1, 3]
+    assert manager.disk_copies() == [1, 3]
+    assert manager.used_bytes(DISK0) == 2 * MB
+    assert_disk_bytes(manager)
+
+
+def test_full_disk_pool_drops_copies_instead_of_raising():
+    manager, engine = make_manager(gpu=4 * MB, host=3 * MB, disk=3 * MB)
+    sink_to_disk(manager, engine, [1, 2, 3])
+    for task, cid in enumerate((1, 2, 3), start=200):
+        assert stage(manager, engine, task, [(cid, "gpu")], writes=read_only)
+        manager.unstage(task)
+    assert manager.disk_copies() == [1, 2, 3]
+    assert manager.free_bytes(DISK0) == 0
+
+    # Chunk 4 must make way for chunk 5 on the host, and has never been
+    # written to disk: the pool holds only copies, so the oldest one goes.
+    manager.register(chunk(4, 1))
+    assert stage(manager, engine, 600, [(4, "host")])
+    manager.unstage(600)
+    manager.register(chunk(5, 3))
+    assert stage(manager, engine, 700, [(5, "host")])
+    assert manager.residency(4) == DISK0
+    assert manager.disk_copies() == [2, 3]
+    assert manager.used_bytes(DISK0) == 3 * MB
+    assert_disk_bytes(manager)
 
 
 # --------------------------------------------------------------------------- #

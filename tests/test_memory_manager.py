@@ -337,7 +337,7 @@ class _FullRetryManager(MemoryManager):
         for pending in self._pending:
             if self._try_stage(
                 pending.task_id, pending.requirements, pending.callback,
-                background=pending.background, retry=True,
+                background=pending.background, retry=True, writes=pending.writes,
             ) is not None:
                 still_pending.append(pending)
         self._pending = still_pending
@@ -359,14 +359,14 @@ def _count_attempts(manager):
 class _Side:
     """One manager under a random program, with its engine and callback log."""
 
-    def __init__(self, cls, tenants):
+    def __init__(self, cls, tenants, capacities):
         cluster = Cluster(azure_nc24rsv2(nodes=1, gpus_per_node=2))
         node = cluster.node(0)
         self.engine = Engine()
         resources = WorkerResources(self.engine, node, DEFAULT_OVERHEADS, Trace())
         self.spaces = [dev.memory_space for dev in node.devices]
         self.spaces += [node.host_space, node.disk_space]
-        capacities = dict(zip(self.spaces, (8 * MB, 8 * MB, 12 * MB, 256 * MB)))
+        capacities = dict(zip(self.spaces, capacities))
         self.manager = cls(node, resources, capacities=capacities,
                            chunk_tenants=tenants)
         if tenants is not None:
@@ -379,9 +379,10 @@ class _Side:
     def apply(self, op, *args):
         try:
             if op == "stage":
-                task_id, requirements, background = args
+                task_id, requirements, background, writes = args
                 self.manager.stage(task_id, requirements,
-                                   lambda: self.fired.append(task_id), background)
+                                   lambda: self.fired.append(task_id), background,
+                                   writes=lambda: writes)
             elif op == "run":
                 self.engine.run()
             else:
@@ -398,25 +399,41 @@ class _Side:
             [manager.lru_order(space) for space in self.spaces],
             [manager.used_bytes(space) for space in self.spaces],
             [manager.pinned_bytes(space) for space in self.spaces],
+            manager.disk_copies(),
             manager.stats,
             [pending.task_id for pending in manager._pending],
         )
 
+    def assert_disk_bytes(self, where):
+        """Disk-pool bytes are the disk-resident chunks plus the retained copies."""
+        manager, disk = self.manager, self.spaces[-1]
+        resident = manager.footprint([(cid, "any") for cid in manager.lru_order(disk)])
+        copies = manager.footprint([(cid, "any") for cid in manager.disk_copies()])
+        assert manager.used_bytes(disk) == resident + copies, where
+
 
 def _random_program(seed):
     """Drive the skipping manager and the full-retry reference in lockstep;
-    returns their attempt counts after asserting identical state each step."""
+    returns their attempt counts after asserting identical state and the
+    disk-pool byte invariant at each step."""
     rng = random.Random(seed)
     tenants = ({}, {}) if seed % 2 else (None, None)
-    fast = _Side(MemoryManager, tenants[0])
-    full = _Side(_FullRetryManager, tenants[1])
+    # Half the seeds (2 and 3 mod 4: with and without tenants) run a small
+    # host over a small disk, so chunks cycle through the disk tier and
+    # retained disk copies fill its pool.
+    capacities = (8 * MB, 8 * MB, 12 * MB, 256 * MB)
+    if seed % 4 >= 2:
+        capacities = (5 * MB, 5 * MB, 3 * MB, 8 * MB)
+    fast = _Side(MemoryManager, tenants[0], capacities)
+    full = _Side(_FullRetryManager, tenants[1], capacities)
     devices = [DeviceId(0, 0), DeviceId(0, 1)]
     chunk_ids, unstaged, reservations = [], set(), []
-    next_task = 0
+    next_task = next_chunk = 0
     for step in range(120):
         roll = rng.random()
         if roll < 0.15 or len(chunk_ids) < 4:
-            cid = len(chunk_ids) + 1
+            next_chunk += 1
+            cid = next_chunk
             elems = rng.randint(1, 4) * MB // 8  # 0.5 to 2 MB of float32
             meta = ChunkMeta(chunk_id=cid, region=Region((0,), (elems,)),
                              dtype=np.float32, home=rng.choice(devices), array_id=1)
@@ -433,7 +450,9 @@ def _random_program(seed):
                 requirements = [(cid, "gpu") for cid in picked]
             else:
                 requirements = [(rng.choice(chunk_ids), rng.choice(["host", "any"]))]
-            op = ("stage", next_task, requirements, rng.random() < 0.2)
+            staged = [cid for cid, _ in requirements]
+            writes = tuple(rng.sample(staged, rng.randint(0, len(staged))))
+            op = ("stage", next_task, requirements, rng.random() < 0.2, writes)
         elif roll < 0.8:
             ready = sorted(set(full.fired) - unstaged)
             if not ready:
@@ -454,11 +473,23 @@ def _random_program(seed):
             cid = rng.choice(chunk_ids)
             meta = full.manager._chunks[cid].meta
             op = ("retarget_home", cid, replace(meta, home=rng.choice(devices)))
+        elif roll < 0.96:
+            # Delete an unpinned chunk no queued request still needs.
+            queued = {cid for pending in full.manager._pending
+                      for cid, _ in pending.requirements}
+            idle = [cid for cid in chunk_ids
+                    if full.manager._chunks[cid].pins == 0 and cid not in queued]
+            if not idle or len(chunk_ids) <= 4:
+                continue
+            cid = rng.choice(idle)
+            chunk_ids.remove(cid)
+            op = ("delete", cid)
         else:
             op = ("run",)
         fast.apply(*op)
         full.apply(*op)
         assert fast.observed() == full.observed(), f"seed {seed}, step {step}: {op}"
+        fast.assert_disk_bytes(f"seed {seed}, step {step}: {op}")
     return fast.attempts[0], full.attempts[0]
 
 
