@@ -568,7 +568,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"{tenant:>8d} {weight:>7.2f} {row.get('plans_submitted', 0):>7d} "
               f"{row.get('tasks_submitted', 0):>8d} {row.get('tasks_completed', 0):>8d}")
     if args.stats_json:
-        _write_stats_json(args.stats_json, summary)
+        payload = serving.runtime.stats().to_dict()
+        payload["serving"] = summary
+        payload["tenants"] = {ctx.tenant_name: ctx.stats().to_dict() for ctx in serving.contexts}
+        _write_stats_json(args.stats_json, payload)
     return 0
 
 

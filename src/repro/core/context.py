@@ -141,11 +141,15 @@ class Context:
         self.planner.tenant = tenant
         self.planner.device_rotation = device_rotation
         self.planner.tag_allocator = self.runtime.message_tags
+        #: the counters this context's launch window, window memory planner
+        #: and expression engine increment (``RuntimeStats``' per-context ones)
+        self.counters = RuntimeStats()
         #: bounded lookahead over pending launches: deferred submission with
         #: cross-launch kernel fusion and halo-prefetch passes at drain time
         self.window = LaunchWindow(
             self.runtime,
             self.planner,
+            self.counters,
             depth=lookahead,
             fusion=fusion,
             prefetch=prefetch,
@@ -450,10 +454,10 @@ class Context:
             manifest["arrays"].append(array_entry)
         _ckpt.write_checkpoint(path, manifest)
         runtime.run_until_idle()
-        runtime.checkpoints_written += 1
-        runtime.chunks_checkpointed += len(captured)
-        runtime.checkpoint_bytes_raw += total_raw
-        runtime.checkpoint_bytes_stored += total_stored
+        runtime.counters.checkpoints_written += 1
+        runtime.counters.chunks_checkpointed += len(captured)
+        runtime.counters.checkpoint_bytes_raw += total_raw
+        runtime.counters.checkpoint_bytes_stored += total_stored
         if runtime.lineage is not None and self.functional:
             for chunk, entry in captured:
                 runtime.lineage.note_durable(
@@ -508,7 +512,7 @@ class Context:
                 worker.resources.decompress.request(
                     int(entry["raw"]), lambda: None, label="restore decompress"
                 )
-            runtime.chunks_restored += len(entries)
+            runtime.counters.chunks_restored += len(entries)
             key = array_entry["name"] or f"array_{array_entry['array_id']}"
             restored[key] = array
         self.synchronize()
@@ -621,28 +625,8 @@ class Context:
         return False
 
     def stats(self) -> RuntimeStats:
-        """Aggregate :class:`RuntimeStats` of the run so far (window counters included)."""
-        stats = self.runtime.stats()
-        stats.window_flushes = self.window.flushes
-        stats.launches_fused = self.window.launches_fused
-        stats.launches_fused_chain = self.window.launches_fused_chain
-        stats.fused_chain_max_len = self.window.fused_chain_max_len
-        stats.reductions_fused = self.window.reductions_fused
-        stats.transfers_prefetched = self.window.transfers_prefetched
-        stats.writebacks_deferred = self.window.writebacks_deferred
-        stats.writebacks_dropped = self.window.writebacks_dropped
-        stats.writeback_bytes_dropped = self.window.writeback_bytes_dropped
-        stats.units_carried = self.window.units_carried
-        stats.window_memory_plans = self.window.memory_plans
-        stats.disk_promotions_staged = self.window.staged_promotions
-        stats.plan_cache_invalidations = self.planner.cache.invalidations
-        stats.exprs_lowered = self.expr.exprs_lowered
-        stats.expr_nodes_fused = self.expr.expr_nodes_fused
-        stats.temporaries_elided = self.expr.temporaries_elided
-        stats.temporaries_elided_bytes = self.expr.temporaries_elided_bytes
-        stats.expr_bytes_allocated = self.expr.expr_bytes_allocated
-        stats.buffers_reused_inplace = self.expr.buffers_reused_inplace
-        return stats
+        """This context's view of the run so far (:meth:`RuntimeSystem.stats`)."""
+        return self.runtime.stats(self)
 
     def trace(self):
         """The resource busy-interval trace (``enable_trace=True``)."""

@@ -129,13 +129,8 @@ class ExprEngine:
         self._evaluating = False
         #: without CPython refcount semantics, treat everything as shared
         self._refcounts_ok = refcounts_reliable()
-        # --- statistics (copied into RuntimeStats by Context.stats()) ---
-        self.exprs_lowered = 0
-        self.expr_nodes_fused = 0
-        self.temporaries_elided = 0
-        self.temporaries_elided_bytes = 0
-        self.expr_bytes_allocated = 0
-        self.buffers_reused_inplace = 0
+        #: the context's ``RuntimeStats`` counters
+        self.counters = context.counters
 
     # ------------------------------------------------------------------ #
     # registration (called by the graph builders)
@@ -216,8 +211,8 @@ class ExprEngine:
         # DistributedArray temporary the eager arm would have allocated
         for node in postorder:
             if isinstance(node, MapExpr) and id(node) not in materialize:
-                self.temporaries_elided += 1
-                self.temporaries_elided_bytes += node.nbytes
+                self.counters.temporaries_elided += 1
+                self.counters.temporaries_elided_bytes += node.nbytes
         groups = [
             self._collect_group(node, materialize)
             for node in postorder
@@ -228,7 +223,7 @@ class ExprEngine:
         for group in groups:
             for aid in {s.node.array.array_id for s in group.slots if s.leaf}:
                 remaining[aid] = remaining.get(aid, 0) + 1
-        self.exprs_lowered += 1
+        self.counters.exprs_lowered += 1
         with self.context.window.hold():
             for group in groups:
                 self._emit_group(group, remaining, ref_occ)
@@ -334,7 +329,7 @@ class ExprEngine:
                 node, (0,) * node.ndim, group, materialize, root=True
             )
         if len(group.instrs) >= 2:
-            self.expr_nodes_fused += len(group.instrs)
+            self.counters.expr_nodes_fused += len(group.instrs)
         return group
 
     def _visit(
@@ -471,11 +466,11 @@ class ExprEngine:
             self._kernels[spec] = kernel
         if inplace is not None:
             out = group.slots[inplace].node.array
-            self.buffers_reused_inplace += 1
+            self.counters.buffers_reused_inplace += 1
         else:
             out = context.empty(node.shape, out_dist, dtype=node.dtype)
             out._expr_align = not isinstance(node, ShiftExpr)
-            self.expr_bytes_allocated += out.nbytes
+            self.counters.expr_bytes_allocated += out.nbytes
         args: List[object] = [s.value for s in group.scalars]
         args += [
             slot.node.array if slot.leaf else slot.node._result

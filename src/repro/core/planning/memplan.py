@@ -123,18 +123,12 @@ class WindowMemoryPlanner:
     emits plans; it never moves data itself.
     """
 
-    def __init__(self, runtime: "object", planner: "object"):
+    def __init__(self, runtime: "object", planner: "object", counters: "object"):
         self.runtime = runtime
         self.planner = planner
+        #: the owning context's ``RuntimeStats`` counters
+        self.counters = counters
         self._reservation_ids = itertools.count(1)
-        #: drains for which a (non-empty) memory plan was emitted
-        self.plans_emitted = 0
-        self.promotions_planned = 0
-        self.preevictions_requested = 0
-        #: disk-resident prefetch candidates promoted to *host* memory only
-        #: (their home GPU space was overflowing, so a full promotion would
-        #: thrash) — the third-level half of hierarchy-aware prefetch
-        self.staged_promotions_planned = 0
 
     # ------------------------------------------------------------------ #
     # group working sets
@@ -206,7 +200,6 @@ class WindowMemoryPlanner:
 
         if not memory_plan.reserve_specs and not memory_plan.promote_specs:
             return None
-        self.plans_emitted += 1
         return memory_plan
 
     def _plan_space(
@@ -262,7 +255,6 @@ class WindowMemoryPlanner:
             deps=self._conflict_deps(keep),
         ))
         memory_plan.reserved_chunks += len(keep)
-        self.preevictions_requested += 1
         if pin:
             memory_plan.reservations.append(
                 _Reservation(worker=space.worker, reservation=reservation,
@@ -345,7 +337,6 @@ class WindowMemoryPlanner:
                     unit_index=unit_index,
                 ))
                 memory_plan.promotions += 1
-                self.promotions_planned += 1
 
     def _stage_from_disk(
         self,
@@ -388,7 +379,7 @@ class WindowMemoryPlanner:
             target="host",
         ))
         memory_plan.promotions += 1
-        self.staged_promotions_planned += 1
+        self.counters.disk_promotions_staged += 1
         # The host space must make room for the staged bytes ahead of the
         # disk reads: pre-evict host LRU victims down to disk (unpinned —
         # the staged chunks are only *protected*, the group may still spill
@@ -414,7 +405,6 @@ class WindowMemoryPlanner:
                     deps=self._conflict_deps(chunk_ids),
                 ))
                 memory_plan.reserved_chunks += len(chunk_ids)
-                self.preevictions_requested += 1
 
     def _conflict_deps(self, chunk_ids: Sequence[ChunkId], kind: str = "write") -> Tuple[int, ...]:
         """Every earlier task touching ``chunk_ids``, per the conflict tables.

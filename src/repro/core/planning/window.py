@@ -154,6 +154,7 @@ class LaunchWindow:
         self,
         runtime: "object",
         planner: Planner,
+        counters: "object",
         depth: int = DEFAULT_LOOKAHEAD,
         fusion: object = True,
         prefetch: bool = True,
@@ -161,6 +162,8 @@ class LaunchWindow:
     ):
         self.runtime = runtime
         self.planner = planner
+        #: the owning context's ``RuntimeStats`` counters
+        self.counters = counters
         self.depth = max(1, int(depth))
         if fusion not in (True, False, "chain", "pairwise"):
             raise ValueError(
@@ -170,25 +173,11 @@ class LaunchWindow:
         self.fusion_pairwise_only = fusion == "pairwise"
         self.prefetch_enabled = prefetch
         self.memory_planning_enabled = memory_planning
-        self.memplan = WindowMemoryPlanner(runtime, planner) if memory_planning else None
+        self.memplan = WindowMemoryPlanner(runtime, planner, counters) if memory_planning else None
         self._pending: List[PendingLaunch] = []
         self._holding = False
-        # counters surfaced through RuntimeStats
-        self.flushes = 0
+        #: drains by reason
         self.flush_reasons: Dict[str, int] = {}
-        self.launches_fused = 0
-        self.launches_fused_chain = 0
-        self.fused_chain_max_len = 0
-        self.reductions_fused = 0
-        self.transfers_prefetched = 0
-        self.memory_plans = 0
-        #: write-back cache: temp write-backs held by depth drains, then
-        #: dropped when a later unit overwrites their region, and the units
-        #: whose launches stayed pending to lead the next drain
-        self.writebacks_deferred = 0
-        self.writebacks_dropped = 0
-        self.writeback_bytes_dropped = 0
-        self.units_carried = 0
         #: held write-backs by target chunk (all from one unit per chunk:
         #: any later unit touching the chunk resolves them first)
         self._held: Dict[int, List[_HeldPiece]] = {}
@@ -197,9 +186,14 @@ class LaunchWindow:
         self._previous_group_tail: Dict[int, List[int]] = {}
 
     @property
+    def launches_fused(self) -> int:
+        """Launches merged away by the fusion pass (``RuntimeStats.launches_fused``)."""
+        return self.counters.launches_fused
+
+    @property
     def staged_promotions(self) -> int:
-        """Disk→host staged promotions planned (three-level prefetch)."""
-        return self.memplan.staged_promotions_planned if self.memplan else 0
+        """Disk→host staged promotions planned (``RuntimeStats.disk_promotions_staged``)."""
+        return self.counters.disk_promotions_staged
 
     # ------------------------------------------------------------------ #
     # filling
@@ -282,7 +276,8 @@ class LaunchWindow:
                 self._submit_held()
             return
         group, self._pending = self._pending, []
-        self.flushes += 1
+        counters = self.counters
+        counters.window_flushes += 1
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
 
         # Pass 1 — kernel fusion: partition the group into stamping units.
@@ -335,7 +330,7 @@ class LaunchWindow:
             and self._extends(units[-1], incoming)
         ):
             self._pending = list(units.pop().members)
-            self.units_carried += 1
+            counters.units_carried += 1
 
         # Pass 2 — window-aware memory planning.  Must run before stamping:
         # reserve/promotion dependencies come from the conflict tables, which
@@ -371,15 +366,15 @@ class LaunchWindow:
                     prefetch=unit.prefetch,
                     hold=hold,
                 )
-                self.launches_fused += len(unit.members) - 1
+                counters.launches_fused += len(unit.members) - 1
                 if len(unit.members) > 2:
                     # launches that joined a chain longer than a pair — what
                     # pairwise-only fusion could not have merged
-                    self.launches_fused_chain += len(unit.members)
-                self.fused_chain_max_len = max(
-                    self.fused_chain_max_len, len(unit.members)
+                    counters.launches_fused_chain += len(unit.members)
+                counters.fused_chain_max_len = max(
+                    counters.fused_chain_max_len, len(unit.members)
                 )
-                self.reductions_fused += int(
+                counters.reductions_fused += int(
                     unit.recipe.notes.get("fused_reductions", 0)
                 )
             else:
@@ -395,7 +390,7 @@ class LaunchWindow:
             if stamped.held_tasks:
                 opened.extend(self._hold(unit.recipe, plan, stamped.held_tasks))
             if unit.prefetch:
-                self.transfers_prefetched += stamped.prefetched
+                counters.transfers_prefetched += stamped.prefetched
             # Only the memory planner consumes launch-id anchors; skip the
             # per-task scan entirely when the pass is disabled.
             if self.memplan is not None:
@@ -423,7 +418,7 @@ class LaunchWindow:
         # before its consumer; the pin release comes last, and a barrier
         # then submits whatever is still held.
         if memory_plan is not None:
-            self.memory_plans += 1
+            counters.window_memory_plans += 1
             reserve = self.memplan.build_reserve_plan(
                 memory_plan, self._previous_group_tail
             )
@@ -480,7 +475,7 @@ class LaunchWindow:
                 array_id=recipe.chunk_metas[piece.chunk_id].array_id,
                 temp=temp,
             ))
-        self.writebacks_deferred += len(writebacks.pieces)
+        self.counters.writebacks_deferred += len(writebacks.pieces)
         return list(temps.values())
 
     def _resolve(self, recipe) -> List[T.Task]:
@@ -509,8 +504,8 @@ class LaunchWindow:
                     any(region.contains_region(piece.region) for region in cover)
                     or regions_cover(piece.region, cover)
                 ):
-                    self.writebacks_dropped += 1
-                    self.writeback_bytes_dropped += piece.nbytes
+                    self.counters.writebacks_dropped += 1
+                    self.counters.writeback_bytes_dropped += piece.nbytes
                     piece.temp.dropped.add(piece.reader)
                 else:
                     self._emit(piece.temp, piece.tasks, tasks)

@@ -450,13 +450,13 @@ def recover_device(runtime, device: DeviceId) -> None:
         raise FaultError(
             f"device {device} failed and no devices survive; cannot recover"
         )
-    runtime.devices_failed += 1
+    runtime.counters.devices_failed += 1
     worker = runtime.workers[device.worker]
     worker.scheduler.blacklist.add(device)
 
     lost, surviving = worker.memory.mark_device_failed(device)
-    runtime.chunks_lost += len(lost)
-    runtime.replicas_promoted += len(surviving)
+    runtime.counters.chunks_lost += len(lost)
+    runtime.counters.replicas_promoted += len(surviving)
     for chunk_id in lost:
         worker.storage.poison(chunk_id)
     replayed = 0
@@ -469,7 +469,7 @@ def recover_device(runtime, device: DeviceId) -> None:
             lost, lambda chunk_id: _buffer_of(runtime, chunk_id),
             runtime.kernel_registry,
         )
-    runtime.tasks_replayed += replayed
+    runtime.counters.tasks_replayed += replayed
     restored = sum(
         worker.storage.meta(cid).nbytes for cid in lost if cid in worker.storage
     )
@@ -520,7 +520,7 @@ def recover_device(runtime, device: DeviceId) -> None:
     # through its own planner, so the plans carry its tenant tag).
     for owner, array in affected:
         owner.redistribute(array, array.distribution)
-        runtime.redistributes_forced += 1
+        runtime.counters.redistributes_forced += 1
 
 
 def _buffer_of(runtime, chunk_id: ChunkId) -> Optional[np.ndarray]:

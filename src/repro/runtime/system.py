@@ -12,7 +12,8 @@ completion of every task, and advances virtual time until the system is idle.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.array import ArrayIdAllocator
@@ -49,9 +50,19 @@ class ExecutionMode(enum.Enum):
     SIMULATE = "simulate"
 
 
+def _per_context(combine=operator.add):
+    """A counter each context owns; snapshots fold its values with ``combine``."""
+    return field(default=0, metadata={"combine": combine})
+
+
 @dataclass
 class RuntimeStats:
-    """Aggregate counters collected after a run."""
+    """One snapshot of every runtime counter (:meth:`RuntimeSystem.stats`).
+
+    Each counter is declared once, here.  The runtime increments its own on
+    ``RuntimeSystem.counters``, each context the ``_per_context`` ones on
+    ``Context.counters``, and the rest are read from components.
+    """
 
     virtual_time: float = 0.0
     tasks_completed: int = 0
@@ -69,25 +80,25 @@ class RuntimeStats:
     plan_cache_invalidations: int = 0
     #: launch-window activity: drains, launches merged away by the fusion
     #: pass, and next-launch transfers stamped with prefetch priority
-    window_flushes: int = 0
-    launches_fused: int = 0
+    window_flushes: int = _per_context()
+    launches_fused: int = _per_context()
     #: launches that joined a fused *chain* of more than two segments (what
     #: pairwise-only fusion could not have merged), the longest chain stamped,
     #: and reduce parameters combined inside fused tasks (reduction tails)
-    launches_fused_chain: int = 0
-    fused_chain_max_len: int = 0
-    reductions_fused: int = 0
-    transfers_prefetched: int = 0
+    launches_fused_chain: int = _per_context()
+    fused_chain_max_len: int = _per_context(max)
+    reductions_fused: int = _per_context()
+    transfers_prefetched: int = _per_context()
     #: write-back cache: temp write-backs held back by depth drains, those
     #: dropped (and their bytes) because a later launch overwrote their
     #: region first, and drain units kept pending to lead the next drain so
     #: fused chains stay whole
-    writebacks_deferred: int = 0
-    writebacks_dropped: int = 0
-    writeback_bytes_dropped: int = 0
-    units_carried: int = 0
+    writebacks_deferred: int = _per_context()
+    writebacks_dropped: int = _per_context()
+    writeback_bytes_dropped: int = _per_context()
+    units_carried: int = _per_context()
     #: drains for which the memory-planning pass emitted a (non-empty) plan
-    window_memory_plans: int = 0
+    window_memory_plans: int = _per_context()
     #: window-aware memory planning: spill victims chosen up front by reserve
     #: tasks, spilled chunks pulled back up the hierarchy ahead of use, and
     #: staging transactions that completed instantly because of either
@@ -100,13 +111,16 @@ class RuntimeStats:
     events_cancelled: int = 0
     #: fault tolerance (``Context(faults=...)`` / ``--inject-faults``):
     #: injected transient transfer faults, retried and permanently failed
-    #: transfers, permanent device failures, chunks lost with a failed GPU,
+    #: transfers, injected transient compute faults and their retries,
+    #: permanent device failures, chunks lost with a failed GPU,
     #: spilled replicas promoted instead of replayed, lineage tasks replayed,
     #: arrays force-redistributed onto the shrunken topology, and
     #: link-degradation windows applied
     transfer_faults_injected: int = 0
     transfers_retried: int = 0
     transfers_failed_permanently: int = 0
+    compute_faults_injected: int = 0
+    compute_retried: int = 0
     devices_failed: int = 0
     chunks_lost: int = 0
     replicas_promoted: int = 0
@@ -118,17 +132,17 @@ class RuntimeStats:
     #: materialised (count and the bytes they would have occupied), bytes
     #: actually allocated for expression results, and group outputs written
     #: in place into a dead input buffer instead of a fresh allocation
-    exprs_lowered: int = 0
-    expr_nodes_fused: int = 0
-    temporaries_elided: int = 0
-    temporaries_elided_bytes: int = 0
-    expr_bytes_allocated: int = 0
-    buffers_reused_inplace: int = 0
+    exprs_lowered: int = _per_context()
+    expr_nodes_fused: int = _per_context()
+    temporaries_elided: int = _per_context()
+    temporaries_elided_bytes: int = _per_context()
+    expr_bytes_allocated: int = _per_context()
+    buffers_reused_inplace: int = _per_context()
     #: compressed disk tier (``Context(disk=True)``): disk→host staged
     #: promotions planned by the window (three-level prefetch), and the
     #: compressed bytes the disk tier actually wrote/read (equal to the raw
     #: spill bytes when the compression model is off)
-    disk_promotions_staged: int = 0
+    disk_promotions_staged: int = _per_context()
     disk_stored_bytes_written: int = 0
     disk_stored_bytes_read: int = 0
     #: checkpoint/restore (``Context.checkpoint``/``Context.restore``):
@@ -160,6 +174,12 @@ class RuntimeStats:
                 str(device): peak for device, peak in stats["peak_gpu_bytes"].items()
             }
         return payload
+
+
+#: the context-owned counters, each with how a snapshot folds them together
+CONTEXT_COUNTERS = {
+    f.name: f.metadata["combine"] for f in fields(RuntimeStats) if "combine" in f.metadata
+}
 
 
 class RuntimeSystem:
@@ -249,8 +269,9 @@ class RuntimeSystem:
         self._waiters: Dict[TaskId, Optional[list]] = {}
         self._outstanding = 0
         self.plans_submitted = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
+        #: the runtime's own counters: plan-cache hits and misses of submitted
+        #: plans, device recovery (:func:`recover_device`) and checkpoints
+        self.counters = RuntimeStats()
         #: When ``record_plans`` is set, every submitted plan is kept here so
         #: ``repro.analysis`` can rebuild the full task DAG (Fig. 4) afterwards.
         self.record_plans = record_plans
@@ -258,18 +279,6 @@ class RuntimeSystem:
         #: every :class:`~repro.core.context.Context` attached to this runtime,
         #: in attach order; device recovery sweeps their arrays
         self.contexts: List[object] = []
-        #: recovery counters aggregated into :class:`RuntimeStats`
-        self.devices_failed = 0
-        self.chunks_lost = 0
-        self.replicas_promoted = 0
-        self.tasks_replayed = 0
-        self.redistributes_forced = 0
-        #: checkpoint/restore counters aggregated into :class:`RuntimeStats`
-        self.checkpoints_written = 0
-        self.chunks_checkpointed = 0
-        self.checkpoint_bytes_raw = 0
-        self.checkpoint_bytes_stored = 0
-        self.chunks_restored = 0
         #: Multi-tenant serving (:mod:`repro.runtime.serving`).  All of this
         #: is dormant — and the hot path pays a single ``if`` — until the
         #: first tenant-tagged plan arrives.  ``fair_share`` is set by the
@@ -350,9 +359,9 @@ class RuntimeSystem:
             self.lineage.observe_plan(plan)
         self.plans_submitted += 1
         if plan.cache_status == "hit":
-            self.plan_cache_hits += 1
+            self.counters.plan_cache_hits += 1
         elif plan.cache_status == "miss":
-            self.plan_cache_misses += 1
+            self.counters.plan_cache_misses += 1
         if self.record_plans:
             self.recorded_plans.append(plan)
         self._outstanding += plan.task_count
@@ -464,12 +473,23 @@ class RuntimeSystem:
     # ------------------------------------------------------------------ #
     # statistics
     # ------------------------------------------------------------------ #
-    def stats(self) -> RuntimeStats:
-        """Aggregate :class:`RuntimeStats` over the engine, workers and fabric."""
-        stats = RuntimeStats(virtual_time=self.engine.now)
+    def stats(self, context=None) -> RuntimeStats:
+        """A snapshot of the whole runtime, or ``context``'s view of it.
+
+        A copy of the runtime's counters, every context's counters folded in
+        and reads of the components.  A context's view folds in only its own
+        counters and plan-cache invalidations, and a tenant's view counts
+        only its own ``tasks_completed`` (the tenant ledger); every other
+        field stays runtime-wide.
+        """
+        stats = replace(self.counters, virtual_time=self.engine.now, memory={},
+                        resource_busy={}, resource_events={})
+        owners = self.contexts if context is None else (context,)
+        for owner in owners:
+            for name, combine in CONTEXT_COUNTERS.items():
+                setattr(stats, name, combine(getattr(stats, name), getattr(owner.counters, name)))
+        stats.plan_cache_invalidations = sum(o.planner.cache.invalidations for o in owners)
         stats.control_messages = self.rpc.control_messages
-        stats.plan_cache_hits = self.plan_cache_hits
-        stats.plan_cache_misses = self.plan_cache_misses
         stats.network_bytes = self.fabric.bytes_delivered
         stats.network_messages = self.fabric.messages_delivered
         stats.events_processed = self.engine.events_processed
@@ -479,32 +499,30 @@ class RuntimeSystem:
             stats.transfer_faults_injected = injector.transfer_faults_injected
             stats.transfers_retried = injector.transfers_retried
             stats.transfers_failed_permanently = injector.transfers_failed_permanently
+            stats.compute_faults_injected = injector.compute_faults_injected
+            stats.compute_retried = injector.compute_retried
             stats.link_degradations = injector.degradations_applied
-        stats.devices_failed = self.devices_failed
-        stats.chunks_lost = self.chunks_lost
-        stats.replicas_promoted = self.replicas_promoted
-        stats.tasks_replayed = self.tasks_replayed
-        stats.redistributes_forced = self.redistributes_forced
-        stats.checkpoints_written = self.checkpoints_written
-        stats.chunks_checkpointed = self.chunks_checkpointed
-        stats.checkpoint_bytes_raw = self.checkpoint_bytes_raw
-        stats.checkpoint_bytes_stored = self.checkpoint_bytes_stored
-        stats.chunks_restored = self.chunks_restored
         if self.lineage is not None:
             stats.durable_chunks_loaded = self.lineage.durable_chunks_loaded
         stats.resource_events[self.driver_plan.name] = self.driver_plan.events_processed
         for worker in self.workers:
             stats.tasks_completed += worker.scheduler.tasks_completed
             stats.kernel_launches += worker.executor.kernel_launches
-            stats.memory[worker.worker_id] = worker.memory.stats
-            stats.chunks_preevicted += worker.memory.stats.chunks_preevicted
-            stats.prefetch_promotions += worker.memory.stats.prefetch_promotions
-            stats.staging_stalls += worker.memory.stats.staging_stalls
-            stats.staging_stalls_avoided += worker.memory.stats.staging_stalls_avoided
-            stats.disk_stored_bytes_written += worker.memory.stats.disk_stored_bytes_written
-            stats.disk_stored_bytes_read += worker.memory.stats.disk_stored_bytes_read
+            memory = worker.memory.stats
+            # a copy, so later work does not change this snapshot
+            stats.memory[worker.worker_id] = replace(
+                memory, peak_gpu_bytes=dict(memory.peak_gpu_bytes)
+            )
+            stats.chunks_preevicted += memory.chunks_preevicted
+            stats.prefetch_promotions += memory.prefetch_promotions
+            stats.staging_stalls += memory.staging_stalls
+            stats.staging_stalls_avoided += memory.staging_stalls_avoided
+            stats.disk_stored_bytes_written += memory.disk_stored_bytes_written
+            stats.disk_stored_bytes_read += memory.disk_stored_bytes_read
             for resource in worker.resources.all_resources():
                 stats.resource_events[resource.name] = resource.events_processed
+        if context is not None and context.tenant is not None:
+            stats.tasks_completed = self.tenant_tasks_completed.get(context.tenant, 0)
         if self.trace is not None:
             stats.resource_busy = self.trace.summary()
         return stats
@@ -534,8 +552,8 @@ class RuntimeSystem:
             worker.memory.set_tenant_quota(tenant, fraction)
 
     def tenant_counters(self) -> Dict[int, Dict[str, int]]:
-        """Per-tenant counters (kept out of :class:`RuntimeStats`, whose dict
-        form is compared exactly against committed single-tenant baselines)."""
+        """The tenant ledger: per-tenant plan and task counts (a tenant's
+        :meth:`stats` view takes its ``tasks_completed`` from it)."""
         tenants = sorted(
             set(self.tenant_plans_submitted) | set(self.tenant_tasks_submitted)
         )

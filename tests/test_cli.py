@@ -1,8 +1,17 @@
 """Tests for the repro-bench command-line interface."""
 
+import dataclasses
+import json
+import os
+import re
+
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.runtime.memory import MemoryStats
+from repro.runtime.system import RuntimeStats
+
+GLOSSARY = os.path.join(os.path.dirname(__file__), "..", "docs", "operations.md")
 
 
 def test_describe_prints_cluster(capsys):
@@ -35,6 +44,33 @@ def test_functional_run_checks_its_answer(capsys, monkeypatch):
 def test_run_with_scheduler_policy(capsys):
     assert main(["run", "md5", "--n", "1e9", "--scheduler-policy", "locality"]) == 0
     assert "md5" in capsys.readouterr().out
+
+
+def test_serve_stats_json_is_runtime_stats_with_tenant_views(tmp_path):
+    path = tmp_path / "serve.json"
+    assert main(["serve", "--trace", "seed=1,jobs=6,rate=200", "--tenants", "2",
+                 "--gpus", "2", "--mode", "simulate", "--stats-json", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    # the schema of run --stats-json, plus the serving report and tenant views
+    assert set(payload) == set(RuntimeStats().to_dict()) | {"serving", "tenants"}
+    assert payload["serving"]["jobs_completed"] == 6
+    tenants = payload["tenants"]
+    assert set(tenants) == {"tenant-0", "tenant-1"}
+    assert payload["window_flushes"] == sum(t["window_flushes"] for t in tenants.values()) > 0
+
+
+def test_counter_glossary_names_every_stats_field():
+    """Every RuntimeStats and MemoryStats field has a row in the glossary of
+    ``--stats-json`` output, and its tables' first column names only fields."""
+    with open(GLOSSARY, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## RuntimeStats counter glossary", 1)[1].split("\n## ", 1)[0]
+    names = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    fields = {f.name for cls in (RuntimeStats, MemoryStats) for f in dataclasses.fields(cls)}
+    assert names == fields
 
 
 def test_sweep_prints_one_row_per_size(capsys):

@@ -13,6 +13,7 @@ from repro import (
     azure_nc24rsv2,
 )
 from repro.core.array import DistributedArray
+from repro.kernels import create_workload
 
 
 def make_ctx(**kw):
@@ -135,6 +136,24 @@ def test_stats_and_trace_are_exposed():
     assert stats.virtual_time == ctx.virtual_time
     assert ctx.trace() is not None
     assert isinstance(ctx.describe(), str)
+
+
+def test_stats_snapshot_stays_fixed_while_the_run_goes_on():
+    ctx = Context(azure_nc24rsv2(nodes=1, gpus_per_node=2), mode="simulate")
+    work = create_workload("kmeans", ctx, 40_960, iterations=2)
+    work.prepare()
+    work.submit()
+    ctx.synchronize()
+    snapshot = ctx.stats()
+    frozen = snapshot.to_dict()
+    work.submit()
+    ctx.synchronize()
+    assert snapshot.to_dict() == frozen
+    live = ctx.runtime.workers[0].memory.stats
+    assert live.bytes_to_gpu > snapshot.memory[0].bytes_to_gpu
+    assert snapshot.memory[0].peak_gpu_bytes is not live.peak_gpu_bytes
+    # with one context, its view is the runtime-wide snapshot
+    assert ctx.stats().to_dict() == ctx.runtime.stats().to_dict()
 
 
 def test_invalid_distribution_inputs_raise():

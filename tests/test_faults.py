@@ -401,6 +401,8 @@ def test_stats_dict_exposes_fault_counters():
     for key in (
         "transfers_retried",
         "transfers_failed_permanently",
+        "compute_faults_injected",
+        "compute_retried",
         "devices_failed",
         "chunks_lost",
         "replicas_promoted",

@@ -49,6 +49,7 @@ from repro.runtime.serving import (
     ServingSystem,
     poisson_trace,
 )
+from repro.runtime.system import CONTEXT_COUNTERS
 
 _GATES_SPEC = importlib.util.spec_from_file_location(
     "gates", os.path.join(os.path.dirname(__file__), "..", "benchmarks", "gates.py"))
@@ -411,6 +412,24 @@ def test_disk_tier_under_serving_bit_identical(faults):
     # The disk tier is runtime-wide: a tenant context cannot turn it on.
     with pytest.raises(ArgumentValueError, match=r"ServingSystem\(faults=\.\.\., disk"):
         Context(runtime=serving.runtime, tenant=3, disk=True)
+
+
+def test_runtime_stats_under_serving_are_the_tenants_sum():
+    serving = _disk_serving(disk=True, disk_seed=3)
+    report = serving.run()
+    total = serving.runtime.stats()
+    views = [ctx.stats() for ctx in serving.contexts]
+    owned = [*CONTEXT_COUNTERS, "plan_cache_invalidations", "tasks_completed"]
+    for name in owned:
+        values = [getattr(view, name) for view in views]
+        expected = max(values) if name == "fused_chain_max_len" else sum(values)
+        assert getattr(total, name) == expected, name
+    assert total.window_flushes > 0 and total.disk_promotions_staged > 0
+    # A tenant's view owns only those fields; every other one is runtime-wide.
+    runtime_wide = {k: v for k, v in total.to_dict().items() if k not in owned}
+    for tenant, view in enumerate(views):
+        assert view.tasks_completed == report.tenant_counters[tenant]["tasks_completed"]
+        assert {k: v for k, v in view.to_dict().items() if k not in owned} == runtime_wide
 
 
 @pytest.mark.xfail(strict=True, raises=OutOfMemoryError, reason=(

@@ -471,6 +471,6 @@ def test_faulted_run_busy_time_equals_reference_over_recorded_intervals():
     ctx.synchronize()
     stats = ctx.stats()
     assert stats.transfer_faults_injected > 0
-    assert ctx.runtime.fault_injector.compute_faults_injected > 0
+    assert stats.compute_faults_injected > 0
     expected = _reference_summary(ctx.trace().intervals)
     assert _hexed(stats.resource_busy) == _hexed(expected)

@@ -177,8 +177,8 @@ def test_streaming_spill_window_memory_is_bit_identical_and_reduces_evictions():
     assert stats_on.staging_stalls < stats_off.staging_stalls
     assert stats_on.prefetch_promotions > 0
     assert stats_on.staging_stalls_avoided > 0
-    assert ctx_on.window.memory_plans > 0
-    assert ctx_off.window.memory_plans == 0
+    assert ctx_on.stats().window_memory_plans > 0
+    assert ctx_off.stats().window_memory_plans == 0
 
 
 def test_streaming_results_match_reference():
@@ -281,7 +281,7 @@ def test_no_memory_plans_without_pressure():
     for _ in range(8):
         kernel.launch(4096, 256, BlockWorkDist(2048), (4096, data))
     ctx.synchronize()
-    assert ctx.window.memory_plans == 0
+    assert ctx.stats().window_memory_plans == 0
     # one create plan + one plan per launch, and nothing else (no reserve,
     # promote or release plans)
     assert ctx.runtime.plans_submitted == base + 9
@@ -318,7 +318,7 @@ def test_delete_after_pinned_drain_waits_for_release():
     for b in batches:
         ctx.delete_array(b)  # drains (referenced) and deletes while pins live
     ctx.synchronize()
-    assert ctx.window.memory_plans > 0
+    assert ctx.stats().window_memory_plans > 0
 
 
 def test_eager_window_still_plans_memory():
@@ -347,5 +347,5 @@ def test_eager_window_still_plans_memory():
             kernel.launch(elems, 256, BlockWorkDist(elems // 2), (elems, batches[j]))
         ctx.synchronize()
     # No prefetch lookahead at depth 1, but pre-eviction still engages.
-    assert ctx.window.memory_plans > 0
+    assert ctx.stats().window_memory_plans > 0
     assert ctx.stats().prefetch_promotions == 0
