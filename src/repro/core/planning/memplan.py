@@ -196,7 +196,7 @@ class WindowMemoryPlanner:
             regime_by_space[space] = self._plan_space(
                 memory_plan, space, ws_chunks, chunk_bytes, temp_bytes.get(space, 0)
             )
-        self._plan_promotions(memory_plan, units, regime_by_space)
+        self._plan_promotions(memory_plan, units, regime_by_space, chunk_bytes)
 
         if not memory_plan.reserve_specs and not memory_plan.promote_specs:
             return None
@@ -268,6 +268,7 @@ class WindowMemoryPlanner:
         memory_plan: GroupMemoryPlan,
         units: Sequence["object"],
         regime_by_space: Dict[MemorySpace, Tuple[str, Optional[set]]],
+        group_bytes: Dict[ChunkId, int],
     ) -> None:
         """Emit promotion tasks for spilled prefetch candidates of the group.
 
@@ -287,12 +288,14 @@ class WindowMemoryPlanner:
         the slow, compressed disk read happens ahead of use, overlapped with
         compute, and the consumer's reactive staging pays only the PCIe hop.
         Where the staged bytes exceed the host space's free room, a host
-        reserve is emitted alongside, pre-evicting host LRU victims to disk
-        so the three levels stream concurrently.
+        reserve is emitted alongside, pre-evicting host LRU victims other
+        than the group's own chunks to disk so the three levels stream
+        concurrently.
         """
         promoted_bytes: Dict[MemorySpace, int] = {}
-        #: per host space: [(chunk id, bytes)] staged up from disk
-        host_staged: Dict[MemorySpace, List[Tuple[ChunkId, int]]] = {}
+        #: per host space: the group's own chunks resident there, their
+        #: bytes, and the [(chunk id, bytes)] staged up from disk
+        host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], int, list]] = {}
         seen: set = set()
         for unit_index, unit in enumerate(units):
             if not unit.prefetch:
@@ -326,7 +329,8 @@ class WindowMemoryPlanner:
                     denied = True
                 if denied:
                     self._stage_from_disk(
-                        memory_plan, memory, residency, meta, unit_index, host_staged
+                        memory_plan, memory, residency, meta, unit_index, host_staged,
+                        group_bytes,
                     )
                     continue
                 promoted_bytes[space] = spent + meta.nbytes
@@ -345,13 +349,17 @@ class WindowMemoryPlanner:
         residency: MemorySpace,
         meta: "object",
         unit_index: int,
-        host_staged: Dict[MemorySpace, List[Tuple[ChunkId, int]]],
+        host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], int, list]],
+        group_bytes: Dict[ChunkId, int],
     ) -> None:
         """Plan one disk→host staged promotion (with host pre-eviction).
 
         Called for prefetch candidates whose full promotion to the home GPU
         was denied; only disk-resident chunks qualify (host-resident ones are
-        already one PCIe hop from their consumer).
+        already one PCIe hop from their consumer).  The group's own
+        host-resident chunks are needed sooner than a promoted one, so a
+        promotion may not displace them: their bytes are no part of its host
+        budget, and the host reserve protects them.
         """
         if residency.kind is not MemoryKind.DISK:
             return
@@ -362,11 +370,17 @@ class WindowMemoryPlanner:
             return
         host = self.runtime.workers[residency.worker].node.host_space
         worker = self.runtime.workers[residency.worker]
-        staged = host_staged.setdefault(host, [])
+        if host not in host_staged:
+            own = tuple(
+                cid for cid in group_bytes
+                if memory.knows(cid) and memory.residency(cid) == host
+            )
+            host_staged[host] = (own, sum(group_bytes[cid] for cid in own), [])
+        own, own_bytes, staged = host_staged[host]
         staged_bytes = sum(nbytes for _, nbytes in staged)
         allowance = min(
             worker.scheduler.stage_threshold,
-            memory.free_bytes(host) + memory.evictable_bytes(host),
+            memory.free_bytes(host) + memory.evictable_bytes(host) - own_bytes,
         )
         if staged_bytes + meta.nbytes > allowance:
             return
@@ -381,12 +395,14 @@ class WindowMemoryPlanner:
         memory_plan.promotions += 1
         self.counters.disk_promotions_staged += 1
         # The host space must make room for the staged bytes ahead of the
-        # disk reads: pre-evict host LRU victims down to disk (unpinned —
-        # the staged chunks are only *protected*, the group may still spill
-        # them if its own host working set grows).
+        # disk reads: pre-evict host LRU victims other than the group's own
+        # and the staged chunks down to disk (unpinned — those are only
+        # *protected*, the group may still spill them if its own host
+        # working set grows).
         staged_bytes += meta.nbytes
         if staged_bytes > memory.free_bytes(host):
-            chunk_ids = tuple(cid for cid, _ in staged)
+            staged_ids = tuple(cid for cid, _ in staged)
+            chunk_ids = own + staged_ids
             for spec in memory_plan.reserve_specs:
                 if spec.space == host:
                     spec.chunk_ids = chunk_ids
@@ -402,7 +418,7 @@ class WindowMemoryPlanner:
                     nbytes=staged_bytes,
                     reservation=next(self._reservation_ids),
                     pin=False,
-                    deps=self._conflict_deps(chunk_ids),
+                    deps=self._conflict_deps(staged_ids),
                 ))
                 memory_plan.reserved_chunks += len(chunk_ids)
 

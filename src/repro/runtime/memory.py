@@ -4,16 +4,26 @@ Every worker tracks where each of its chunks currently lives (GPU memory, host
 memory or disk) and how much of every memory space is in use.  Staging a task
 means materialising all of the task's chunks in the memory spaces it needs —
 allocating from pre-sized pools, evicting least-recently-used unpinned chunks
-to the next level of the hierarchy when a pool is full (GPU → host → disk),
-and transferring previously evicted data back.  All of a task's chunks are
-reserved in one atomic action to prevent deadlocks, exactly as the paper
-describes.  Transfers issued here occupy the PCIe/disk resources of the
-simulator, which is what makes spilling visible in the measured run times.
+down the hierarchy when a pool is full (GPU → host → disk), and transferring
+previously evicted data back.  All of a task's chunks are reserved in one
+atomic action to prevent deadlocks, exactly as the paper describes.  Transfers
+issued here occupy the PCIe/disk resources of the simulator, which is what
+makes spilling visible in the measured run times.
+
+The scheduler announces every submitted task's chunks (:meth:`announce`), so
+the manager knows each chunk's *next use*: the earliest announced task that
+has not staged it yet.  LRU order picks the victims; next use picks the level
+a GPU victim enters.  It goes to host memory when there is room, or when
+making room there would push down some chunk needed no sooner than the
+victim; otherwise it skips host memory and drops straight to disk, so it
+never displaces data that is needed before it (Belady's rule applied to
+admission).
 
 A chunk promoted out of the disk tier keeps its disk copy until a task that
 writes the chunk stages it, so spilling the still-clean chunk again only
-updates residency.  Retained copies count against the disk pool and are
-dropped, oldest first and at no cost, when the pool needs their room.
+updates residency — from host memory or straight from a GPU.  Retained
+copies count against the disk pool and are dropped, oldest first and at no
+cost, when the pool needs their room.
 """
 
 from __future__ import annotations
@@ -38,11 +48,17 @@ class OutOfMemoryError(RuntimeError):
     """A task's working set cannot fit in the requested memory space."""
 
 
+#: next use of a chunk that no announced task will stage
+_NEVER = float("inf")
+
+
 @dataclass
 class MemoryStats:
     """Counters exposed for tests, benchmarks and EXPERIMENTS.md."""
 
     bytes_to_gpu: int = 0
+    #: bytes spilled out of a GPU over PCIe (a clean chunk dropping straight
+    #: to its retained disk copy moves none)
     bytes_from_gpu: int = 0
     bytes_to_disk: int = 0
     bytes_from_disk: int = 0
@@ -181,6 +197,11 @@ class MemoryManager:
         #: chunks with a retained disk copy (``_ChunkState.disk_copy``), oldest
         #: copy first: the order in which a full disk pool drops them
         self._disk_copies: "OrderedDict[ChunkId, _ChunkState]" = OrderedDict()
+        #: Next-use index: chunk id -> ids of the announced tasks that will
+        #: stage the chunk and have not yet, in announcement order.  The
+        #: first is the chunk's next use; a chunk without an entry is never
+        #: used again as far as this worker knows.
+        self._uses: Dict[ChunkId, List[int]] = {}
         #: this worker's host and disk spaces, interned once — staging looks
         #: them up on its hot path and must not construct a space per call
         self._host_space = node.host_space
@@ -228,6 +249,7 @@ class MemoryManager:
         if state.disk_copy:
             self._drop_disk_copy(state)
         self._prepared.discard(chunk_id)
+        self._uses.pop(chunk_id, None)
 
     def knows(self, chunk_id: ChunkId) -> bool:
         """True when the chunk has been registered with this manager."""
@@ -345,6 +367,12 @@ class MemoryManager:
         copy first (their bytes count in ``used_bytes`` of the disk space)."""
         return list(self._disk_copies)
 
+    def next_use(self, chunk_id: ChunkId) -> float:
+        """Id of the earliest announced task that has not staged the chunk
+        yet, or ``inf`` when no announced task will."""
+        uses = self._uses.get(chunk_id)
+        return uses[0] if uses else _NEVER
+
     # ------------------------------------------------------------------ #
     # tenant quotas (multi-tenant serving)
     # ------------------------------------------------------------------ #
@@ -407,6 +435,32 @@ class MemoryManager:
     # ------------------------------------------------------------------ #
     # staging
     # ------------------------------------------------------------------ #
+    def announce(self, task_id: int, requirements: Sequence[Tuple[ChunkId, str]]) -> None:
+        """Record that ``task_id`` will stage ``requirements``.
+
+        The scheduler announces each task when it is submitted, long before
+        it is ready; the task's staging commit consumes the announcement.
+        Until then the task is a pending use of each chunk, and the earliest
+        pending use is the chunk's :meth:`next_use`.
+        """
+        uses = self._uses
+        for chunk_id, _ in requirements:
+            pending = uses.get(chunk_id)
+            if pending is None:
+                uses[chunk_id] = [task_id]
+            else:
+                pending.append(task_id)
+
+    def _consume(self, task_id: int, requirements: Sequence[Tuple[ChunkId, str]]) -> None:
+        """Drop ``task_id``'s announced uses: its staging commits now."""
+        uses = self._uses
+        for chunk_id, _ in requirements:
+            pending = uses.get(chunk_id)
+            if pending is not None and task_id in pending:
+                pending.remove(task_id)
+                if not pending:
+                    del uses[chunk_id]
+
     def _target_space(self, state: _ChunkState, kind: str) -> MemorySpace:
         if kind == "gpu":
             return state.meta.home.memory_space
@@ -530,6 +584,8 @@ class MemoryManager:
                 target = self._target_space(state, kind)
             space = state.space
             if space is target or space == target:
+                if self._uses:
+                    self._consume(task_id, requirements)
                 self._touch(state)
                 self._pin(state)
                 if state.disk_copy and (writes is None or chunk_id in writes()):
@@ -642,6 +698,8 @@ class MemoryManager:
                         self._tenant_pinned[(tenant, space)] += state.meta.nbytes
             staged.append(state.meta.chunk_id)
         self._staged.setdefault(task_id, []).extend(staged)
+        if self._uses:
+            self._consume(task_id, requirements)
         if self._disk_copies:
             # The writer is about to change these chunks: their disk copies
             # go stale now, at commit, not when the request was queued.
@@ -726,7 +784,8 @@ class MemoryManager:
         combined working set for one memory space:
 
         * **planned pre-eviction** — LRU victims *outside* ``chunks`` are
-          spilled down the hierarchy until ``nbytes`` are free (or nothing
+          spilled down the hierarchy (each to the level
+          :meth:`_spill_level` picks) until ``nbytes`` are free (or nothing
           evictable remains), so the group's stagings find room instead of
           evicting chunk-by-chunk on the critical path; the write-back
           transfers start now, overlapped with whatever is computing;
@@ -798,15 +857,12 @@ class MemoryManager:
 
         ``protect`` names chunks that must not be evicted even though they are
         not pinned yet — the rest of the working set of the task currently
-        being staged.  ``requester`` is the tenant asking for the room (or
-        ``None``): under tenant quotas, a rival tenant's chunks are only
-        eligible as victims while that tenant sits *above* its quota, and
-        only down to the quota line — its within-quota working set is as
-        untouchable as a pinned chunk.
-
-        Victims come straight off the front of the per-space LRU index, so
-        selection is O(1) per victim (plus any pinned/protected chunks walked
-        over) instead of a full sort of the worker's chunks.
+        being staged — at every level the eviction cascades through.
+        ``requester`` is the tenant asking for the room (or ``None``): under
+        tenant quotas, a rival tenant's chunks are only eligible as victims
+        while that tenant sits *above* its quota, and only down to the quota
+        line — its within-quota working set is as untouchable as a pinned
+        chunk.  Each victim enters the level :meth:`_spill_level` picks.
         """
         missing = nbytes - self.free_bytes(space)
         if missing <= 0:
@@ -821,6 +877,47 @@ class MemoryManager:
                 missing -= state.meta.nbytes
             if missing <= 0:
                 return
+        lower_space = self._lower_space(space)
+        victims = self._victims(space, missing, protect, requester)
+        # Moving a victim mutates the index, so evict after the walk.  A
+        # clean victim going to disk needs no room there: its copy's bytes
+        # are already in the pool (read at its turn, as the room made for an
+        # earlier victim may have dropped the copy).
+        for victim in victims:
+            if lower_space is None:
+                raise OutOfMemoryError(
+                    f"cannot evict from {space}: no lower memory level exists"
+                )
+            target = lower_space
+            if lower_space is self._host_space:
+                target = self._spill_level(victim, protect, requester)
+            if not (victim.disk_copy and target is self._disk_space):
+                self._make_room(target, victim.meta.nbytes, protect, requester)
+            self._move(victim, target, eviction=True)
+        # Each eviction front-inserted its victim into the lower space, which
+        # reverses the batch's relative order; re-front in reverse so the
+        # oldest victim is first in line for the next spill level again.
+        for victim in reversed(victims):
+            if victim.space is not None:
+                self._lru[victim.space].move_to_end(victim.meta.chunk_id, last=False)
+        if self.free_bytes(space) < nbytes:
+            raise OutOfMemoryError(
+                f"could not free {nbytes} bytes in {space} "
+                f"(free {self.free_bytes(space)}, capacity {self._capacity[space]})"
+            )
+
+    def _victims(
+        self, space: MemorySpace, missing: int, protect, requester
+    ) -> List[_ChunkState]:
+        """The chunks :meth:`_make_room` evicts from ``space`` to free
+        ``missing`` bytes: unpinned and unprotected ones in LRU order, within
+        rival tenants' allowances and the lower level's receivable cap.  Their
+        bytes fall short of ``missing`` when not enough are eligible.
+
+        Victims come straight off the front of the per-space LRU index, so
+        selection is O(1) per victim (plus any pinned/protected chunks walked
+        over) instead of a full sort of the worker's chunks.
+        """
         quotas = self._tenant_quota
         lower_space = self._lower_space(space)
         #: bytes the next level down can still receive; ``None`` = unbounded.
@@ -855,29 +952,24 @@ class MemoryManager:
                     allowance[tenant] = left - state.meta.nbytes
             victims.append(state)
             missing -= state.meta.nbytes
-        # Moving a victim mutates the index, so evict after the walk.  A
-        # clean victim going to disk needs no room there: its copy's bytes
-        # are already in the pool (read at its turn, as the room made for an
-        # earlier victim may have dropped the copy).
-        for victim in victims:
-            if lower_space is None:
-                raise OutOfMemoryError(
-                    f"cannot evict from {space}: no lower memory level exists"
-                )
-            if not (victim.disk_copy and lower_space is self._disk_space):
-                self._make_room(lower_space, victim.meta.nbytes, requester=requester)
-            self._move(victim, lower_space, eviction=True)
-        # Each eviction front-inserted its victim into the lower space, which
-        # reverses the batch's relative order; re-front in reverse so the
-        # oldest victim is first in line for the next spill level again.
-        for victim in reversed(victims):
-            if victim.space is not None:
-                self._lru[victim.space].move_to_end(victim.meta.chunk_id, last=False)
-        if self.free_bytes(space) < nbytes:
-            raise OutOfMemoryError(
-                f"could not free {nbytes} bytes in {space} "
-                f"(free {self.free_bytes(space)}, capacity {self._capacity[space]})"
-            )
+        return victims
+
+    def _spill_level(self, victim: _ChunkState, protect, requester) -> MemorySpace:
+        """Where a GPU ``victim`` goes: host memory when it has room, or when
+        making room there would push down some chunk needed no sooner than
+        the victim; otherwise, or when host memory cannot make the room,
+        straight to disk, displacing nothing needed before it."""
+        host = self._host_space
+        missing = victim.meta.nbytes - self.free_bytes(host)
+        if missing <= 0:
+            return host
+        displaced = self._victims(host, missing, protect, requester)
+        if sum(state.meta.nbytes for state in displaced) >= missing:
+            use = self.next_use(victim.meta.chunk_id)
+            for state in displaced:
+                if self.next_use(state.meta.chunk_id) >= use:
+                    return host
+        return self._disk_space
 
     def _move(self, state: _ChunkState, target: MemorySpace, eviction: bool = False):
         """Update bookkeeping for a chunk move and return the data transfers it implies.
@@ -1010,8 +1102,10 @@ class MemoryManager:
         elif pair == (MemoryKind.DISK, MemoryKind.HOST):
             requests.extend(self._disk_read_requests(meta))
         elif pair == (MemoryKind.GPU, MemoryKind.DISK):
-            self.stats.bytes_from_gpu += nbytes
-            requests.append((self.resources.pcie, nbytes, "spill d2h"))
+            # A clean chunk drops to its retained disk copy: no data moves.
+            if not clean:
+                self.stats.bytes_from_gpu += nbytes
+                requests.append((self.resources.pcie, nbytes, "spill d2h"))
             requests.extend(self._disk_write_requests(meta, clean))
         elif pair == (MemoryKind.DISK, MemoryKind.GPU):
             requests.extend(self._disk_read_requests(meta))

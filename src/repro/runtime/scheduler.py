@@ -79,6 +79,10 @@ class Scheduler:
     def submit(self, tasks: List[T.Task]) -> None:
         """Receive a DAG fragment from the driver.
 
+        Each task's chunk requirements are announced to the memory manager,
+        which spills by their next use.  They are not kept: holding every
+        queued task's requirements until it stages costs more in garbage
+        collection than :meth:`_begin_staging` spends recomputing them.
         Each dependency still registered with the runtime as unfinished gets
         the task's countdown entry appended to its waiter list; the runtime
         decrements the entry as those dependencies complete and calls
@@ -87,6 +91,7 @@ class Scheduler:
         waiters = self.runtime._waiters
         ready = self._ready
         blacklist = self.blacklist
+        announce = self.memory.announce
         for task in tasks:
             self.tasks_submitted += 1
             if blacklist and getattr(task, "device", None) in blacklist:
@@ -95,6 +100,9 @@ class Scheduler:
                     f"(failed permanently); plans must be rebuilt against the "
                     f"surviving topology"
                 )
+            requirements = task.chunk_requirements()
+            if requirements:
+                announce(task.task_id, requirements)
             entry = None
             for dep in task.deps:
                 if dep in waiters:

@@ -10,8 +10,9 @@ Three layers:
   until a writer's staging commits, so spilling it again writes nothing.
 * **End-to-end out-of-core runs** — ``Context(disk=True)`` with a dataset
   larger than host memory: bit-identical results with the planner on or
-  off, staged disk→host promotions observed, and the default two-level
-  path untouched when ``disk=False``.
+  off, staged disk→host promotions observed, the default two-level path
+  untouched when ``disk=False``, the disk reads next-use spilling saves on
+  a small ``kmeans_ooc``, and a next-use index that is empty at idle.
 * **Checkpoint/restore** — round-trips across modes and cluster shapes,
   corruption detection (:class:`repro.errors.CheckpointError`), durable
   lineage after an injected device failure, and a hypothesis property that
@@ -40,6 +41,7 @@ from repro.core.chunk import ChunkMeta
 from repro.core.geometry import Region
 from repro.errors import ArgumentValueError, CheckpointError
 from repro.hardware import Cluster, DeviceId, MemoryKind, MemorySpace
+from repro.kernels import create_workload
 from repro.perfmodel import DEFAULT_OVERHEADS
 from repro.perfmodel.compression import CompressionModel
 from repro.runtime import checkpoint as ckpt
@@ -48,6 +50,7 @@ from repro.runtime.resources import WorkerResources
 from repro.simulator import Engine, Trace
 from repro.simulator.faults import FaultSpec
 
+KiB = 1024
 MB = 1024 ** 2
 GPU0 = DeviceId(0, 0)
 HOST0 = MemorySpace(0, MemoryKind.HOST)
@@ -417,6 +420,81 @@ def test_out_of_core_spills_to_disk_and_stages_promotions():
     assert stats.disk_stored_bytes_written < sum(
         m.bytes_to_disk for m in stats.memory.values())
     assert stats.disk_promotions_staged > 0
+
+
+# --------------------------------------------------------------------------- #
+# next uses: out-of-core kmeans and the bounded next-use index
+# --------------------------------------------------------------------------- #
+def kmeans_ooc(mode, n, chunk_elems, iterations, gpu, host, seed=0, **kwargs):
+    """kmeans over two GPUs with capped GPU and host pools and the disk tier
+    (perfbench's ``kmeans_ooc`` shape), prepared but not submitted."""
+    caps = {DeviceId(0, i).memory_space: gpu for i in range(2)}
+    caps[HOST0] = host
+    ctx = Context(azure_nc24rsv2(nodes=1, gpus_per_node=2), mode=mode,
+                  memory_capacities=caps, disk=True, **kwargs)
+    work = create_workload("kmeans", ctx, n, chunk_elems=chunk_elems,
+                           iterations=iterations, seed=seed)
+    work.prepare()
+    return ctx, work
+
+
+def assert_next_uses_empty(runtime):
+    assert [worker.memory._uses for worker in runtime.workers] == [{}] * len(runtime.workers)
+
+
+def test_next_use_spilling_cuts_kmeans_disk_reads():
+    """kmeans_ooc at 1/1000 scale: 22 point chunks of ~400 KB cycle through
+    two 1 MiB GPUs and a 3 MiB host, so capacity forces ~10 chunks' worth of
+    disk reads per iteration (~13.4 with next-use spilling).  LRU alone read
+    ~16: every GPU victim entered the host and pushed a sooner-needed point
+    chunk to disk, and staged promotions evicted the drained group's own host
+    chunks."""
+    iterations = 12
+    ctx, work = kmeans_ooc("simulate", 540_000, 25_000, iterations,
+                           1 * MB, 3 * MB, disk_seed=3)
+    work.submit()
+    ctx.synchronize()
+    points = {chunk.chunk_id: chunk.nbytes for chunk in work.points.chunks}
+    memory = ctx.runtime.workers[0].memory
+    read, reads = memory._disk_read_requests, []
+    memory._disk_read_requests = lambda meta: (reads.append(meta.chunk_id), read(meta))[1]
+    announce, announced = memory.announce, []
+    memory.announce = lambda task_id, requirements: (
+        announced.extend(cid for cid, _ in requirements), announce(task_id, requirements))
+    work.submit()
+    ctx.synchronize()
+    # point bytes read from disk per iteration, in full chunks
+    per_iteration = sum(points.get(cid, 0) for cid in reads) / max(points.values()) / iterations
+    assert 10 <= per_iteration < 14.5
+    # the scheduler announced every assign launch's point chunk
+    assert all(announced.count(cid) >= iterations for cid in points)
+    assert_next_uses_empty(ctx.runtime)
+
+
+def test_next_use_index_is_empty_after_faults_and_a_device_failure():
+    ctx, work = kmeans_ooc("functional", 8192, 1024, 3, 48 * KiB, 64 * KiB,
+                           seed=1, disk_seed=1, faults="transfer=0.05,compute=0.05",
+                           fault_seed=1)
+    work.submit()
+    ctx.runtime.engine.run(max_events=1000)
+    ctx.fail_device((0, 1))
+    ctx.synchronize()
+    assert work.verify()
+    stats = ctx.stats()
+    assert stats.devices_failed == 1 and stats.transfer_faults_injected > 0
+    assert sum(m.evictions_to_disk for m in stats.memory.values()) > 0
+    assert_next_uses_empty(ctx.runtime)
+
+
+def test_next_use_index_is_empty_after_deleting_arrays():
+    ctx = streaming_context()
+    run_streaming(ctx, arrays=6, rounds=2)
+    arrays = list(ctx.arrays.values())
+    for array in arrays[::2]:
+        ctx.delete_array(array)
+    for array in arrays[1::2]:
+        ctx.gather(array * 2.0 + 1.0)
+    assert_next_uses_empty(ctx.runtime)
 
 
 def test_disk_disabled_leaves_model_unset():

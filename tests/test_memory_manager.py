@@ -1,4 +1,5 @@
-"""Tests for the per-worker memory manager: staging, LRU eviction and spilling."""
+"""Tests for the per-worker memory manager: staging, LRU eviction, next-use
+admission and spilling."""
 
 import random
 from dataclasses import replace
@@ -274,6 +275,118 @@ def test_evicted_chunk_is_first_out_of_the_lower_space():
     assert manager.lru_order(host) == [2, 1]
 
 
+@pytest.mark.parametrize("host_mb, a_lands", [(2, MemoryKind.DISK), (4, MemoryKind.HOST)])
+def test_cascade_never_evicts_the_staging_tasks_own_chunk(host_mb, a_lands):
+    """Staging host-resident B onto a GPU full with A must not push B to disk
+    to make host room for A: the cascade protects B as well.  With B alone
+    in the host, A drops past it to disk; with C behind B, C makes room."""
+    manager, engine = make_manager(gpu_capacity=2 * MB, host_capacity=host_mb * MB)
+    for cid in (1, 2, 3):  # A, B, C
+        manager.register(chunk(cid, 2))
+    stage(manager, engine, 1, [(2, "host")])
+    manager.unstage(1)
+    if host_mb == 4:
+        stage(manager, engine, 2, [(3, "host")])
+        manager.unstage(2)
+    stage(manager, engine, 3, [(1, "gpu")])
+    manager.unstage(3)
+    assert stage(manager, engine, 4, [(2, "gpu")])
+    assert manager.residency(2).kind is MemoryKind.GPU
+    assert manager.residency(1).kind is a_lands
+    assert manager.stats.bytes_from_disk == 0
+    assert manager.stats.bytes_to_disk == 2 * MB  # A's or C's, not B's
+
+
+# --------------------------------------------------------------------------- #
+# next-use admission: which level a GPU victim enters
+# --------------------------------------------------------------------------- #
+def _full_gpu_over_full_host():
+    """GPU (2 MB) holds chunk 1, host (2 MB) holds chunk 2; chunk 3 is new."""
+    manager, engine = make_manager(gpu_capacity=2 * MB, host_capacity=2 * MB)
+    for cid in (1, 2, 3):
+        manager.register(chunk(cid, 2))
+    stage(manager, engine, 1, [(2, "host")])
+    manager.unstage(1)
+    stage(manager, engine, 2, [(1, "gpu")])
+    manager.unstage(2)
+    return manager, engine
+
+
+def test_victim_needed_after_the_host_chunks_goes_straight_to_disk():
+    manager, engine = _full_gpu_over_full_host()
+    manager.announce(10, [(2, "gpu")])
+    manager.announce(20, [(1, "gpu")])
+    assert (manager.next_use(1), manager.next_use(2), manager.next_use(3)) == (20, 10, float("inf"))
+    assert stage(manager, engine, 3, [(3, "gpu")])
+    assert manager.residency(1).kind is MemoryKind.DISK
+    assert manager.residency(2).kind is MemoryKind.HOST  # needed sooner: kept
+    assert (manager.stats.evictions_to_host, manager.stats.evictions_to_disk) == (0, 1)
+    assert manager.stats.bytes_from_gpu == manager.stats.bytes_to_disk == 2 * MB
+
+
+@pytest.mark.parametrize("uses", [
+    [(10, [(1, "gpu")]), (20, [(2, "gpu")])],  # victim needed first
+    [(10, [(1, "gpu"), (2, "gpu")])],  # a tie
+    [],  # nothing announced: both never used again
+], ids=["sooner", "tie", "unannounced"])
+def test_victim_needed_no_later_than_a_host_chunk_enters_the_host(uses):
+    manager, engine = _full_gpu_over_full_host()
+    for task_id, requirements in uses:
+        manager.announce(task_id, requirements)
+    assert stage(manager, engine, 3, [(3, "gpu")])
+    assert manager.residency(1).kind is MemoryKind.HOST
+    assert manager.residency(2).kind is MemoryKind.DISK  # the host's LRU victim
+    assert (manager.stats.evictions_to_host, manager.stats.evictions_to_disk) == (1, 1)
+
+
+def test_clean_victim_drops_from_gpu_to_its_disk_copy_without_moving_data():
+    manager, engine = make_manager(gpu_capacity=2 * MB, host_capacity=2 * MB)
+    for cid in (1, 2, 3):
+        manager.register(chunk(cid, 2))
+    stage(manager, engine, 1, [(1, "host")])
+    manager.unstage(1)
+    stage(manager, engine, 2, [(2, "host")])  # pushes chunk 1 to disk
+    manager.unstage(2)
+    done = []
+    manager.stage(3, [(1, "gpu")], lambda: done.append(3), writes=lambda: ())
+    engine.run()
+    manager.unstage(3)
+    assert done and manager.disk_copies() == [1]  # a reader kept the copy
+    manager.announce(10, [(2, "gpu")])
+    manager.announce(20, [(1, "gpu")])
+    before = replace(manager.stats)
+    labels = []
+    pcie_request = manager.resources.pcie.request
+    manager.resources.pcie.request = lambda amount, callback, label="": (
+        labels.append(label), pcie_request(amount, callback, label=label))
+    assert stage(manager, engine, 4, [(3, "gpu")])
+    assert manager.residency(1).kind is MemoryKind.DISK
+    assert manager.residency(2).kind is MemoryKind.HOST
+    assert manager.disk_copies() == []
+    assert labels == []
+    assert manager.stats.bytes_from_gpu == before.bytes_from_gpu
+    assert manager.stats.bytes_to_disk == before.bytes_to_disk
+    assert manager.stats.disk_writes_skipped == before.disk_writes_skipped + 1
+    assert manager.stats.evictions_to_disk == before.evictions_to_disk + 1
+
+
+def test_staging_consumes_announced_uses_and_delete_drops_them():
+    manager, engine = make_manager()
+    for cid in (1, 2):
+        manager.register(chunk(cid, 1))
+    manager.announce(5, [(1, "gpu"), (2, "gpu")])
+    manager.announce(6, [(1, "host")])
+    manager.announce(7, [(2, "gpu")])
+    assert stage(manager, engine, 6, [(1, "host")])  # out of announcement order
+    assert (manager.next_use(1), manager.next_use(2)) == (5, 5)
+    assert stage(manager, engine, 5, [(1, "gpu"), (2, "gpu")])
+    assert (manager.next_use(1), manager.next_use(2)) == (float("inf"), 7)
+    manager.unstage(5)
+    manager.unstage(6)
+    manager.delete(2)
+    assert manager._uses == {}
+
+
 def test_pinned_bytes_counter_tracks_pin_unpin_and_moves():
     manager, engine = make_manager()
     gpu = DeviceId(0, 0).memory_space
@@ -402,6 +515,7 @@ class _Side:
             manager.disk_copies(),
             manager.stats,
             [pending.task_id for pending in manager._pending],
+            manager._uses,
         )
 
     def assert_disk_bytes(self, where):
@@ -414,8 +528,8 @@ class _Side:
 
 def _random_program(seed):
     """Drive the skipping manager and the full-retry reference in lockstep;
-    returns their attempt counts after asserting identical state and the
-    disk-pool byte invariant at each step."""
+    returns their attempt counts after asserting identical state, the
+    disk-pool byte invariant and the next-use index at each step."""
     rng = random.Random(seed)
     tenants = ({}, {}) if seed % 2 else (None, None)
     # Half the seeds (2 and 3 mod 4: with and without tenants) run a small
@@ -424,13 +538,19 @@ def _random_program(seed):
     capacities = (8 * MB, 8 * MB, 12 * MB, 256 * MB)
     if seed % 4 >= 2:
         capacities = (5 * MB, 5 * MB, 3 * MB, 8 * MB)
+    # Half the seeds (4 to 7 mod 8) announce each task before staging it,
+    # half of those a few steps ahead, so next uses rank the victims.
+    announcing = seed % 8 >= 4
     fast = _Side(MemoryManager, tenants[0], capacities)
     full = _Side(_FullRetryManager, tenants[1], capacities)
     devices = [DeviceId(0, 0), DeviceId(0, 1)]
     chunk_ids, unstaged, reservations = [], set(), []
+    #: announced tasks that have not committed, and stage ops held back
+    announced, upcoming, committed = {}, [], set()
     next_task = next_chunk = 0
     for step in range(120):
         roll = rng.random()
+        ops = []
         if roll < 0.15 or len(chunk_ids) < 4:
             next_chunk += 1
             cid = next_chunk
@@ -442,54 +562,79 @@ def _random_program(seed):
                 if tags is not None:
                     tags[cid] = tenant
             chunk_ids.append(cid)
-            op = ("register", meta)
+            ops.append(("register", meta))
         elif roll < 0.55:
-            next_task += 1
-            if rng.random() < 0.6:
-                picked = rng.sample(chunk_ids, rng.randint(1, 4))
-                requirements = [(cid, "gpu") for cid in picked]
+            if upcoming and rng.random() < 0.5:
+                ops.append(upcoming.pop(0))
             else:
-                requirements = [(rng.choice(chunk_ids), rng.choice(["host", "any"]))]
-            staged = [cid for cid, _ in requirements]
-            writes = tuple(rng.sample(staged, rng.randint(0, len(staged))))
-            op = ("stage", next_task, requirements, rng.random() < 0.2, writes)
+                next_task += 1
+                if rng.random() < 0.6:
+                    picked = rng.sample(chunk_ids, rng.randint(1, 4))
+                    requirements = [(cid, "gpu") for cid in picked]
+                else:
+                    requirements = [(rng.choice(chunk_ids), rng.choice(["host", "any"]))]
+                staged = [cid for cid, _ in requirements]
+                writes = tuple(rng.sample(staged, rng.randint(0, len(staged))))
+                op = ("stage", next_task, requirements, rng.random() < 0.2, writes)
+                if announcing:
+                    announced[next_task] = requirements
+                    ops.append(("announce", next_task, requirements))
+                    if rng.random() < 0.5:
+                        upcoming.append(op)
+                        op = None
+                if op is not None:
+                    ops.append(op)
         elif roll < 0.8:
             ready = sorted(set(full.fired) - unstaged)
             if not ready:
                 continue
             task_id = rng.choice(ready)
             unstaged.add(task_id)
-            op = ("unstage", task_id)
+            ops.append(("unstage", task_id))
         elif roll < 0.9:
             if reservations and rng.random() < 0.5:
-                op = ("release", reservations.pop(rng.randrange(len(reservations))))
+                ops.append(("release", reservations.pop(rng.randrange(len(reservations)))))
             else:
                 reservations.append(1000 + step)
                 space = rng.choice(full.spaces[:3])
                 keep = rng.sample(chunk_ids, rng.randint(0, 3))
-                op = ("reserve", space, keep, rng.randint(0, 8) * MB,
-                      reservations[-1], rng.random() < 0.5)
+                ops.append(("reserve", space, keep, rng.randint(0, 8) * MB,
+                            reservations[-1], rng.random() < 0.5))
         elif roll < 0.93:
             cid = rng.choice(chunk_ids)
             meta = full.manager._chunks[cid].meta
-            op = ("retarget_home", cid, replace(meta, home=rng.choice(devices)))
+            ops.append(("retarget_home", cid, replace(meta, home=rng.choice(devices))))
         elif roll < 0.96:
-            # Delete an unpinned chunk no queued request still needs.
-            queued = {cid for pending in full.manager._pending
+            # Delete an unpinned chunk no queued or announced task still needs.
+            needed = {cid for pending in full.manager._pending
                       for cid, _ in pending.requirements}
+            needed.update(cid for requirements in announced.values()
+                          for cid, _ in requirements)
             idle = [cid for cid in chunk_ids
-                    if full.manager._chunks[cid].pins == 0 and cid not in queued]
+                    if full.manager._chunks[cid].pins == 0 and cid not in needed]
             if not idle or len(chunk_ids) <= 4:
                 continue
             cid = rng.choice(idle)
             chunk_ids.remove(cid)
-            op = ("delete", cid)
+            ops.append(("delete", cid))
         else:
-            op = ("run",)
-        fast.apply(*op)
-        full.apply(*op)
-        assert fast.observed() == full.observed(), f"seed {seed}, step {step}: {op}"
-        fast.assert_disk_bytes(f"seed {seed}, step {step}: {op}")
+            ops.append(("run",))
+        for op in ops:
+            where = f"seed {seed}, step {step}: {op}"
+            fast.apply(*op)
+            full.apply(*op)
+            assert fast.observed() == full.observed(), where
+            fast.assert_disk_bytes(where)
+            # The index lists, in announcement order, each announced task
+            # that has not committed its staging.
+            committed.update(full.manager._staged)
+            for task_id in committed.intersection(announced):
+                del announced[task_id]
+            index = {}
+            for task_id, requirements in announced.items():
+                for cid, _ in requirements:
+                    index.setdefault(cid, []).append(task_id)
+            assert fast.manager._uses == index, where
     return fast.attempts[0], full.attempts[0]
 
 

@@ -432,6 +432,13 @@ def test_runtime_stats_under_serving_are_the_tenants_sum():
         assert {k: v for k, v in view.to_dict().items() if k not in owned} == runtime_wide
 
 
+def test_next_use_index_is_empty_after_a_served_disk_run():
+    serving = _disk_serving(disk=True)
+    serving.run()
+    workers = serving.runtime.workers
+    assert [worker.memory._uses for worker in workers] == [{}] * len(workers)
+
+
 @pytest.mark.xfail(strict=True, raises=OutOfMemoryError, reason=(
     "known defect: three tenants at memory_fraction=0.3 (0.9 of capacity in "
     "total) run out of GPU memory; at 0.5 the run stalls instead"
