@@ -34,7 +34,6 @@ import numpy as np
 from ..errors import ArgumentTypeError, ArgumentValueError
 from ..hardware.specs import ClusterSpec, azure_nc24rsv2
 from ..hardware.topology import DeviceId
-from ..perfmodel.costs import DEFAULT_OVERHEADS, OverheadModel
 from ..runtime.scheduler import DEFAULT_STAGE_THRESHOLD
 from ..runtime.system import ExecutionMode, RuntimeStats, RuntimeSystem
 from .array import DistributedArray
@@ -62,7 +61,6 @@ class Context:
         self,
         cluster: Optional[ClusterSpec] = None,
         mode: Union[str, ExecutionMode] = ExecutionMode.FUNCTIONAL,
-        overheads: OverheadModel = DEFAULT_OVERHEADS,
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
         enable_trace: bool = True,
         memory_capacities=None,
@@ -81,7 +79,6 @@ class Context:
         runtime: Optional[RuntimeSystem] = None,
         tenant: Optional[int] = None,
         tenant_name: str = "",
-        device_rotation: int = 0,
     ):
         if runtime is not None:
             # Multi-tenant serving: attach to an existing runtime instead of
@@ -107,7 +104,6 @@ class Context:
             self.runtime = RuntimeSystem(
                 cluster,
                 mode=mode,
-                overheads=overheads,
                 stage_threshold=stage_threshold,
                 enable_trace=enable_trace,
                 memory_capacities=memory_capacities,
@@ -124,9 +120,10 @@ class Context:
         self.tenant_name = tenant_name or (
             f"tenant-{tenant}" if tenant is not None else ""
         )
-        #: rotate the device list so co-resident tenants spread their
-        #: single-chunk arrays across different GPUs instead of piling on 0
-        self._device_rotation = device_rotation
+        #: rotate the device list by the tenant id so co-resident tenants
+        #: spread their single-chunk arrays across different GPUs instead of
+        #: piling on 0 (no rotation single-tenant)
+        self._device_rotation = tenant or 0
         #: kernel-namespace prefix keeping one runtime registry collision-free
         #: across tenants compiling identically-named kernels
         self._kernel_prefix = f"t{tenant}__" if tenant is not None else ""
@@ -139,7 +136,7 @@ class Context:
             self.cluster, self._task_ids, self._chunk_ids, plan_cache=plan_cache
         )
         self.planner.tenant = tenant
-        self.planner.device_rotation = device_rotation
+        self.planner.device_rotation = self._device_rotation
         self.planner.tag_allocator = self.runtime.message_tags
         #: the counters this context's launch window, window memory planner
         #: and expression engine increment (``RuntimeStats``' per-context ones)
@@ -173,8 +170,8 @@ class Context:
         """All GPUs in the cluster (the default target of data/work distributions).
 
         Under multi-tenant serving each tenant sees the list rotated by its
-        ``device_rotation``, so tenants' small arrays land on different GPUs
-        by default instead of all piling onto device 0.
+        tenant id, so tenants' small arrays land on different GPUs by default
+        instead of all piling onto device 0.
         """
         devs = self.cluster.device_ids()
         rotation = self._device_rotation

@@ -33,7 +33,6 @@ from .passes import (
     build_launch_recipe,
     chain_fusion_prescreen,
     default_pipeline,
-    fusion_prescreen,
 )
 from .planner import Planner, PreparedLaunch
 from .window import DEFAULT_LOOKAHEAD, LaunchWindow, PendingLaunch
@@ -58,7 +57,6 @@ __all__ = [
     "build_launch_recipe",
     "default_pipeline",
     "build_fused_recipe",
-    "fusion_prescreen",
     "chain_fusion_prescreen",
     "PreparedLaunch",
     "LaunchWindow",

@@ -443,9 +443,6 @@ class PlanRecipe:
 
         for proto in self.protos:
             if proto.factory is T.LaunchTask:
-                for binding in proto.fields.get("array_args", ()):
-                    note(binding.chunk_ref, prefetch=True)
-            elif proto.factory is T.FusedLaunchTask:
                 for bindings in proto.fields.get("array_args_list", ()):
                     for binding in bindings:
                         note(binding.chunk_ref, prefetch=True)
@@ -702,13 +699,21 @@ def _stamp_constant(value: object) -> Tuple[bool, object]:
     return True, value
 
 
-def _compile_stamper(value: object) -> Callable:
-    """Compile a non-constant field value into a per-stamp resolver.
+class _Parts(tuple):
+    """A compiled tuple field: one ``(constant, item)`` pair per element,
+    where ``item`` is the element's stamp-time constant when ``constant`` is
+    true and its compiled form otherwise."""
+
+
+def _compile_stamper(value: object) -> object:
+    """Compile a non-constant field value into its per-stamp form.
 
     Fused recipes carry large nested tuples (one bindings tuple per segment)
-    in which only a few elements are symbolic; the compiled stamper folds the
-    constant elements once and re-resolves only the symbolic ones, instead of
-    walking the whole structure on every stamp.
+    in which only a few elements are symbolic; the compiled form folds the
+    constant elements once, so :func:`_stamp` re-resolves only the symbolic
+    ones instead of walking the whole structure on every stamp.  A leaf
+    compiles to itself.  The compiled form is plain data rather than a
+    closure per field, since cached recipes keep it as long as they live.
     """
     if isinstance(value, tuple):
         parts = []
@@ -718,18 +723,15 @@ def _compile_stamper(value: object) -> Callable:
                 parts.append((True, resolved))
             else:
                 parts.append((False, _compile_stamper(item)))
+        return _Parts(parts)
+    return value
 
-        def stamp_tuple(resolve: Callable, _parts=parts) -> tuple:
-            return tuple(
-                item if const else item(resolve) for const, item in _parts
-            )
 
-        return stamp_tuple
-
-    def stamp_leaf(resolve: Callable, _value=value) -> object:
-        return resolve(_value)
-
-    return stamp_leaf
+def _stamp(compiled: object, resolve: Callable) -> object:
+    """Resolve one compiled field value (see :func:`_compile_stamper`)."""
+    if type(compiled) is _Parts:
+        return tuple([item if const else _stamp(item, resolve) for const, item in compiled])
+    return resolve(compiled)
 
 
 def stamp_recipe(
@@ -771,6 +773,10 @@ def stamp_recipe(
         for spec in recipe.temps
     ]
     tags: List[int] = [new_tag() for _ in range(recipe.tag_slots)]
+    # One copy of each scalar-argument dict per stamp, shared by the stamped
+    # tasks: they only read it.
+    scalar_args = dict(scalars or {})
+    segment_scalars = [dict(segment) for segment in scalar_sets or ()]
 
     def resolve(value: object) -> object:
         if isinstance(value, TempRef):
@@ -780,11 +786,11 @@ def stamp_recipe(
         if isinstance(value, TagRef):
             return tags[value.slot]
         if value is SCALAR_ARGS:
-            return dict(scalars or {})
+            return scalar_args
         if value is LAUNCH_ID:
             return launch_id
         if isinstance(value, ScalarArgsRef):
-            return dict((scalar_sets or [])[value.segment])
+            return segment_scalars[value.segment]
         if isinstance(value, LaunchIdRef):
             return (launch_ids or [])[value.segment]
         if isinstance(value, ArgBindingProto):
@@ -822,7 +828,7 @@ def stamp_recipe(
             deps.extend(resolve_conflicts(kind, chunk_id))
         if len(deps) > 1:
             deps = list(dict.fromkeys(deps))  # dedupe, preserving order
-            if proto.factory is T.LaunchTask or proto.factory is T.FusedLaunchTask:
+            if proto.factory is T.LaunchTask:
                 deps = sorted(deps)
         # Resolve only the fields that actually vary per stamp; constant
         # fields (regions, labels, concrete chunk-id bindings, ...) are folded
@@ -842,8 +848,8 @@ def stamp_recipe(
         static, dynamic = split
         if dynamic:
             fields = dict(static)
-            for name, stamper in dynamic:
-                fields[name] = stamper(resolve)
+            for name, compiled in dynamic:
+                fields[name] = _stamp(compiled, resolve)
         else:
             fields = static
         priority = 0

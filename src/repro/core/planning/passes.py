@@ -70,7 +70,6 @@ __all__ = [
     "DependencyInjectionPass",
     "default_pipeline",
     "build_launch_recipe",
-    "fusion_prescreen",
     "chain_fusion_prescreen",
     "build_fused_recipe",
 ]
@@ -655,30 +654,34 @@ class TaskEmissionPass(PlanningPass):
             gather_reads.extend(gathers)
             direct_reads.extend(directs)
 
+        # A plain launch is a one-segment launch task.
         launch_idx = builder.add(
             T.LaunchTask,
             worker=sb.device.worker,
             label=f"{state.kernel.name}[{sb.index}]",
             deps=launch_deps,
             conflicts=launch_conflicts,
-            kernel_name=state.kernel.name,
+            kernel_names=(state.kernel.name,),
             device=sb.device,
             superblock=sb,
-            grid_dims=tuple(state.grid),
-            block_dims=tuple(state.block),
-            scalar_args=SCALAR_ARGS,
-            array_args=tuple(
-                ArgBindingProto(
-                    param=pir.param,
-                    chunk_ref=pir.binding.ref,
-                    access_region=pir.region,
-                    mode=pir.mode.value,
-                    reduce_op=pir.reduce_op,
-                )
-                for pir in sbir.params
+            grid_dims_list=(tuple(state.grid),),
+            block_dims_list=(tuple(state.block),),
+            scalar_args_list=(SCALAR_ARGS,),
+            array_args_list=(
+                tuple(
+                    ArgBindingProto(
+                        param=pir.param,
+                        chunk_ref=pir.binding.ref,
+                        access_region=pir.region,
+                        mode=pir.mode.value,
+                        reduce_op=pir.reduce_op,
+                    )
+                    for pir in sbir.params
+                ),
             ),
-            array_shapes={pir.param: pir.array.shape for pir in sbir.params},
+            array_shapes_list=({pir.param: pir.array.shape for pir in sbir.params},),
             launch_id=LAUNCH_ID,
+            launch_ids=(LAUNCH_ID,),
         )
         for chunk_id, src_read in gather_reads:
             builder.note_read(chunk_id, src_read)
@@ -859,19 +862,6 @@ def _arrays_by_id(launch) -> Optional[Dict[int, Tuple[str, AccessMode]]]:
     return out
 
 
-def fusion_prescreen(a, b) -> bool:
-    """Cheap structural legality screen for fusing launches ``a`` then ``b``.
-
-    The strict pairwise screen of the original fusion pass: identical grid,
-    block and work distribution, no ``reduce`` parameters, no array bound
-    twice, no WAW, and at least one produced/consumed array.  Kept for the
-    window's pairwise-only fusion mode (and API compatibility); the chain
-    builder uses :func:`chain_fusion_prescreen`, which additionally admits
-    compatible-but-different distributions and a reduction tail.
-    """
-    return chain_fusion_prescreen((a, b), allow_reduce_tail=False, allow_compatible=False)
-
-
 def chain_fusion_prescreen(
     launches: Sequence[object],
     allow_reduce_tail: bool = True,
@@ -1027,8 +1017,9 @@ def build_fused_recipe(
 
     ``launches`` expose ``kernel``, ``grid``, ``block``, ``work_dist``,
     ``arrays`` (the window's ``PendingLaunch``).  Returns the fused
-    :class:`~.ir.PlanRecipe` — one :class:`~repro.core.tasks.FusedLaunchTask`
-    per superblock executing every segment back to back, consumer reads bound
+    :class:`~.ir.PlanRecipe` — one multi-segment
+    :class:`~repro.core.tasks.LaunchTask` per superblock executing every
+    segment back to back, consumer reads bound
     to their producer's output in place with the gather transfers elided — or
     ``None`` when fusion is not legal.  Any chain length >= 2 is accepted;
     segments may use *different* work distributions whose superblock maps are
@@ -1203,7 +1194,7 @@ def _emit_fused_superblocks(states: Sequence[LaunchState], builder: RecipeBuilde
             epilogues.append(tuple(segment_epilogues))
 
         launch_idx = builder.add(
-            T.FusedLaunchTask,
+            T.LaunchTask,
             worker=sb.device.worker,
             label=f"{'+'.join(st.kernel.name for st in states)}[{sb.index}]",
             deps=launch_deps,

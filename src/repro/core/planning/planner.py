@@ -84,7 +84,6 @@ class Planner:
         task_ids: T.TaskIdAllocator,
         chunk_ids: ChunkIdAllocator,
         plan_cache: bool = True,
-        plan_cache_size: int = 256,
     ):
         self.cluster = cluster
         self._task_ids = task_ids
@@ -107,7 +106,7 @@ class Planner:
         self.launches_planned = 0
         self.cost_model = TransferCostModel(cluster)
         self.cache_enabled = plan_cache
-        self.cache = PlanTemplateCache(maxsize=plan_cache_size)
+        self.cache = PlanTemplateCache()
         #: fused-recipe LRU cache: (flags..., key_0, ..., key_n) chain keys ->
         #: PlanRecipe | _NO_FUSION (negative entries memoise failed chains)
         self._fusion_cache: "OrderedDict[Hashable, object]" = OrderedDict()
@@ -451,20 +450,6 @@ class Planner:
             cache_status=prepared.cache_status,
             prefetch=prefetch,
         )
-
-    def plan_launch(
-        self,
-        kernel: CompiledKernel,
-        grid: Tuple[int, ...],
-        block: Tuple[int, ...],
-        work_dist: WorkDistribution,
-        scalars: Dict[str, object],
-        arrays: Dict[str, DistributedArray],
-        launch_id: int,
-    ) -> T.ExecutionPlan:
-        """Prepare and stamp one launch eagerly (no window involved)."""
-        prepared = self.prepare_launch(kernel, grid, block, work_dist, arrays)
-        return self.stamp_launch(prepared, scalars, launch_id).plan
 
     # ------------------------------------------------------------------ #
     # cross-launch kernel fusion (used by the launch window)

@@ -18,9 +18,9 @@ the per-launch stamping:
 1. **Kernel fusion** — maximal chains of back-to-back launches whose
    producer/consumer access regions are superblock-contained (see
    :func:`~.passes.build_fused_recipe`) are merged into one plan template:
-   one :class:`~repro.core.tasks.FusedLaunchTask` per superblock instead of
-   N launch tasks, with consumer gather transfers elided because each
-   segment reads its producer's output in place.  Segments may use
+   one multi-segment :class:`~repro.core.tasks.LaunchTask` per superblock
+   instead of N one-segment ones, with consumer gather transfers elided
+   because each segment reads its producer's output in place.  Segments may use
    compatible-but-different work distributions (same superblock boxes under
    a per-axis offset/permutation), and a chain may end in a *reduction
    tail* whose per-superblock partial combine runs inside the fused task.
@@ -396,8 +396,7 @@ class LaunchWindow:
             if self.memplan is not None:
                 by_worker: Dict[int, List[int]] = {}
                 for worker, tasks in plan.tasks_by_worker.items():
-                    ids = [t.task_id for t in tasks
-                           if isinstance(t, (T.LaunchTask, T.FusedLaunchTask))]
+                    ids = [t.task_id for t in tasks if isinstance(t, T.LaunchTask)]
                     if ids:
                         by_worker[worker] = ids
                 unit_launch_ids.append(by_worker)

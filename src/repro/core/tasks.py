@@ -9,6 +9,13 @@ needed because this reproduction also materialises data: :class:`FillTask`
 initialises chunks (zeros/ones/from_numpy) and :class:`DownloadTask` returns
 chunk contents to the driver when the application gathers an array.
 
+A :class:`LaunchTask` runs one superblock of one *or more* launches: the
+launch window fuses a chain of launches into one task per superblock, and a
+plain launch is the one-segment case.  Each task type says what it stages
+(:meth:`Task.chunk_requirements`), what it may modify
+(:meth:`Task.chunk_writes`) and what it does to chunk data
+(:meth:`Task.apply`), once.
+
 Tasks reference each other by id through ``deps``; dependencies may point at
 tasks from previously submitted plans (the scheduler treats dependencies on
 already-finished tasks as satisfied), which is how the planner stitches many
@@ -27,6 +34,8 @@ from ..hardware.topology import DeviceId, MemorySpace, WorkerId
 from .chunk import ChunkId, ChunkMeta
 from .distributions import Superblock
 from .geometry import Region
+from .reductions import get_reduce_op
+from .types import ArrayView, LaunchContext
 
 __all__ = [
     "TaskId",
@@ -35,7 +44,6 @@ __all__ = [
     "DeleteChunkTask",
     "FillTask",
     "LaunchTask",
-    "FusedLaunchTask",
     "ReduceEpilogue",
     "ArrayArgBinding",
     "CopyTask",
@@ -106,6 +114,17 @@ class Task:
         """
         return tuple(chunk_id for chunk_id, _ in self.chunk_requirements())
 
+    def apply(self, storage, kernels) -> None:
+        """Apply this task's effect on chunk data to ``storage``.
+
+        ``storage`` is a :class:`~repro.runtime.storage.ChunkStorage` that
+        holds every chunk the task touches, and ``kernels`` maps kernel names
+        to compiled kernels.  The worker's executor calls this in functional
+        mode, and lineage replay calls it against a scratch storage, so both
+        share one definition of what each task does to the data.  The
+        default is no effect on chunk contents.
+        """
+
     def __str__(self) -> str:
         return f"{self.kind}#{self.task_id}@w{self.worker}"
 
@@ -119,6 +138,11 @@ class CreateChunkTask(Task):
     def chunk_requirements(self):
         """Nothing to stage: the chunk is only being registered."""
         return ()
+
+    def apply(self, storage, kernels) -> None:
+        """Register the chunk (zero-filled when storage holds buffers)."""
+        if self.chunk.chunk_id not in storage:
+            storage.create(self.chunk)
 
 
 @dataclass
@@ -149,6 +173,10 @@ class FillTask(Task):
         """The filled chunk."""
         return (self.chunk_id,)
 
+    def apply(self, storage, kernels) -> None:
+        """Write the constant or the explicit data into the chunk."""
+        storage.fill(self.chunk_id, self.value, self.data)
+
 
 @dataclass(frozen=True)
 class ArrayArgBinding:
@@ -167,38 +195,15 @@ class ArrayArgBinding:
         return self.mode in ("write", "readwrite", "reduce")
 
 
-@dataclass
-class LaunchTask(Task):
-    """Execute the threads of one superblock of a distributed kernel launch."""
-
-    kernel_name: str = ""
-    device: DeviceId = None  # type: ignore[assignment]
-    superblock: Superblock = None  # type: ignore[assignment]
-    grid_dims: Tuple[int, ...] = ()
-    block_dims: Tuple[int, ...] = ()
-    scalar_args: Dict[str, object] = field(default_factory=dict)
-    array_args: Tuple[ArrayArgBinding, ...] = ()
-    array_shapes: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    launch_id: int = 0
-
-    def chunk_requirements(self):
-        """Every bound array chunk, materialised on the GPU."""
-        return tuple((binding.chunk_id, "gpu") for binding in self.array_args)
-
-    def chunk_writes(self):
-        """The chunks of the write, readwrite and reduce bindings."""
-        return tuple(binding.chunk_id for binding in self.array_args if binding.writes)
-
-
 @dataclass(frozen=True)
 class ReduceEpilogue:
-    """One in-task partial-reduction combine of a fused launch segment.
+    """One in-task partial-reduction combine of a launch segment.
 
     The chain-fusion pass emits these for a *reduction tail*: after the tail
-    segment has accumulated into its superblock partial chunk, the fused task
-    itself combines the partial into the per-device accumulator (``op`` over
-    ``region``), so no separate per-superblock :class:`ReduceTask` is needed —
-    only the cross-superblock merge remains as ordinary tasks.
+    segment has accumulated into its superblock partial chunk, the launch
+    task itself combines the partial into the per-device accumulator (``op``
+    over ``region``), so no separate per-superblock :class:`ReduceTask` is
+    needed — only the cross-superblock merge remains as ordinary tasks.
     """
 
     src_chunk: ChunkId
@@ -209,19 +214,20 @@ class ReduceEpilogue:
 
 
 @dataclass
-class FusedLaunchTask(Task):
-    """Execute one superblock of several fused kernel launches back to back.
+class LaunchTask(Task):
+    """Execute one superblock of one or more kernel launches back to back.
 
-    The launch-window fusion pass merges a *chain* of back-to-back launches
-    whose producer/consumer access regions are superblock-contained into one
-    task per superblock: the segments run sequentially on the same device,
-    reading earlier segments' outputs in place, and pay the fixed launch
-    overhead once.  Parallel tuples hold one entry per fused segment.
-    ``superblocks_list`` carries each segment's own superblock (segments fused
-    across *compatible* work distributions keep their own thread regions);
-    when empty, every segment uses ``superblock``.  ``reduce_epilogues`` holds
-    per-segment in-task partial-reduction combines (the chain's reduction
-    tail); see :class:`ReduceEpilogue`.
+    A plain launch is the one-segment case.  The launch-window fusion pass
+    merges a *chain* of back-to-back launches whose producer/consumer access
+    regions are superblock-contained into one task per superblock: the
+    segments run sequentially on the same device, reading earlier segments'
+    outputs in place, and pay the fixed launch overhead once.  Parallel
+    tuples hold one entry per segment.  ``superblocks_list`` carries each
+    segment's own superblock (segments fused across *compatible* work
+    distributions keep their own thread regions); when empty, every segment
+    uses ``superblock``.  ``reduce_epilogues`` holds per-segment in-task
+    partial-reduction combines (a chain's reduction tail); see
+    :class:`ReduceEpilogue`.
     """
 
     kernel_names: Tuple[str, ...] = ()
@@ -240,7 +246,7 @@ class FusedLaunchTask(Task):
 
     @property
     def segment_count(self) -> int:
-        """Number of fused launch segments."""
+        """Number of launch segments (1 for a plain launch)."""
         return len(self.kernel_names)
 
     def segment_superblock(self, segment: int) -> Superblock:
@@ -251,15 +257,16 @@ class FusedLaunchTask(Task):
 
     def chunk_requirements(self):
         """Every segment's bound and epilogue chunks (deduplicated), on the GPU."""
-        seen = {}
-        for bindings in self.array_args_list:
-            for binding in bindings:
-                seen.setdefault(binding.chunk_id, (binding.chunk_id, "gpu"))
+        needed = {
+            binding.chunk_id: (binding.chunk_id, "gpu")
+            for bindings in self.array_args_list
+            for binding in bindings
+        }
         for epilogues in self.reduce_epilogues:
             for epilogue in epilogues:
-                seen.setdefault(epilogue.src_chunk, (epilogue.src_chunk, "gpu"))
-                seen.setdefault(epilogue.dst_chunk, (epilogue.dst_chunk, "gpu"))
-        return tuple(seen.values())
+                needed.setdefault(epilogue.src_chunk, (epilogue.src_chunk, "gpu"))
+                needed.setdefault(epilogue.dst_chunk, (epilogue.dst_chunk, "gpu"))
+        return tuple(needed.values())
 
     def chunk_writes(self):
         """Every segment's written bindings plus the epilogue destinations."""
@@ -272,6 +279,40 @@ class FusedLaunchTask(Task):
         for epilogues in self.reduce_epilogues:
             written.update(epilogue.dst_chunk for epilogue in epilogues)
         return tuple(written)
+
+    def apply(self, storage, kernels) -> None:
+        """Run every segment against ``storage``'s buffers, each followed by
+        its reduce epilogues (``kernels`` maps kernel names to kernels)."""
+        for segment, bindings in enumerate(self.array_args_list):
+            shapes = self.array_shapes_list[segment]
+            views: Dict[str, ArrayView] = {}
+            for binding in bindings:
+                views[binding.param] = ArrayView(
+                    storage.buffer(binding.chunk_id),
+                    storage.meta(binding.chunk_id).region,
+                    shapes[binding.param],
+                    access_region=binding.access_region,
+                    writable=binding.writes,
+                    name=binding.param,
+                )
+            superblock = self.segment_superblock(segment)
+            launch_ctx = LaunchContext(
+                grid_dims=self.grid_dims_list[segment],
+                block_dims=self.block_dims_list[segment],
+                thread_region=superblock.thread_region,
+                block_offset=superblock.block_offset,
+                superblock_index=superblock.index,
+                device_name=str(self.device),
+            )
+            kernels[self.kernel_names[segment]].run_superblock(
+                launch_ctx, self.scalar_args_list[segment], views
+            )
+            if self.reduce_epilogues:
+                for epilogue in self.reduce_epilogues[segment]:
+                    storage.combine_region(
+                        epilogue.src_chunk, epilogue.dst_chunk, epilogue.region,
+                        get_reduce_op(epilogue.op).combine,
+                    )
 
 
 @dataclass
@@ -292,6 +333,10 @@ class CopyTask(Task):
     def chunk_writes(self):
         """The copy destination."""
         return (self.dst_chunk,)
+
+    def apply(self, storage, kernels) -> None:
+        """Copy the region from the source chunk into the destination."""
+        storage.copy_region(self.src_chunk, self.dst_chunk, self.region)
 
 
 @dataclass
@@ -351,6 +396,12 @@ class ReduceTask(Task):
     def chunk_writes(self):
         """The accumulator."""
         return (self.dst_chunk,)
+
+    def apply(self, storage, kernels) -> None:
+        """Combine the region of the partial into the accumulator."""
+        storage.combine_region(
+            self.src_chunk, self.dst_chunk, self.region, get_reduce_op(self.op).combine
+        )
 
 
 @dataclass

@@ -15,11 +15,8 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..core import tasks as T
-from ..core.chunk import ChunkMeta
-from ..core.reductions import get_reduce_op
-from ..core.types import ArrayView, LaunchContext
 from ..hardware.topology import Node
-from ..perfmodel.costs import OverheadModel, kernel_time
+from ..perfmodel.costs import DEFAULT_OVERHEADS, kernel_time
 from .network import Message, NetworkFabric
 from .resources import WorkerResources
 from .storage import ChunkStorage
@@ -39,7 +36,6 @@ class TaskExecutor:
         storage: ChunkStorage,
         fabric: NetworkFabric,
         kernel_registry: Dict[str, object],
-        overheads: OverheadModel,
         functional: bool,
         memory=None,
     ):
@@ -49,7 +45,6 @@ class TaskExecutor:
         self.storage = storage
         self.fabric = fabric
         self.kernel_registry = kernel_registry
-        self.overheads = overheads
         self.functional = functional
         self.memory = memory
         self.kernel_launches = 0
@@ -77,8 +72,8 @@ class TaskExecutor:
     # ------------------------------------------------------------------ #
     def _exec_createchunk(self, task: T.CreateChunkTask, done: Callable[[], None]) -> None:
         def payload() -> None:
-            if task.chunk.chunk_id not in self.storage:
-                self.storage.create(task.chunk)
+            # Registration is bookkeeping, so it runs in both modes.
+            task.apply(self.storage, self.kernel_registry)
             done()
 
         self.resources.cpu.request(_TINY_TASK_DURATION, payload, label=task.label or "create")
@@ -134,7 +129,7 @@ class TaskExecutor:
 
         def payload() -> None:
             if self.functional:
-                self.storage.fill(task.chunk_id, task.value, task.data)
+                task.apply(self.storage, self.kernel_registry)
             done()
 
         self.resources.cpu.request(duration, payload, label=task.label or "fill")
@@ -154,70 +149,13 @@ class TaskExecutor:
     # kernel execution
     # ------------------------------------------------------------------ #
     def _exec_launch(self, task: T.LaunchTask, done: Callable[[], None]) -> None:
-        kernel = self.kernel_registry[task.kernel_name]
-        device_spec = self.node.spec.gpus[task.device.local_index]
-        duration = (
-            kernel_time(device_spec, kernel.cost, task.superblock.thread_count, task.scalar_args)
-            + self.overheads.launch_fixed
-        )
-        self.kernel_launches += 1
-        self.kernel_seconds += duration
-
-        def payload() -> None:
-            if self.functional:
-                self._run_kernel(kernel, task)
-            done()
-
-        resource = self.resources.compute_for(task.device)
-        resource.request(duration, payload, label=task.label or task.kernel_name)
-
-    def _run_kernel(self, kernel, task: T.LaunchTask) -> None:
-        self._run_segment(
-            kernel,
-            array_args=task.array_args,
-            array_shapes=task.array_shapes,
-            scalar_args=task.scalar_args,
-            grid_dims=task.grid_dims,
-            block_dims=task.block_dims,
-            superblock=task.superblock,
-            device=task.device,
-        )
-
-    def _run_segment(
-        self, kernel, *, array_args, array_shapes, scalar_args,
-        grid_dims, block_dims, superblock, device,
-    ) -> None:
-        views: Dict[str, ArrayView] = {}
-        for binding in array_args:
-            chunk: ChunkMeta = self.storage.meta(binding.chunk_id)
-            buffer = self.storage.buffer(binding.chunk_id)
-            array_shape = array_shapes[binding.param]
-            views[binding.param] = ArrayView(
-                buffer,
-                chunk.region,
-                array_shape,
-                access_region=binding.access_region,
-                writable=binding.writes,
-                name=binding.param,
-            )
-        launch_ctx = LaunchContext(
-            grid_dims=grid_dims,
-            block_dims=block_dims,
-            thread_region=superblock.thread_region,
-            block_offset=superblock.block_offset,
-            superblock_index=superblock.index,
-            device_name=str(device),
-        )
-        kernel.run_superblock(launch_ctx, scalar_args, views)
-
-    def _exec_fusedlaunch(self, task: T.FusedLaunchTask, done: Callable[[], None]) -> None:
-        """One superblock of a fused launch chain: the segments run back to
+        """One superblock of one or more launches: the segments run back to
         back on the same compute resource (each with its own superblock when
-        the chain fuses compatible-but-different work distributions) and pay
+        a chain fuses compatible-but-different work distributions) and pay
         the fixed launch overhead once — that, plus the elided intermediate
         transfers and the in-task reduction epilogues, is the fusion saving."""
         device_spec = self.node.spec.gpus[task.device.local_index]
-        duration = self.overheads.launch_fixed
+        duration = DEFAULT_OVERHEADS.launch_fixed
         for segment, (name, scalars) in enumerate(
             zip(task.kernel_names, task.scalar_args_list)
         ):
@@ -235,30 +173,11 @@ class TaskExecutor:
 
         def payload() -> None:
             if self.functional:
-                for segment in range(task.segment_count):
-                    self._run_segment(
-                        self.kernel_registry[task.kernel_names[segment]],
-                        array_args=task.array_args_list[segment],
-                        array_shapes=task.array_shapes_list[segment],
-                        scalar_args=task.scalar_args_list[segment],
-                        grid_dims=task.grid_dims_list[segment],
-                        block_dims=task.block_dims_list[segment],
-                        superblock=task.segment_superblock(segment),
-                        device=task.device,
-                    )
-                    if task.reduce_epilogues:
-                        for epilogue in task.reduce_epilogues[segment]:
-                            op = get_reduce_op(epilogue.op)
-                            self.storage.combine_region(
-                                epilogue.src_chunk,
-                                epilogue.dst_chunk,
-                                epilogue.region,
-                                op.combine,
-                            )
+                task.apply(self.storage, self.kernel_registry)
             done()
 
         resource = self.resources.compute_for(task.device)
-        resource.request(duration, payload, label=task.label or "fused launch")
+        resource.request(duration, payload, label=task.label or "launch")
 
     # ------------------------------------------------------------------ #
     # data movement
@@ -266,7 +185,7 @@ class TaskExecutor:
     def _exec_copy(self, task: T.CopyTask, done: Callable[[], None]) -> None:
         def payload() -> None:
             if self.functional:
-                self.storage.copy_region(task.src_chunk, task.dst_chunk, task.region)
+                task.apply(self.storage, self.kernel_registry)
             done()
 
         if (
@@ -289,8 +208,7 @@ class TaskExecutor:
 
         def payload() -> None:
             if self.functional:
-                op = get_reduce_op(task.op)
-                self.storage.combine_region(task.src_chunk, task.dst_chunk, task.region, op.combine)
+                task.apply(self.storage, self.kernel_registry)
             done()
 
         self.resources.compute_for(device).request(duration, payload, label=task.label or "reduce")

@@ -123,7 +123,6 @@ _KIND_RANK: Dict[str, int] = {
     "deletechunk": 3,
     "download": 4,
     "launch": 5,
-    "fusedlaunch": 5,
 }
 
 

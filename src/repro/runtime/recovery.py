@@ -39,10 +39,10 @@ import numpy as np
 
 from ..core import tasks as T
 from ..core.chunk import ChunkId, ChunkMeta
-from ..core.reductions import get_reduce_op
-from ..core.types import ArrayView, LaunchContext
 from ..errors import FaultError
 from ..hardware.topology import DeviceId
+from ..perfmodel.costs import DEFAULT_OVERHEADS
+from .storage import ChunkStorage
 
 __all__ = ["LineageTracker", "recover_device"]
 
@@ -51,18 +51,19 @@ __all__ = ["LineageTracker", "recover_device"]
 class _LineageRecord:
     """One producing task in the lineage graph.
 
-    ``reads`` are the *external* chunk versions the task consumed (a fused
-    task's internal producer→consumer edges are not listed — the record
-    rebuilds them itself when replayed).  ``writes`` maps every chunk the
-    task wrote to the version it left behind.  ``recv_src`` resolves a recv
-    task's matched send source (chunk id of the sender's data).
+    ``task`` is what replay applies (:meth:`~repro.core.tasks.Task.apply`):
+    the observed task itself, or for a recv a copy of the received region
+    from its matched send's source chunk.  ``reads`` are the *external*
+    chunk versions the task consumed (a multi-segment launch's internal
+    producer→consumer edges are not listed — the task rebuilds them itself
+    when replayed).  ``writes`` maps every chunk the task wrote to the
+    version it left behind.
     """
 
     task_id: int
-    task: object
+    task: T.Task
     reads: List[Tuple[ChunkId, int]] = field(default_factory=list)
     writes: Dict[ChunkId, int] = field(default_factory=dict)
-    recv_src: Optional[ChunkId] = None
 
 
 class LineageTracker:
@@ -163,14 +164,19 @@ class LineageTracker:
         if kind == "fill":
             write(task.chunk_id, full=True)
         elif kind == "launch":
-            self._observe_bindings(
-                task.array_args, read, write
-            )
-        elif kind == "fusedlaunch":
-            for segment in range(task.segment_count):
-                self._observe_bindings(
-                    task.array_args_list[segment], read, write
-                )
+            for segment, bindings in enumerate(task.array_args_list):
+                for binding in bindings:
+                    if not binding.writes:
+                        read(binding.chunk_id)
+                for binding in bindings:
+                    if binding.writes:
+                        full = (
+                            binding.mode == "write"
+                            and binding.access_region.contains_region(
+                                self._meta[binding.chunk_id].region
+                            )
+                        )
+                        write(binding.chunk_id, full=full)
                 if task.reduce_epilogues:
                     for epilogue in task.reduce_epilogues[segment]:
                         read(epilogue.src_chunk)
@@ -190,7 +196,10 @@ class LineageTracker:
                 )
             src_chunk, src_version = matched
             record.reads.append((src_chunk, src_version))
-            record.recv_src = src_chunk
+            record.task = T.CopyTask(
+                task_id=task.task_id, worker=task.worker, src_chunk=src_chunk,
+                dst_chunk=task.chunk_id, region=task.region, nbytes=task.nbytes,
+            )
             full = task.region.contains_region(self._meta[task.chunk_id].region)
             write(task.chunk_id, full=full)
         elif kind == "reduce":
@@ -200,21 +209,6 @@ class LineageTracker:
             return
         if record.writes or record.reads:
             self.records_observed += 1
-
-    def _observe_bindings(self, bindings, read, write) -> None:
-        """Version accounting for one (fused-)launch segment's bindings."""
-        for binding in bindings:
-            if binding.mode == "read":
-                read(binding.chunk_id)
-        for binding in bindings:
-            if binding.mode == "read":
-                continue
-            meta = self._meta[binding.chunk_id]
-            full = (
-                binding.mode == "write"
-                and binding.access_region.contains_region(meta.region)
-            )
-            write(binding.chunk_id, full=full)
 
     # ------------------------------------------------------------------ #
     # replay
@@ -230,9 +224,11 @@ class LineageTracker:
         ``buffer_of(chunk_id)`` must return the live NumPy buffer of a chunk
         (on whichever worker holds it) or ``None`` in simulate mode.  The
         minimal producer closure of the lost chunks' final versions is
-        computed backwards, then executed forwards in task-id order against
-        host scratch buffers; finally each lost chunk's (poisoned) storage
-        buffer is overwritten with the replayed bytes.
+        computed backwards, then executed forwards in task-id order: each
+        record's task applies its own effect (:meth:`~repro.core.tasks.Task.apply`,
+        the executor's definition) to a scratch :class:`ChunkStorage`;
+        finally each lost chunk's (poisoned) storage buffer is overwritten
+        with the replayed bytes.
 
         Returns the number of lineage records replayed.
         """
@@ -272,11 +268,15 @@ class LineageTracker:
                 records[record.task_id] = record
                 needed.extend(record.reads)
 
-        # Forward pass.  One mutable scratch buffer per chunk suffices:
+        # Forward pass.  One mutable scratch chunk per chunk id suffices:
         # task-id order is topological and the planner's conflict edges
         # guarantee every reader of version v precedes the writer of v+1.
-        scratch: Dict[ChunkId, np.ndarray] = {}
+        scratch = ChunkStorage()
         scratch_version: Dict[ChunkId, int] = {}
+
+        def load(chunk_id: ChunkId, data: np.ndarray) -> None:
+            scratch.delete(chunk_id)
+            scratch.adopt(self._meta[chunk_id], data)
 
         def ensure(chunk_id: ChunkId, version: int) -> None:
             if scratch_version.get(chunk_id) == version:
@@ -287,12 +287,12 @@ class LineageTracker:
                     raise FaultError(
                         f"lineage: no buffer for surviving chunk {chunk_id}"
                     )
-                scratch[chunk_id] = np.array(buffer)
+                load(chunk_id, np.array(buffer))
                 scratch_version[chunk_id] = version
                 return
             loader = self._durable.get((chunk_id, version))
             if loader is not None:
-                scratch[chunk_id] = np.asarray(loader())
+                load(chunk_id, np.asarray(loader()))
                 scratch_version[chunk_id] = version
                 self.durable_chunks_loaded += 1
                 return
@@ -306,9 +306,8 @@ class LineageTracker:
                 ensure(chunk_id, version)
             for chunk_id in record.writes:
                 if chunk_id not in scratch:
-                    meta = self._meta[chunk_id]
-                    scratch[chunk_id] = np.zeros(meta.shape, dtype=meta.dtype)
-            self._apply(record, scratch, kernel_registry)
+                    scratch.create(self._meta[chunk_id])
+            record.task.apply(scratch, kernel_registry)
             for chunk_id, version in record.writes.items():
                 scratch_version[chunk_id] = version
 
@@ -320,103 +319,8 @@ class LineageTracker:
             ensure(chunk_id, self._version[chunk_id])
             buffer = buffer_of(chunk_id)
             if buffer is not None:
-                np.copyto(buffer, scratch[chunk_id])
+                np.copyto(buffer, scratch.buffer(chunk_id))
         return len(records)
-
-    # ------------------------------------------------------------------ #
-    # record effects (mirror TaskExecutor's functional payloads)
-    # ------------------------------------------------------------------ #
-    def _apply(self, record: _LineageRecord, scratch, kernel_registry) -> None:
-        task = record.task
-        kind = task.kind
-        if kind == "createchunk":
-            scratch[task.chunk.chunk_id][...] = 0
-        elif kind == "fill":
-            buffer = scratch[task.chunk_id]
-            if task.data is not None:
-                buffer[...] = task.data
-            elif task.value is not None:
-                buffer.fill(task.value)
-        elif kind == "launch":
-            self._apply_segment(
-                kernel_registry[task.kernel_name],
-                scratch,
-                array_args=task.array_args,
-                array_shapes=task.array_shapes,
-                scalar_args=task.scalar_args,
-                grid_dims=task.grid_dims,
-                block_dims=task.block_dims,
-                superblock=task.superblock,
-                device=task.device,
-            )
-        elif kind == "fusedlaunch":
-            for segment in range(task.segment_count):
-                self._apply_segment(
-                    kernel_registry[task.kernel_names[segment]],
-                    scratch,
-                    array_args=task.array_args_list[segment],
-                    array_shapes=task.array_shapes_list[segment],
-                    scalar_args=task.scalar_args_list[segment],
-                    grid_dims=task.grid_dims_list[segment],
-                    block_dims=task.block_dims_list[segment],
-                    superblock=task.segment_superblock(segment),
-                    device=task.device,
-                )
-                if task.reduce_epilogues:
-                    for epilogue in task.reduce_epilogues[segment]:
-                        self._combine(
-                            scratch, epilogue.src_chunk, epilogue.dst_chunk,
-                            epilogue.region, epilogue.op,
-                        )
-        elif kind == "copy":
-            self._copy(scratch, task.src_chunk, task.dst_chunk, task.region)
-        elif kind == "recv":
-            self._copy(scratch, record.recv_src, task.chunk_id, task.region)
-        elif kind == "reduce":
-            self._combine(
-                scratch, task.src_chunk, task.dst_chunk, task.region, task.op
-            )
-        else:  # pragma: no cover - observation never records other kinds
-            raise FaultError(f"lineage: cannot replay task kind {kind!r}")
-
-    def _apply_segment(
-        self, kernel, scratch, *, array_args, array_shapes, scalar_args,
-        grid_dims, block_dims, superblock, device,
-    ) -> None:
-        views: Dict[str, ArrayView] = {}
-        for binding in array_args:
-            meta = self._meta[binding.chunk_id]
-            views[binding.param] = ArrayView(
-                scratch[binding.chunk_id],
-                meta.region,
-                array_shapes[binding.param],
-                access_region=binding.access_region,
-                writable=binding.writes,
-                name=binding.param,
-            )
-        launch_ctx = LaunchContext(
-            grid_dims=grid_dims,
-            block_dims=block_dims,
-            thread_region=superblock.thread_region,
-            block_offset=superblock.block_offset,
-            superblock_index=superblock.index,
-            device_name=str(device),
-        )
-        kernel.run_superblock(launch_ctx, scalar_args, views)
-
-    def _copy(self, scratch, src: ChunkId, dst: ChunkId, region) -> None:
-        src_meta = self._meta[src]
-        dst_meta = self._meta[dst]
-        scratch[dst][region.as_local_slices(dst_meta.region)] = scratch[src][
-            region.as_local_slices(src_meta.region)
-        ]
-
-    def _combine(self, scratch, src: ChunkId, dst: ChunkId, region, op: str) -> None:
-        combine = get_reduce_op(op).combine
-        src_view = scratch[src][region.as_local_slices(self._meta[src].region)]
-        dst_slices = region.as_local_slices(self._meta[dst].region)
-        dst_buf = scratch[dst]
-        dst_buf[dst_slices] = combine(dst_buf[dst_slices], src_view)
 
 
 # --------------------------------------------------------------------------- #
@@ -508,7 +412,7 @@ def recover_device(runtime, device: DeviceId) -> None:
     # bytes crossing PCIe back toward the devices.
     if replayed:
         worker.resources.cpu.request(
-            replayed * runtime.overheads.plan_per_task,
+            replayed * DEFAULT_OVERHEADS.plan_per_task,
             lambda: None,
             label="lineage replay",
         )

@@ -132,7 +132,7 @@ class Scheduler:
     # staging with throttle
     # ------------------------------------------------------------------ #
     def _throttle_key(self, task: T.Task) -> object:
-        if isinstance(task, (T.LaunchTask, T.FusedLaunchTask, T.PromoteChunkTask)):
+        if isinstance(task, (T.LaunchTask, T.PromoteChunkTask)):
             return task.device
         if isinstance(task, T.ReduceTask):
             home = self.memory.home_of(task.dst_chunk)

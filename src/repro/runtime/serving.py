@@ -73,6 +73,10 @@ __all__ = [
 #: track completion closely
 _ENGINE_QUANTUM = 256
 
+#: outstanding tasks a tenant may have before it stops receiving quanta, so a
+#: heavy tenant cannot flood the workers' backlogs
+INFLIGHT_TASKS = 96
+
 
 class FairShareClock:
     """Weighted-fair-queueing virtual clock over tenants.
@@ -286,7 +290,7 @@ class ServingSystem:
     Scheduling model: each tenant runs at most one job at a time (its queue
     is FIFO); across tenants, ready quanta are admitted in
     :class:`FairShareClock` order, one workload iteration per quantum, with
-    at most ``inflight_tasks`` outstanding tasks per tenant so a heavy
+    at most :data:`INFLIGHT_TASKS` outstanding tasks per tenant so a heavy
     tenant cannot flood the workers' backlogs.  ``max_active`` additionally
     caps how many jobs may be in flight at once (admission control);
     ``max_active=1`` serialises the whole trace, which is the baseline arm
@@ -300,7 +304,6 @@ class ServingSystem:
         cluster: Optional[ClusterSpec] = None,
         mode: object = ExecutionMode.FUNCTIONAL,
         max_active: Optional[int] = None,
-        inflight_tasks: int = 96,
         scheduler_policy: object = "fairshare",
         memory_capacities=None,
         **runtime_kwargs,
@@ -319,7 +322,6 @@ class ServingSystem:
         self.clock = FairShareClock()
         self.runtime.fair_share = self.clock
         self.max_active = max_active
-        self.inflight_tasks = int(inflight_tasks)
         self._tenants: List[_Tenant] = []
         self._jobs: List[JobSpec] = []
         self._records: List[JobRecord] = []
@@ -350,7 +352,6 @@ class ServingSystem:
             runtime=self.runtime,
             tenant=tenant_id,
             tenant_name=name or f"tenant-{tenant_id}",
-            device_rotation=tenant_id,
             **context_kwargs,
         )
         self.clock.add_tenant(tenant_id, weight)
@@ -446,7 +447,7 @@ class ServingSystem:
                     for tenant in self._tenants
                     if tenant.generator is not None
                     and self.runtime.tenant_outstanding(tenant.tenant_id)
-                    < self.inflight_tasks
+                    < INFLIGHT_TASKS
                 }
                 if eligible:
                     winner = self._tenants[self.clock.select(eligible)]

@@ -23,7 +23,7 @@ from ..errors import FaultError, SimulationStalled
 from ..hardware.specs import ClusterSpec
 from ..hardware.topology import Cluster, DeviceId
 from ..perfmodel.compression import CompressionModel
-from ..perfmodel.costs import DEFAULT_OVERHEADS, OverheadModel
+from ..perfmodel.costs import DEFAULT_OVERHEADS
 from ..simulator.engine import Engine
 from ..simulator.faults import FaultInjector, FaultSpec
 from ..simulator.resources import ChannelResource
@@ -189,7 +189,6 @@ class RuntimeSystem:
         self,
         cluster_spec: ClusterSpec,
         mode: ExecutionMode = ExecutionMode.FUNCTIONAL,
-        overheads: OverheadModel = DEFAULT_OVERHEADS,
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
         enable_trace: bool = True,
         memory_capacities=None,
@@ -202,11 +201,10 @@ class RuntimeSystem:
     ):
         self.cluster = Cluster(cluster_spec)
         self.mode = mode
-        self.overheads = overheads
         self.engine = Engine()
         self.trace = Trace() if enable_trace else None
         self.fabric = NetworkFabric()
-        self.rpc = RpcChannel(self.engine, overheads.rpc_latency)
+        self.rpc = RpcChannel(self.engine, DEFAULT_OVERHEADS.rpc_latency)
         self.kernel_registry: Dict[str, object] = {}
 
         #: Shared id allocators.  All contexts attached to this runtime draw
@@ -242,7 +240,6 @@ class RuntimeSystem:
                 trace=self.trace,
                 fabric=self.fabric,
                 kernel_registry=self.kernel_registry,
-                overheads=overheads,
                 functional=(mode is ExecutionMode.FUNCTIONAL),
                 stage_threshold=stage_threshold,
                 memory_capacities=memory_capacities,
@@ -386,9 +383,9 @@ class RuntimeSystem:
         # Re-stamping a cached plan template is much cheaper for the driver
         # than planning from scratch (the analysis passes are skipped).
         per_task = (
-            self.overheads.restamp_per_task
+            DEFAULT_OVERHEADS.restamp_per_task
             if plan.from_cache
-            else self.overheads.plan_per_task
+            else DEFAULT_OVERHEADS.plan_per_task
         )
         planning_time = per_task * plan.task_count
 

@@ -12,7 +12,7 @@ from typing import Dict, List
 
 from ..core import tasks as T
 from ..hardware.topology import Node
-from ..perfmodel.costs import OverheadModel
+from ..perfmodel.costs import DEFAULT_OVERHEADS
 from ..simulator.engine import Engine
 from ..simulator.trace import Trace
 from .executors import TaskExecutor
@@ -36,7 +36,6 @@ class Worker:
         trace: Trace,
         fabric: NetworkFabric,
         kernel_registry: Dict[str, object],
-        overheads: OverheadModel,
         functional: bool,
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
         memory_capacities=None,
@@ -45,7 +44,7 @@ class Worker:
     ):
         self.node = node
         self.worker_id = node.worker
-        self.resources = WorkerResources(engine, node, overheads, trace)
+        self.resources = WorkerResources(engine, node, DEFAULT_OVERHEADS, trace)
         self.storage = ChunkStorage(materialize=functional)
         self.memory = MemoryManager(
             node,
@@ -59,7 +58,6 @@ class Worker:
             storage=self.storage,
             fabric=fabric,
             kernel_registry=kernel_registry,
-            overheads=overheads,
             functional=functional,
             memory=self.memory,
         )

@@ -179,7 +179,7 @@ def test_chain_fuses_into_one_task_per_superblock():
     ctx.synchronize()
     fused = [
         t for p in ctx.recorded_plans for t in p.all_tasks()
-        if isinstance(t, T.FusedLaunchTask)
+        if isinstance(t, T.LaunchTask) and t.segment_count > 1
     ]
     assert fused and all(t.segment_count == 3 for t in fused)
     assert len(fused) == 4  # one per superblock, instead of 12 launch tasks
@@ -263,7 +263,7 @@ def test_reduction_tail_fuses_and_matches_unfused_bit_for_bit():
 
 
 def test_reduction_tail_epilogues_replace_per_superblock_reduces():
-    """The per-superblock combine runs inside the FusedLaunchTask; only the
+    """The per-superblock combine runs inside the fused launch task; only the
     cross-superblock merge remains as separate ReduceTasks."""
     counts = {}
     for fusion in (True, False):
@@ -278,7 +278,8 @@ def test_reduction_tail_epilogues_replace_per_superblock_reduces():
         tasks = [t for p in ctx.recorded_plans for t in p.all_tasks()]
         counts[fusion] = {
             "reduce": sum(1 for t in tasks if isinstance(t, T.ReduceTask)),
-            "fused": [t for t in tasks if isinstance(t, T.FusedLaunchTask)],
+            "fused": [t for t in tasks
+                      if isinstance(t, T.LaunchTask) and t.segment_count > 1],
         }
     assert counts[True]["reduce"] < counts[False]["reduce"]
     fused_tasks = counts[True]["fused"]

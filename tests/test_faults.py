@@ -413,6 +413,118 @@ def test_stats_dict_exposes_fault_counters():
     assert d["devices_failed"] == 1
 
 
+def _twice_bound_kernel(ctx):
+    """``a`` and ``b`` read one element each, ``c`` a halo: bound to one
+    array, ``a`` and ``b`` name the same chunk and ``c`` gathers a temp from
+    three chunks."""
+    from repro import KernelCost, KernelDef
+
+    def body(lc, n, out, a, b, c):
+        i = lc.global_indices(0)
+        i = i[i < n]
+        left = c.gather(np.maximum(i - 1, 0))
+        right = c.gather(np.minimum(i + 1, n - 1))
+        out.scatter(i, (a.gather(i) * b.gather(i) + left + right).astype(np.float32))
+
+    return (
+        KernelDef("replay_twice_bound", func=body)
+        .param_value("n", "int64")
+        .param_array("out", "float32")
+        .param_array("a", "float32")
+        .param_array("b", "float32")
+        .param_array("c", "float32")
+        .annotate("global i => read a[i], read b[i], read c[i-1:i+1], write out[i]")
+        .with_cost(KernelCost(1, 16))
+        .compile(ctx)
+    )
+
+
+def _replay_kind(task):
+    """What replay applied, in the terms of the observed task."""
+    if isinstance(task, T.LaunchTask):
+        if task.segment_count == 1:
+            return "one-segment launch"
+        return "launch with epilogue" if task.reduce_epilogues else "multi-segment launch"
+    if isinstance(task, T.FillTask) and task.data is not None:
+        return "fill with data"
+    return task.kind
+
+
+def _replay_program(faults, monkeypatch=None):
+    """hotspot3 chains, a kmeans2 reduction tail and one launch binding an
+    array to three parameters on 2 x 2 GPUs; with ``faults`` set, device
+    (1, 0) fails after the run.  Returns the gathered results, the kinds
+    replay applied and, per twice-bound launch task, the chunks bound to
+    ``a`` and ``b`` and the chunk ids the task pinned."""
+    from repro import BlockWorkDist
+    from repro.runtime.memory import MemoryManager
+
+    applied, pinned = [], {}
+    if monkeypatch is not None:
+        for cls in vars(T).values():
+            if isinstance(cls, type) and issubclass(cls, T.Task) and "apply" in vars(cls):
+                def recorded(task, storage, kernels, original=cls.apply):
+                    applied.append((task, storage))
+                    original(task, storage, kernels)
+                monkeypatch.setattr(cls, "apply", recorded)
+        unstage = MemoryManager.unstage
+
+        def recorded_unstage(memory, task_id):
+            pinned[task_id] = list(memory._staged.get(task_id, ()))
+            unstage(memory, task_id)
+        monkeypatch.setattr(MemoryManager, "unstage", recorded_unstage)
+
+    ctx = make_ctx(nodes=2, gpus=2, mode="functional", faults=faults, record_plans=True)
+    hot = create_workload("hotspot3", ctx, 64 * 64, chunk_elems=64 * 16, iterations=3, seed=3)
+    km = create_workload("kmeans2", ctx, 2048, chunk_elems=512, iterations=2, k=5,
+                         quantize=True)
+    hot.run()
+    km.run()
+    n = 1024
+    x = ctx.from_numpy(np.arange(n, dtype=np.float32) / n, BlockDist(n // 4), name="x")
+    out = ctx.zeros(n, BlockDist(n // 4), dtype=np.float32, name="out")
+    _twice_bound_kernel(ctx).launch(n, 32, BlockWorkDist(n // 4), (n, out, x, x, x))
+    ctx.synchronize()
+    del applied[:]
+    if faults is not None:
+        ctx.fail_device((1, 0))
+        ctx.synchronize()
+    results = [ctx.gather(hot._final), ctx.gather(km.centroids), ctx.gather(out)]
+
+    tasks = {t.task_id: t for plan in ctx.recorded_plans for t in plan.all_tasks()}
+    workers = [worker.storage for worker in ctx.runtime.workers]
+    kinds = {
+        _replay_kind(tasks[task.task_id])
+        for task, storage in applied
+        if not any(storage is own for own in workers)
+    }
+    twice_bound = []
+    for task in tasks.values():
+        if isinstance(task, T.LaunchTask) and task.kernel_names == ("replay_twice_bound",):
+            chunks = {b.param: b.chunk_id for b in task.array_args_list[0]}
+            twice_bound.append((chunks["a"], chunks["b"], pinned.get(task.task_id)))
+    return results, kinds, twice_bound
+
+
+def test_lineage_replay_applies_each_tasks_own_effect(monkeypatch):
+    """Replay runs the executor's own task effects (``Task.apply``) against
+    a scratch storage: after a device failure on two workers it rebuilds
+    every lost chunk bit for bit, through every kind of task that changes
+    chunk data."""
+    expected, _, _ = _replay_program(None)
+    recovered, kinds, twice_bound = _replay_program("", monkeypatch)
+    for want, got in zip(expected, recovered):
+        assert np.array_equal(want, got)
+    assert kinds >= {
+        "createchunk", "fill with data", "one-segment launch", "launch with epilogue",
+        "copy", "reduce", "recv",
+    }
+    # A launch that binds one chunk to two parameters stages and pins it once.
+    assert len(twice_bound) == 4
+    for a, b, staged in twice_bound:
+        assert a == b and staged.count(a) == 1
+
+
 # --------------------------------------------------------------------------- #
 # property: failure at any event index recovers bit-identically
 # --------------------------------------------------------------------------- #

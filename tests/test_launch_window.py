@@ -178,7 +178,7 @@ def test_fusion_merges_producer_consumer_pair():
     assert stats.launches_fused == 1
     fused = [
         t for p in ctx.recorded_plans for t in p.all_tasks()
-        if isinstance(t, T.FusedLaunchTask)
+        if isinstance(t, T.LaunchTask) and t.segment_count > 1
     ]
     assert len(fused) == 4  # one per superblock, instead of 8 launch tasks
     assert all(t.segment_count == 2 for t in fused)

@@ -111,13 +111,13 @@ def test_policies_always_return_valid_index(seed, size, policy_name):
         task = T.LaunchTask(
             task_id=k + 1,
             worker=0,
-            kernel_name="k",
+            kernel_names=("k",),
             device=None,
             superblock=None,
-            array_args=(
+            array_args_list=((
                 T.ArrayArgBinding("a", chunk_id=int(rng.integers(1, 50)),
                                   access_region=Region.from_shape((4,)), mode="read"),
-            ),
+            ),),
             launch_id=int(rng.integers(0, 5)),
         )
         backlog.append(task)

@@ -76,10 +76,10 @@ def _launch(task_id, chunk_id, launch_id=0, worker=0):
     return T.LaunchTask(
         task_id=task_id,
         worker=worker,
-        kernel_name="k",
+        kernel_names=("k",),
         device=None,
         superblock=None,
-        array_args=(binding,),
+        array_args_list=((binding,),),
         launch_id=launch_id,
     )
 

@@ -47,6 +47,13 @@ CONFIGS = {
 }
 
 
+def _kind(task):
+    """The task's kind, with multi-segment (fused) launches told apart."""
+    if isinstance(task, T.LaunchTask) and task.segment_count > 1:
+        return "multi-segment launch"
+    return task.kind
+
+
 class WriteObserver:
     """Checks each finished task's changed chunks against its write set."""
 
@@ -77,9 +84,9 @@ class WriteObserver:
         before = self.before.pop(task.task_id)
         after = self._digest(task, storage)
         changed = {cid for cid, data in after.items() if before.get(cid) != data}
-        self.finished[task.kind] += 1
+        self.finished[_kind(task)] += 1
         if changed:
-            self.wrote[task.kind] += 1
+            self.wrote[_kind(task)] += 1
         missing = changed - set(task.chunk_writes())
         if missing:
             self.violations.append(
@@ -103,7 +110,7 @@ class WriteObserver:
 
         def observed_execute(executor, task, on_complete):
             tag = (task, executor.storage)
-            observer.started[task.kind] += 1
+            observer.started[_kind(task)] += 1
 
             def finished():
                 observer._check(tag)
@@ -185,7 +192,7 @@ def test_every_changed_chunk_is_in_the_tasks_write_set(monkeypatch):
     assert observer.started == observer.finished
     # The run must exercise every task kind that writes a staged chunk, and
     # the read-only kinds must have run too.
-    for kind in ("fill", "launch", "fusedlaunch", "copy", "reduce", "recv"):
+    for kind in ("fill", "launch", "multi-segment launch", "copy", "reduce", "recv"):
         assert observer.wrote[kind] > 0, f"no {kind} task changed a chunk"
     for kind in ("send", "download", "promotechunk"):
         assert observer.finished[kind] > 0, f"no {kind} task ran"

@@ -179,7 +179,7 @@ def test_depth_drains_keep_fused_chains_whole():
     assert stats.units_carried > 0
     fused = [
         t for plan in ctx.recorded_plans for t in plan.all_tasks()
-        if isinstance(t, T.FusedLaunchTask)
+        if isinstance(t, T.LaunchTask) and t.segment_count > 1
     ]
     assert fused and all(t.segment_count == 3 for t in fused)
 
