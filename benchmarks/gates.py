@@ -696,13 +696,16 @@ def _stream_run(arm, arrays, rounds, elems, gpus, cap, functional=False):
 
 
 def _sweep(gate, sweep):
-    """Records of every (arms, configs) group, plus the window and chain fusion checks."""
+    """Records of every (arms, configs) group, plus the fit, window and chain fusion checks."""
     records, failures = {}, []
     for arms, configs in sweep.items():
         for arm in arms:
             for config in configs:
                 ctx, _ = _run_one(arm, *config)
-                records.setdefault(arm, {})[_config_key(*config)] = _hotpath_record(ctx)
+                key, record = _config_key(*config), _hotpath_record(ctx)
+                records.setdefault(arm, {})[key] = record
+                if not config[4].get("_spill"):
+                    failures += _fits(gate, arm, key, record)
     # Fusion must fire on the double stencil and remove events and bytes
     # while the plan cache keeps serving the windowed launches.
     min_hit_rate = 0.9
@@ -748,6 +751,16 @@ def _fires(gate, arm, config, record, min_hit_rate):
     return [f"{gate}/{arm}/{config}: launches_fused {record['launches_fused']}, "
             f"plan_cache_hit_rate {record['plan_cache_hit_rate']:.3f} (needs > 0 and "
             f"> {min_hit_rate})"]
+
+
+def _fits(gate, arm, config, record):
+    """A failure unless an uncapped config evicted nothing: its working set fits
+    the GPUs, so any eviction (planned or at staging) was for bytes no task uses."""
+    if record["evictions"] == 0:
+        return []
+    return [f"{gate}/{arm}/{config}: evictions {record['evictions']} "
+            f"(chunks_preevicted {record['chunks_preevicted']}) on uncapped GPU pools "
+            "(needs 0)"]
 
 
 def hotpath(base):

@@ -251,9 +251,10 @@ class AccessSummary:
     chunks_by_space: Dict[MemorySpace, List[ChunkId]] = field(default_factory=dict)
     #: size of every chunk mentioned in ``chunks_by_space``
     chunk_bytes: Dict[ChunkId, int] = field(default_factory=dict)
-    #: total bytes of temporary chunks created per GPU space (conservative:
-    #: temps are created and deleted within the plan, so summing them
-    #: over-approximates the concurrent footprint)
+    #: total bytes of the temporary chunks the plan's tasks create, per GPU
+    #: space (released slots, such as a fused consumer's elided input, are
+    #: not counted); the sum ignores that the plan deletes some temps before
+    #: it creates others
     temp_bytes_by_space: Dict[MemorySpace, int] = field(default_factory=dict)
     #: persistent chunks staged into GPU memory before the plan's launch
     #: tasks run (direct launch bindings and same-worker gather sources), in
@@ -308,7 +309,9 @@ class PlanRecipe:
 
     description: str = ""
     protos: List[TaskProto] = field(default_factory=list)
-    temps: List[TempChunkSpec] = field(default_factory=list)
+    #: temp slots by slot number; ``None`` marks a slot released before
+    #: emission (a fused consumer's elided input), which no task creates
+    temps: List[Optional[TempChunkSpec]] = field(default_factory=list)
     tag_slots: int = 0
     #: conflict-table bookkeeping applied after stamping: (chunk_id, proto idx)
     reads: List[Tuple[ChunkId, int]] = field(default_factory=list)
@@ -456,6 +459,8 @@ class PlanRecipe:
                 note(proto.fields.get("dst_chunk"), prefetch=False)
             # Send/Recv/Fill/Download stage "host"/"any": no GPU footprint.
         for spec in self.temps:
+            if spec is None:
+                continue
             space = spec.home.memory_space
             summary.temp_bytes_by_space[space] = (
                 summary.temp_bytes_by_space.get(space, 0) + spec.nbytes
@@ -642,8 +647,6 @@ class StampedPlan:
     plan: T.ExecutionPlan
     #: concrete task id of every proto, by recipe index
     task_ids: List[int]
-    #: fresh ChunkMeta of every temp slot
-    temp_chunks: List[ChunkMeta]
     #: number of transfer tasks marked as prefetchable by this stamp
     prefetched: int = 0
     #: tasks built but left out of ``plan``, by proto index (``held``)
@@ -760,8 +763,8 @@ def stamp_recipe(
     window's cross-launch prefetch pass).  Protos whose index is in ``held``
     are built but returned in ``held_tasks`` instead of the plan.
     """
-    temp_chunks: List[ChunkMeta] = [
-        ChunkMeta(
+    temp_chunks: List[Optional[ChunkMeta]] = [
+        None if spec is None else ChunkMeta(
             chunk_id=new_chunk_id(),
             region=spec.region,
             dtype=spec.dtype,
@@ -873,5 +876,5 @@ def stamp_recipe(
         else:
             plan.add(task)
         task_ids.append(task.task_id)
-    return StampedPlan(plan=plan, task_ids=task_ids, temp_chunks=temp_chunks,
-                       prefetched=prefetched, held_tasks=held_tasks)
+    return StampedPlan(plan=plan, task_ids=task_ids, prefetched=prefetched,
+                       held_tasks=held_tasks)

@@ -143,11 +143,14 @@ class WindowMemoryPlanner:
 
         Returns ``(chunks_by_space, chunk_bytes, temp_bytes_by_space)`` where
         chunk lists preserve first-use order across the whole group and the
-        temp estimate is the *maximum* of any one unit's temps per space (the
-        temps of different launches do not live concurrently, so summing them
-        would grossly over-state the footprint).  With ``hold`` (a depth
-        drain) a unit's held write-back targets are left out: the window
-        holds those write-backs back, so the group never stages the targets.
+        temp estimate is the *maximum* over units of one unit's temp bytes
+        per space.  A unit counts only the temporaries its tasks create (not
+        the slots chain fusion released), and the maximum assumes that
+        different units' temporaries are not alive at the same time.  With
+        ``hold`` (a depth drain) a unit's held write-back targets are left
+        out: the window holds those write-backs back, so the group never
+        stages the targets.  Their temporaries then stay alive until a later
+        unit resolves the held pieces, which the estimate does not count.
         """
         chunks_by_space: Dict[MemorySpace, List[ChunkId]] = {}
         chunk_bytes: Dict[ChunkId, int] = {}

@@ -681,7 +681,6 @@ class TaskEmissionPass(PlanningPass):
             ),
             array_shapes_list=({pir.param: pir.array.shape for pir in sbir.params},),
             launch_id=LAUNCH_ID,
-            launch_ids=(LAUNCH_ID,),
         )
         for chunk_id, src_read in gather_reads:
             builder.note_read(chunk_id, src_read)
@@ -1089,8 +1088,10 @@ def build_fused_recipe(
     # Rebind consumer parameters of produced arrays to the producer's binding
     # (direct chunk or scratch temp): the fused task reads the producer's
     # output in place, so the consumer's assembled temp and its gather
-    # transfers disappear.  The prescreen guarantees a single writer per
-    # array, so "the producer" is unambiguous.
+    # transfers disappear, and its slot is released so that neither the
+    # access summary nor stamping counts a chunk no task creates.  The
+    # prescreen guarantees a single writer per array, so "the producer" is
+    # unambiguous.
     elided_bytes = 0
     elided_steps = 0
     for s in range(len(states[0].superblocks)):
@@ -1105,6 +1106,8 @@ def build_fused_recipe(
                         elided_bytes += sum(step.nbytes for step in pir.gather_steps)
                         elided_steps += len(pir.gather_steps)
                         pir.gather_steps = []
+                        if pir.temp_spec is not None:
+                            builder.recipe.temps[pir.temp_spec.slot] = None
                         pir.temp_spec = None
                         pir.direct_chunk = None
                         pir.binding = source.binding
@@ -1227,7 +1230,6 @@ def _emit_fused_superblocks(states: Sequence[LaunchState], builder: RecipeBuilde
                 tuple(epilogues) if any(epilogues) else ()
             ),
             launch_id=LaunchIdRef(0),
-            launch_ids=tuple(LaunchIdRef(h) for h in range(segments)),
         )
         for key in acc_keys:
             acc_ready[key] = launch_idx

@@ -242,7 +242,6 @@ class LaunchTask(Task):
     reduce_epilogues: Tuple[Tuple[ReduceEpilogue, ...], ...] = ()
     #: launch id of the first (producer) segment, used for priority ordering
     launch_id: int = 0
-    launch_ids: Tuple[int, ...] = ()
 
     @property
     def segment_count(self) -> int:

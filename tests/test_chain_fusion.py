@@ -20,6 +20,13 @@ from repro import (
 )
 from repro.core import tasks as T
 from repro.core.distributions import match_superblocks
+from repro.core.planning.ir import (
+    ArgBindingProto,
+    PlanRecipe,
+    ReduceEpilogueProto,
+    TempMetaRef,
+    TempRef,
+)
 from repro.kernels import create_workload
 
 N = 256
@@ -105,6 +112,40 @@ WORK_DISTS = {
 }
 
 
+def _temp_slots(value, out):
+    """Add every temp slot ``value`` (a proto field) refers to to ``out``."""
+    if isinstance(value, (TempRef, TempMetaRef)):
+        out.add(value.slot)
+    elif isinstance(value, ArgBindingProto):
+        _temp_slots(value.chunk_ref, out)
+    elif isinstance(value, ReduceEpilogueProto):
+        _temp_slots(value.src_ref, out)
+        _temp_slots(value.dst_ref, out)
+    elif isinstance(value, tuple):
+        for item in value:
+            _temp_slots(item, out)
+
+
+def assert_cached_temps_are_created(ctx):
+    """Every live temp slot of every recipe in the planner's plan-template and
+    fusion caches is referenced by a proto of that recipe (a slot fusion
+    elided must be released, or the memory planner counts phantom bytes)."""
+    planner = ctx.planner
+    recipes = list(planner.cache._entries.values()) + [
+        recipe for recipe in planner._fusion_cache.values() if isinstance(recipe, PlanRecipe)
+    ]
+    for recipe in recipes:
+        live = {slot for slot, spec in enumerate(recipe.temps) if spec is not None}
+        referenced = set()
+        for proto in recipe.protos:
+            for value in proto.fields.values():
+                _temp_slots(value, referenced)
+        assert live == referenced, (
+            f"{recipe.description}: live temp slots {sorted(live - referenced)} "
+            f"unreferenced, released slots {sorted(referenced - live)} referenced"
+        )
+
+
 def run_chain_program(ops, fusion):
     """Run one generated chain program; returns (gathers, stats, ctx).
 
@@ -148,11 +189,12 @@ def test_accepted_chains_are_bit_identical_to_unfused(ops):
     (chains of any length, compatible distributions, reduction tails) — and
     whatever it rejects (incompatible splits, halo consumers, mid-chain
     reductions) — the results are bit-identical to the unfused plans."""
-    fused_gathers, fused_stats, _ = run_chain_program(ops, fusion=True)
+    fused_gathers, fused_stats, fused_ctx = run_chain_program(ops, fusion=True)
     plain_gathers, plain_stats, _ = run_chain_program(ops, fusion=False)
     assert plain_stats.launches_fused == 0
     for fused, plain in zip(fused_gathers, plain_gathers):
         assert np.array_equal(fused, plain)
+    assert_cached_temps_are_created(fused_ctx)
 
 
 # --------------------------------------------------------------------------- #
@@ -343,6 +385,7 @@ def test_chain_workloads_fuse_and_stay_bit_identical(name, n, params):
         ctx = make_ctx(fusion=fusion, lookahead=6)
         workload = create_workload(name, ctx, n, **params)
         workload.run()
+        assert_cached_temps_are_created(ctx)
         results[fusion] = (ctx.stats(), ctx.gather(workload.centroids)
                            if name == "kmeans2" else ctx.gather(workload._final),
                            workload.verify())

@@ -287,6 +287,41 @@ def test_no_memory_plans_without_pressure():
     assert ctx.runtime.plans_submitted == base + 9
 
 
+def run_hotspot3(window_memory, gpu_capacity=None):
+    """Functional hotspot3 (fused chains) on 2 x 2 GPUs, every GPU pool
+    capped at ``gpu_capacity`` bytes when given."""
+    caps = None
+    if gpu_capacity is not None:
+        caps = {DeviceId(node, gpu).memory_space: gpu_capacity
+                for node in range(2) for gpu in range(2)}
+    ctx = Context(azure_nc24rsv2(nodes=2, gpus_per_node=2), mode="functional",
+                  memory_capacities=caps, window_memory=window_memory)
+    workload = create_workload("hotspot3", ctx, 128 * 128, chunk_elems=128 * 32,
+                               iterations=6, seed=0)
+    workload.run()
+    return ctx, workload
+
+
+def test_fused_chains_at_their_real_peak_plan_no_memory():
+    """A fused chain reads its producers' outputs in place, so the consumers'
+    input temporaries are never created; the planner must not count them.
+    Capped at the uncapped run's real GPU peak (100,352 B per GPU), the run
+    fits, so the pass must emit nothing and the run must equal the unplanned
+    one event for event."""
+    uncapped, _ = run_hotspot3(True)
+    peak = max(peak for memory in uncapped.stats().memory.values()
+               for peak in memory.peak_gpu_bytes.values())
+    ctx_on, workload = run_hotspot3(True, peak)
+    ctx_off, _ = run_hotspot3(False, peak)
+    on, off = ctx_on.stats(), ctx_off.stats()
+    assert on.window_memory_plans == 0
+    assert on.chunks_preevicted == 0
+    assert sum(m.evictions_to_host + m.evictions_to_disk for m in on.memory.values()) == 0
+    assert on.virtual_time.hex() == off.virtual_time.hex()
+    assert on.events_processed == off.events_processed
+    assert workload.verify()
+
+
 def test_delete_after_pinned_drain_waits_for_release():
     """Deleting an array right after a drain that pinned its chunks must not
     trip the 'cannot delete pinned chunk' guard: the release task is
