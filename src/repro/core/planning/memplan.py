@@ -296,9 +296,9 @@ class WindowMemoryPlanner:
         concurrently.
         """
         promoted_bytes: Dict[MemorySpace, int] = {}
-        #: per host space: the group's own chunks resident there, their
-        #: bytes, and the [(chunk id, bytes)] staged up from disk
-        host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], int, list]] = {}
+        #: per host space: the group's own chunks resident there and the
+        #: [(chunk id, bytes)] staged up from disk
+        host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], list]] = {}
         seen: set = set()
         for unit_index, unit in enumerate(units):
             if not unit.prefetch:
@@ -352,7 +352,7 @@ class WindowMemoryPlanner:
         residency: MemorySpace,
         meta: "object",
         unit_index: int,
-        host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], int, list]],
+        host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], list]],
         group_bytes: Dict[ChunkId, int],
     ) -> None:
         """Plan one disk→host staged promotion (with host pre-eviction).
@@ -361,8 +361,8 @@ class WindowMemoryPlanner:
         was denied; only disk-resident chunks qualify (host-resident ones are
         already one PCIe hop from their consumer).  The group's own
         host-resident chunks are needed sooner than a promoted one, so a
-        promotion may not displace them: their bytes are no part of its host
-        budget, and the host reserve protects them.
+        promotion may not displace them: its host budget is the room the
+        eviction walk finds around them, and the host reserve protects them.
         """
         if residency.kind is not MemoryKind.DISK:
             return
@@ -378,14 +378,12 @@ class WindowMemoryPlanner:
                 cid for cid in group_bytes
                 if memory.knows(cid) and memory.residency(cid) == host
             )
-            host_staged[host] = (own, sum(group_bytes[cid] for cid in own), [])
-        own, own_bytes, staged = host_staged[host]
-        staged_bytes = sum(nbytes for _, nbytes in staged)
-        allowance = min(
-            worker.scheduler.stage_threshold,
-            memory.free_bytes(host) + memory.evictable_bytes(host) - own_bytes,
-        )
-        if staged_bytes + meta.nbytes > allowance:
+            host_staged[host] = (own, [])
+        own, staged = host_staged[host]
+        staged_bytes = sum(nbytes for _, nbytes in staged) + meta.nbytes
+        if (staged_bytes > worker.scheduler.stage_threshold
+                or memory.room(host, staged_bytes, set(own), self.planner.tenant)
+                < staged_bytes):
             return
         staged.append((meta.chunk_id, meta.nbytes))
         memory_plan.promote_specs.append(_PromoteSpec(
@@ -402,7 +400,6 @@ class WindowMemoryPlanner:
         # and the staged chunks down to disk (unpinned — those are only
         # *protected*, the group may still spill them if its own host
         # working set grows).
-        staged_bytes += meta.nbytes
         if staged_bytes > memory.free_bytes(host):
             staged_ids = tuple(cid for cid, _ in staged)
             chunk_ids = own + staged_ids

@@ -103,11 +103,11 @@ class _ChunkState:
 
 @dataclass
 class _Block:
-    """Why a staging attempt failed.  Free plus evictable bytes of ``space``
-    never exceed ``capacity - pinned - own`` (``own``: the request's unpinned
-    bytes there), and ``limit = capacity - own - needed``; so while each
-    required chunk still matches ``snapshot`` and more than ``limit`` bytes
-    of ``space`` are pinned, a retry must fail."""
+    """Why a staging attempt failed.  The request's :meth:`~MemoryManager.room`
+    in ``space`` never exceeds ``capacity - pinned - own`` (``own``: its
+    unpinned bytes there), and ``limit = capacity - own - needed``; so while
+    each required chunk still matches ``snapshot`` and more than ``limit``
+    bytes of ``space`` are pinned, a retry must fail."""
 
     space: MemorySpace
     limit: int
@@ -174,6 +174,10 @@ class MemoryManager:
         #: the per-space counters so quota checks never scan chunks
         self._tenant_used: Dict[Tuple[int, MemorySpace], int] = defaultdict(int)
         self._tenant_pinned: Dict[Tuple[int, MemorySpace], int] = defaultdict(int)
+        #: tenant id -> outstanding tasks, *shared* with the runtime (which
+        #: counts them): a quota protects residency only while its tenant
+        #: has work
+        self.tenant_outstanding: Dict[int, int] = {}
         #: Compressed disk tier (set by ``RuntimeSystem(disk=True)`` before
         #: any chunk exists): a
         #: :class:`~repro.perfmodel.compression.CompressionModel` sampling a
@@ -354,9 +358,20 @@ class MemoryManager:
         """Bytes of currently pinned (unevictable) chunks in ``space``."""
         return self._pinned[space]
 
-    def evictable_bytes(self, space: MemorySpace) -> int:
-        """Bytes of unpinned resident chunks in ``space`` (O(1) counters)."""
-        return self._used[space] - self._pinned[space]
+    def room(
+        self, space: MemorySpace, nbytes: int, protect=frozenset(), requester=None
+    ) -> int:
+        """Free bytes of ``space`` once :meth:`_make_room` has made room for
+        ``nbytes`` with the same ``protect`` and ``requester``: at least
+        ``nbytes`` when it can, else what is free plus all it may evict.
+        The answer comes from the eviction's own walk (:meth:`_victims`), so
+        a request this admits, eviction delivers.  ``space`` is a GPU or the
+        host space: the disk tier has no lower level to evict to."""
+        free = self._capacity[space] - self._used[space]
+        if nbytes <= free:
+            return free
+        victims = self._victims(space, nbytes - free, protect, requester)
+        return free + sum(state.meta.nbytes for state in victims)
 
     def lru_order(self, space: MemorySpace) -> List[ChunkId]:
         """Resident chunks of ``space``, least recently used first."""
@@ -381,9 +396,11 @@ class MemoryManager:
 
         The quota is work-conserving: the tenant may exceed it while room is
         free, but only its *overage* above the quota may be evicted to make
-        room for another tenant.  Residency within the quota is protected
+        room for another tenant.  While the tenant has outstanding tasks
+        (:attr:`tenant_outstanding`), residency within the quota is protected
         from foreign eviction pressure exactly like a pin (without being
-        pinned from the tenant's own point of view).
+        pinned from the tenant's own point of view); an idle tenant's
+        unpinned residency is anyone's room.
         """
         if not 0.0 < fraction <= 1.0:
             raise ArgumentValueError(
@@ -395,38 +412,31 @@ class MemoryManager:
         """Bytes of ``tenant``'s chunks currently resident in ``space``."""
         return self._tenant_used.get((tenant, space), 0)
 
+    def tenant_went_idle(self, tenant: int) -> None:
+        """``tenant``'s last outstanding task finished, so its quota no
+        longer protects its residency: retry the queued requests that room
+        may now admit (no unstage announces it)."""
+        if tenant in self._tenant_quota:
+            self._retry_pending()
+
     def _tenant_evictable(self, tenant: int, space: MemorySpace) -> int:
         """Bytes a *rival* tenant may evict from ``tenant`` in ``space``:
-        the overage above whichever is larger, the quota or the pinned set."""
+        the overage above whichever is larger, the pinned set or — while
+        ``tenant`` has outstanding tasks — its quota."""
         used = self._tenant_used.get((tenant, space), 0)
         if not used:
             return 0
         pinned = self._tenant_pinned.get((tenant, space), 0)
-        quota = int(self._tenant_quota[tenant] * self._capacity[space])
+        quota = 0
+        if self.tenant_outstanding.get(tenant):
+            quota = int(self._tenant_quota[tenant] * self._capacity[space])
         return used - max(pinned, min(used, quota))
 
-    def _protected_foreign_bytes(self, space: MemorySpace, requester) -> int:
-        """Unpinned bytes in ``space`` that ``requester`` may not evict
-        (other tenants' residency within their quotas).  Zero whenever no
-        quota is configured, so the single-tenant path never pays for this."""
-        if not self._tenant_quota:
-            return 0
-        total = 0
-        for tenant in self._tenant_quota:
-            if tenant == requester:
-                continue
-            used = self._tenant_used.get((tenant, space), 0)
-            if not used:
-                continue
-            pinned = self._tenant_pinned.get((tenant, space), 0)
-            total += used - pinned - self._tenant_evictable(tenant, space)
-        return total
-
-    def _requester_of(self, requirements: List[Tuple[ChunkId, str]]):
-        """The tenant staging these requirements (first tagged chunk wins)."""
+    def _requester_of(self, chunk_ids):
+        """The tenant staging ``chunk_ids`` (first tagged chunk wins)."""
         if not self._tenants:
             return None
-        for chunk_id, _ in requirements:
+        for chunk_id in chunk_ids:
             tenant = self._tenants.get(chunk_id)
             if tenant is not None:
                 return tenant
@@ -638,32 +648,16 @@ class MemoryManager:
                     f"never fit — use smaller chunks or a larger memory pool"
                 )
 
-        # Check that evicting *unpinned* chunks not belonging to this task
-        # could make enough room right now; otherwise wait for an unstage.
-        # The per-space counters make this O(|plan|) instead of O(|chunks|).
-        # Under tenant quotas, other tenants' within-quota residency counts
-        # as unevictable for this requester even though it is not pinned.
-        requester = self._requester_of(requirements)
+        # Wait for an unstage unless the eviction walk the commit runs can
+        # make the room in every space the request must fill right now.
+        requester = self._requester_of(plan_ids)
         for space, nbytes in needed.items():
-            own = 0
-            for chunk_id in plan_ids:
-                st = chunks[chunk_id]
-                if st.space == space and st.pins == 0:
-                    own += st.meta.nbytes
-            evictable = self._used[space] - self._pinned[space] - own
-            evictable -= self._protected_foreign_bytes(space, requester)
-            lower = self._lower_space(space)
-            if lower is not None and self._pinned[lower]:
-                # Staged disk→host promotions pin host bytes while their
-                # disk reads are in flight; during that window the eviction
-                # cascade out of this space can only push down what the
-                # lower level can still receive.  (Zero pinned bytes below —
-                # always, without the disk tier — leaves the check as-is.)
-                receivable = self.free_bytes(lower) + (
-                    self._used[lower] - self._pinned[lower]
-                )
-                evictable = min(evictable, max(0, receivable))
-            if self.free_bytes(space) + evictable < nbytes:
+            if self.room(space, nbytes, plan_ids, requester) < nbytes:
+                own = 0
+                for chunk_id in plan_ids:
+                    st = chunks[chunk_id]
+                    if st.space == space and st.pins == 0:
+                        own += st.meta.nbytes
                 snapshot = tuple((st, st.space, st.meta, st.pins == 0) for st, _ in plan)
                 return _Block(space, self._capacity[space] - own - nbytes, snapshot)
 
@@ -795,29 +789,21 @@ class MemoryManager:
           requests pinning when the whole working set fits the space.
 
         Returns the number of chunks pre-evicted.  Never raises: if the
-        request cannot be met in full (pinned chunks in the way), it frees as
-        much as possible and lets staging handle the rest reactively.
+        request cannot be met in full (pinned chunks in the way), it frees
+        what the eviction walk can (:meth:`room`) and lets staging handle the
+        rest reactively.
         """
         target = min(nbytes, self._capacity[space])
         keep = {cid for cid in chunks if self._chunks.get(cid) is not None}
-        requester = self._requester_of([(cid, "any") for cid in chunks])
-        # What pre-eviction can achieve at most: everything unpinned, not
-        # part of the working set, and not protected by a rival tenant's
-        # quota can go.  (O(|keep|) thanks to the counters.)
-        achievable = self.free_bytes(space) + self.evictable_bytes(space)
-        achievable -= self._protected_foreign_bytes(space, requester)
-        for cid in keep:
-            state = self._chunks[cid]
-            if state.space == space and state.pins == 0:
-                achievable -= state.meta.nbytes
-        target = min(target, achievable)
+        requester = self._requester_of(chunks)
+        target = min(target, self.room(space, target, keep, requester))
         evicted_before = self.stats.chunks_preevicted
         self._in_reserve = True
         try:
             if target > self.free_bytes(space):
                 self._make_room(space, target, protect=keep, requester=requester)
         except OutOfMemoryError:
-            pass  # partial pre-eviction is still useful; staging copes
+            pass  # a spill into a full disk tier; staging copes
         finally:
             self._in_reserve = False
         pinned: List[ChunkId] = []
@@ -859,10 +845,11 @@ class MemoryManager:
         not pinned yet — the rest of the working set of the task currently
         being staged — at every level the eviction cascades through.
         ``requester`` is the tenant asking for the room (or ``None``): under
-        tenant quotas, a rival tenant's chunks are only eligible as victims
-        while that tenant sits *above* its quota, and only down to the quota
-        line — its within-quota working set is as untouchable as a pinned
-        chunk.  Each victim enters the level :meth:`_spill_level` picks.
+        tenant quotas, a busy rival tenant's chunks are only eligible as
+        victims while that tenant sits *above* its quota, and only down to
+        the quota line — its within-quota working set is as untouchable as a
+        pinned chunk (:meth:`_tenant_evictable`).  Each victim enters the
+        level :meth:`_spill_level` picks.
         """
         missing = nbytes - self.free_bytes(space)
         if missing <= 0:
@@ -912,7 +899,10 @@ class MemoryManager:
         """The chunks :meth:`_make_room` evicts from ``space`` to free
         ``missing`` bytes: unpinned and unprotected ones in LRU order, within
         rival tenants' allowances and the lower level's receivable cap.  Their
-        bytes fall short of ``missing`` when not enough are eligible.
+        bytes fall short of ``missing`` when not enough are eligible.  This
+        walk alone decides what a requester may evict: staging admission,
+        :meth:`reserve` and the window's promotion budget ask it through
+        :meth:`room`.
 
         Victims come straight off the front of the per-space LRU index, so
         selection is O(1) per victim (plus any pinned/protected chunks walked

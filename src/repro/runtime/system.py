@@ -284,6 +284,8 @@ class RuntimeSystem:
         self._tenancy = False
         self._task_tenant: Dict[TaskId, int] = {}
         self._tenant_outstanding: Dict[int, int] = {}
+        for worker in self.workers:
+            worker.memory.tenant_outstanding = self._tenant_outstanding
         self.tenant_tasks_submitted: Dict[int, int] = {}
         self.tenant_tasks_completed: Dict[int, int] = {}
         self.tenant_plans_submitted: Dict[int, int] = {}
@@ -333,8 +335,11 @@ class RuntimeSystem:
                 )
                 remaining = self._tenant_outstanding[tenant] - 1
                 self._tenant_outstanding[tenant] = remaining
-                if remaining == 0 and self.on_tenant_idle is not None:
-                    self.on_tenant_idle(tenant)
+                if remaining == 0:
+                    for worker in self.workers:
+                        worker.memory.tenant_went_idle(tenant)
+                    if self.on_tenant_idle is not None:
+                        self.on_tenant_idle(tenant)
 
     @property
     def outstanding_tasks(self) -> int:
@@ -542,8 +547,9 @@ class RuntimeSystem:
 
         The quota is *soft* (work-conserving): a tenant may exceed it while
         capacity is idle, but its overage above the quota is fair game for
-        eviction when another tenant needs room — and a tenant within its
-        quota can never have its working set evicted by a rival's pressure.
+        eviction when another tenant needs room — and a tenant with
+        outstanding tasks never has its working set within the quota evicted
+        by a rival's pressure.  An idle tenant's residency protects nothing.
         """
         for worker in self.workers:
             worker.memory.set_tenant_quota(tenant, fraction)

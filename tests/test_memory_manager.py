@@ -403,7 +403,7 @@ def test_pinned_bytes_counter_tracks_pin_unpin_and_moves():
     assert manager.pinned_bytes(gpu) == 2 * MB  # still pinned by task 2
     manager.unstage(2)
     assert manager.pinned_bytes(gpu) == 0
-    assert manager.evictable_bytes(gpu) == 2 * MB
+    assert manager.room(gpu, 4 * MB) == 4 * MB  # the unpinned chunk is room
 
 
 def test_batch_eviction_preserves_relative_lru_order():
@@ -485,6 +485,8 @@ class _Side:
         if tenants is not None:
             for tenant in (0, 1):
                 self.manager.set_tenant_quota(tenant, 0.4)
+            # Both tenants have work throughout, so their quotas protect.
+            self.manager.tenant_outstanding = {0: 1, 1: 1}
         self.attempts = _count_attempts(self.manager)
         self.fired = []
         self.outcomes = []
@@ -624,6 +626,9 @@ def _random_program(seed):
             fast.apply(*op)
             full.apply(*op)
             assert fast.observed() == full.observed(), where
+            # Admission runs the eviction's own walk, so an admitted request
+            # always finds its room.
+            assert not (fast.outcomes[-1] or "").startswith("could not free"), where
             fast.assert_disk_bytes(where)
             # The index lists, in announcement order, each announced task
             # that has not committed its staging.
@@ -640,7 +645,8 @@ def _random_program(seed):
 
 def test_skipped_retries_match_the_full_retry_loop():
     """Seeded differential: skipping retries whose block holds changes no
-    callback, residency, LRU order, counter or queue, step by step."""
+    callback, residency, LRU order, counter or queue, step by step; and no
+    admitted request or reserve falls short of room."""
     fast_total = full_total = 0
     for seed in range(40):
         fast, full = _random_program(seed)

@@ -41,7 +41,6 @@ from repro.errors import ArgumentValueError, FaultError, SimulationStalled
 from repro.hardware import DeviceId, MemoryKind, MemorySpace
 from repro.hardware.specs import azure_nc24rsv2
 from repro.kernels import WORKLOADS, Workload, create_workload
-from repro.runtime.memory import OutOfMemoryError
 from repro.runtime.serving import (
     DEFAULT_MIX,
     FairShareClock,
@@ -384,23 +383,21 @@ DISK_JOBS = [
 ]
 
 
-def _disk_serving(memory_fraction=None, **kwargs):
+def _disk_serving(memory_fraction=None, jobs=DISK_JOBS, stagger=0.0, **kwargs):
     capacities = {DeviceId(0, local).memory_space: 48 * KiB for local in range(2)}
     capacities[MemorySpace(0, MemoryKind.HOST)] = 64 * KiB
     serving = small_serving(nodes=1, gpus=2, memory_capacities=capacities, **kwargs)
-    for tenant, (workload, n, params) in enumerate(DISK_JOBS):
+    for tenant, (workload, n, params) in enumerate(jobs):
         serving.add_tenant(f"t{tenant}", memory_fraction=memory_fraction)
-        serving.submit(JobSpec(arrival=0.0, tenant=tenant, workload=workload,
+        serving.submit(JobSpec(arrival=tenant * stagger, tenant=tenant, workload=workload,
                                n=n, params=dict(params)))
     return serving
 
 
 @pytest.mark.parametrize("faults", [None, ""], ids=["clean", "faults"])
 def test_disk_tier_under_serving_bit_identical(faults):
-    # Without tenant quotas: with them this setup runs out of memory (see
-    # test_tenant_quotas_under_memory_pressure below).
     reference = [_result_of(job) for job in _disk_serving().run().jobs]
-    serving = _disk_serving(disk=True, disk_seed=3, faults=faults)
+    serving = _disk_serving(memory_fraction=0.3, disk=True, disk_seed=3, faults=faults)
     report = serving.run()
     assert all(job.workload.verify() for job in report.jobs)
     for job, expected in zip(report.jobs, reference):
@@ -439,15 +436,47 @@ def test_next_use_index_is_empty_after_a_served_disk_run():
     assert [worker.memory._uses for worker in workers] == [{}] * len(workers)
 
 
-@pytest.mark.xfail(strict=True, raises=OutOfMemoryError, reason=(
-    "known defect: three tenants at memory_fraction=0.3 (0.9 of capacity in "
-    "total) run out of GPU memory; at 0.5 the run stalls instead"
-))
 @pytest.mark.parametrize("disk", [False, True], ids=["no_disk", "disk"])
 def test_tenant_quotas_under_memory_pressure(disk):
+    """Three tenants at 0.3 each: admission asks the walk that evicts, so a
+    request whose room the walk cannot free waits instead of running out of
+    memory."""
     kwargs = {"disk": True, "disk_seed": 3} if disk else {}
     report = _disk_serving(memory_fraction=0.3, **kwargs).run()
+    assert len(report.jobs) == len(DISK_JOBS)
     assert all(job.workload.verify() for job in report.jobs)
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["no_disk", "disk"])
+@pytest.mark.parametrize("tenants", [1, 2, 3])
+def test_quota_sweep_matches_quota_free_runs(tenants, disk):
+    """Every quota, from a fifth of each pool to all of it, completes with
+    results bit-identical to the quota-free run of the same tenants: a
+    quota protects only a busy tenant's residency, so finished tenants
+    never stall the rest."""
+    kwargs = {"disk": True, "disk_seed": 3} if disk else {}
+    jobs = DISK_JOBS[:tenants]
+    reference = [_result_of(job) for job in _disk_serving(jobs=jobs, **kwargs).run().jobs]
+    for fraction in (0.2, 0.3, 0.5, 1.0):
+        report = _disk_serving(fraction, jobs=jobs, **kwargs).run()
+        assert len(report.jobs) == tenants, fraction
+        assert all(job.workload.verify() for job in report.jobs), fraction
+        for job, expected in zip(report.jobs, reference):
+            assert np.array_equal(_result_of(job), expected), fraction
+
+
+def test_a_tenant_going_idle_wakes_the_stagings_its_quota_blocked():
+    """The second tenant, arriving later, queues a staging on gpu0, where the
+    first tenant's residency sits within its quota.  The first tenant's last
+    task then finishes with no unstage to follow: only the retry its going
+    idle triggers lets the queued staging evict that residency."""
+    jobs = DISK_JOBS[:2]
+    reference = [_result_of(job) for job in _disk_serving(jobs=jobs, stagger=1e-4).run().jobs]
+    report = _disk_serving(0.5, jobs=jobs, stagger=1e-4).run()
+    assert len(report.jobs) == 2
+    for job, expected in zip(report.jobs, reference):
+        assert job.workload.verify()
+        assert np.array_equal(_result_of(job), expected)
 
 
 # --------------------------------------------------------------------------- #
