@@ -59,8 +59,12 @@ class DistributedArray:
         self.name = name or f"array{array_id}"
         self.deleted = False
         #: bumped whenever the chunk layout changes (an in-place
-        #: :meth:`redistribute`), invalidating cached plan templates keyed on it
+        #: :meth:`redistribute` or a re-chunk), invalidating cached plan
+        #: templates keyed on it
         self.layout_epoch = 0
+        #: True once a launch that only writes the array re-chunked it to its
+        #: superblock write regions (``Context.launch``; at most once)
+        self.rechunked = False
         #: lazily built axis-0 interval index over ``chunks`` (see
         #: :meth:`_chunk_interval_index`); invalidated by identity/epoch checks
         self._chunk_index: Optional[tuple] = None

@@ -41,6 +41,7 @@ from .chunk import ChunkMeta
 from .distributions import DataDistribution, WorkDistribution
 from .expr.graph import LazyExpr
 from .expr.lowering import ExprEngine
+from .geometry import Region, regions_cover
 from .kernel import CompiledKernel, KernelDef
 from .planning import DEFAULT_LOOKAHEAD, LaunchWindow, PendingLaunch, Planner
 from .wrapper import WrapperCache
@@ -318,40 +319,82 @@ class Context:
             raise ArgumentValueError(f"array {array.name} has been deleted")
         # Deferred expressions were recorded against the old layout/contents.
         self.expr.force_pending_for(array.array_id)
-        if self.window.references(array.array_id):
-            # Pending launches were prepared against the old chunk layout.
-            self.window.flush("redistribute")
         placements = new_distribution.chunks(array.shape, self.devices())
         if not placements:
             raise ArgumentValueError(
                 f"distribution produced no chunks for array of shape {array.shape}"
             )
-        from .geometry import regions_cover
-
         if not regions_cover(array.domain, [p.region for p in placements]):
             raise ArgumentValueError(
                 f"new distribution of {array.name} does not cover the array domain"
             )
+        self._relayout(array, [(p.region, p.device) for p in placements], copy=True)
+        array.distribution = new_distribution
+        return array
+
+    def _relayout(
+        self,
+        array: DistributedArray,
+        placements: Sequence[Tuple[Region, DeviceId]],
+        copy: bool,
+    ) -> None:
+        """Replace ``array``'s chunks with new ones at ``placements``.
+
+        The new chunks are tagged with this context's tenant and, with
+        ``copy``, filled from the old ones; the old chunks are deleted after
+        their last use.  The layout epoch is bumped and cached recipes on the
+        array are evicted, so the next launch on it is planned cold.
+        """
+        if self.window.references(array.array_id):
+            # Pending launches were prepared against the old chunk layout.
+            self.window.flush("redistribute")
         new_chunks = [
             ChunkMeta(
                 chunk_id=self._chunk_ids.next_id(),
-                region=p.region,
+                region=region,
                 dtype=array.dtype,
-                home=p.device,
+                home=device,
                 array_id=array.array_id,
             )
-            for p in placements
+            for region, device in placements
         ]
         if self.tenant is not None:
             for chunk in new_chunks:
                 self.runtime.chunk_tenants[chunk.chunk_id] = self.tenant
-        plan = self.planner.plan_redistribute(array, new_chunks)
-        self.runtime.submit_plan(plan)
+        self.runtime.submit_plan(self.planner.plan_redistribute(array, new_chunks, copy))
         array.chunks = new_chunks
-        array.distribution = new_distribution
         array.layout_epoch += 1
         self.planner.invalidate_array(array.array_id)
-        return array
+
+    def _rechunk_written(self, recipe, arrays: Dict[str, DistributedArray]) -> bool:
+        """Re-chunk the arrays a freshly planned launch only writes.
+
+        An array qualifies when the launch binds it to one plain ``write``
+        parameter (:attr:`~.planning.ir.PlanRecipe.misaligned_writes`: some
+        superblock writes it through a temporary) and the superblock write
+        regions are disjoint and cover it, so the launch overwrites every
+        element: its chunks become those regions, each on its superblock's
+        GPU, created empty, and the launch then writes them in place.  An
+        array is re-chunked at most once, so writers with different work
+        distributions cannot ping-pong it, and ``array.distribution`` stays
+        the declared one (checkpoints encode it, device recovery re-evaluates
+        it).  Returns True when some array was re-chunked.
+        """
+        rechunked = False
+        for param, placements in recipe.misaligned_writes.items():
+            array = arrays[param]
+            if array.rechunked:
+                continue
+            regions = [region for region, _ in placements]
+            if sum(region.size for region in regions) != array.size or not regions_cover(
+                array.domain, regions
+            ):
+                continue
+            self._relayout(array, placements, copy=False)
+            array.rechunked = True
+            self.counters.arrays_rechunked += 1
+            rechunked = True
+        return rechunked
 
     # ------------------------------------------------------------------ #
     # fault tolerance (device failure and recovery)
@@ -579,6 +622,13 @@ class Context:
         prepared = self.planner.prepare_launch(
             kernel, grid_dims, block_dims, work_dist, array_bindings
         )
+        # Only a launch planned cold can re-chunk: cached launches pay nothing.
+        if prepared.cache_status != "hit" and self._rechunk_written(
+            prepared.recipe, array_bindings
+        ):
+            prepared = self.planner.prepare_launch(
+                kernel, grid_dims, block_dims, work_dist, array_bindings
+            )
         self.window.submit(
             PendingLaunch(
                 kernel=kernel,

@@ -46,8 +46,6 @@ __all__ = [
     "ReduceEpilogueProto",
     "TaskProto",
     "AccessSummary",
-    "WritebackPiece",
-    "WritebackSummary",
     "PlanRecipe",
     "RecipeBuilder",
     "StampedPlan",
@@ -262,47 +260,6 @@ class AccessSummary:
     prefetch_chunks: List[ChunkId] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class WritebackPiece:
-    """One deferrable temp write-back: a copy, or a send+recv pair."""
-
-    #: proto indices of the piece (the copy, or the send then the recv)
-    protos: Tuple[int, ...]
-    #: temp slot the piece reads
-    temp: int
-    #: persistent chunk the piece writes, and the region it writes
-    chunk_id: ChunkId
-    region: Region
-    nbytes: int
-
-
-@dataclass
-class WritebackSummary:
-    """The recipe's temp write-backs, as the launch window's write-back cache
-    sees them (computed once per recipe by :meth:`PlanRecipe.writebacks`).
-
-    A *temp write-back* is a ``writeback`` transfer whose source is a plan
-    temporary.  It is *deferrable* when the recipe touches its target chunk
-    only through deferrable temp write-backs and every write-back of the
-    same temporary is deferrable; a depth drain then holds the pieces and
-    the temporary's delete back from the plan.
-    """
-
-    #: deferrable pieces, in proto order
-    pieces: List[WritebackPiece] = field(default_factory=list)
-    #: temp slot -> proto index of its delete, for every deferrable temp
-    deletes: Dict[int, int] = field(default_factory=dict)
-    #: every proto index a depth drain holds back (pieces and deletes)
-    held: frozenset = frozenset()
-    #: targets of the deferrable pieces
-    held_targets: frozenset = frozenset()
-    #: every persistent chunk the recipe touches, in first-use order
-    touched: Tuple[ChunkId, ...] = ()
-    #: chunks the recipe touches only through temp write-backs -> the
-    #: regions those write-backs overwrite
-    overwrites: Dict[ChunkId, List[Region]] = field(default_factory=dict)
-
-
 @dataclass
 class PlanRecipe:
     """A reusable structural execution-plan template for one driver operation."""
@@ -321,8 +278,14 @@ class PlanRecipe:
     #: metadata of every persistent chunk the recipe references (collected by
     #: the builder; what lets :meth:`access_summary` size working sets)
     chunk_metas: Dict[ChunkId, ChunkMeta] = field(default_factory=dict)
+    #: write-only parameters (bound to no other parameter) that some
+    #: superblock writes through a temporary -> every superblock's write
+    #: region and GPU, in superblock order (what a re-chunk of the array
+    #: would align it to; see ``Context.launch``)
+    misaligned_writes: Dict[str, Tuple[Tuple[Region, DeviceId], ...]] = field(
+        default_factory=dict
+    )
     _summary: Optional[AccessSummary] = field(default=None, repr=False)
-    _writebacks: Optional[WritebackSummary] = field(default=None, repr=False)
 
     @property
     def task_count(self) -> int:
@@ -334,101 +297,6 @@ class PlanRecipe:
         if self._summary is None:
             self._summary = self._build_summary()
         return self._summary
-
-    def writebacks(self) -> WritebackSummary:
-        """The recipe's temp write-backs (memoised on first call)."""
-        if self._writebacks is None:
-            self._writebacks = self._build_writebacks()
-        return self._writebacks
-
-    def _build_writebacks(self) -> WritebackSummary:
-        protos = self.protos
-        pieces: List[WritebackPiece] = []
-        piece_of: Dict[int, WritebackPiece] = {}
-        for index, proto in enumerate(protos):
-            if proto.category != "writeback":
-                continue
-            if proto.factory is T.CopyTask and isinstance(proto.fields["src_chunk"], TempRef):
-                piece = WritebackPiece(
-                    protos=(index,), temp=proto.fields["src_chunk"].slot,
-                    chunk_id=proto.fields["dst_chunk"], region=proto.fields["region"],
-                    nbytes=proto.fields["nbytes"],
-                )
-            elif proto.factory is T.SendTask and isinstance(proto.fields["chunk_id"], TempRef):
-                # builder.transfer emits the matching recv right after its send
-                recv = protos[index + 1]
-                piece = WritebackPiece(
-                    protos=(index, index + 1), temp=proto.fields["chunk_id"].slot,
-                    chunk_id=recv.fields["chunk_id"], region=recv.fields["region"],
-                    nbytes=recv.fields["nbytes"],
-                )
-            else:
-                continue
-            pieces.append(piece)
-            for member in piece.protos:
-                piece_of[member] = piece
-
-        # Chunks touched other than through temp write-backs, in first-use
-        # order; every persistent access of a recipe carries a conflict query
-        # or a read/write bookkeeping entry.
-        touched: Dict[ChunkId, None] = {}
-        other: set = set()
-        for index, proto in enumerate(protos):
-            if index in piece_of:
-                touched.setdefault(piece_of[index].chunk_id)
-                continue
-            for _, chunk_id in proto.conflicts:
-                touched.setdefault(chunk_id)
-                other.add(chunk_id)
-        for chunk_id, index in self.reads + self.writes:
-            if index not in piece_of:
-                touched.setdefault(chunk_id)
-                other.add(chunk_id)
-        overwrites: Dict[ChunkId, List[Region]] = {}
-        for piece in pieces:
-            if piece.chunk_id not in other:
-                overwrites.setdefault(piece.chunk_id, []).append(piece.region)
-
-        # A temp is deferrable when none of its targets is touched any other
-        # way or written by a non-deferrable temp, and only its own pieces
-        # and delete depend on its pieces: exactly those protos are held
-        # back.  Dropping a temp blocks its targets, so iterate to the fixed
-        # point.
-        by_temp: Dict[int, List[WritebackPiece]] = {}
-        for piece in pieces:
-            by_temp.setdefault(piece.temp, []).append(piece)
-        deletes: Dict[int, int] = {}
-        for index, proto in enumerate(protos):
-            ref = proto.fields.get("chunk_id") if proto.factory is T.DeleteChunkTask else None
-            if isinstance(ref, TempRef) and ref.slot in by_temp:
-                deletes[ref.slot] = index
-        blocked = set(other)
-        for slot, temp_pieces in by_temp.items():
-            if slot not in deletes:
-                blocked.update(p.chunk_id for p in temp_pieces)
-        while True:
-            owner = {deletes[slot]: slot for slot in deletes}
-            owner.update((m, p.temp) for slot in deletes for p in by_temp[slot] for m in p.protos)
-            bad = {slot for slot in deletes if any(p.chunk_id in blocked for p in by_temp[slot])}
-            for index, proto in enumerate(protos):
-                mine = owner.get(index)
-                bad.update(owner[dep] for dep in proto.deps if owner.get(dep, mine) != mine)
-            if not bad:
-                break
-            for slot in bad:
-                blocked.update(p.chunk_id for p in by_temp[slot])
-                del deletes[slot]
-        held_pieces = [p for p in pieces if p.temp in deletes]
-        return WritebackSummary(
-            pieces=held_pieces,
-            deletes=deletes,
-            held=frozenset(
-                [m for p in held_pieces for m in p.protos] + list(deletes.values())
-            ),
-            held_targets=frozenset(p.chunk_id for p in held_pieces),
-            touched=tuple(touched),
-            overwrites=overwrites,
-        )
 
     def _build_summary(self) -> AccessSummary:
         summary = AccessSummary()
@@ -649,8 +517,6 @@ class StampedPlan:
     task_ids: List[int]
     #: number of transfer tasks marked as prefetchable by this stamp
     prefetched: int = 0
-    #: tasks built but left out of ``plan``, by proto index (``held``)
-    held_tasks: Dict[int, T.Task] = field(default_factory=dict)
 
 
 #: transfer factories the prefetch pass may raise the priority of
@@ -750,7 +616,6 @@ def stamp_recipe(
     scalar_sets: Optional[Sequence[Dict[str, object]]] = None,
     launch_ids: Optional[Sequence[int]] = None,
     prefetch: bool = False,
-    held: frozenset = frozenset(),
 ) -> StampedPlan:
     """Materialise ``recipe`` into a concrete :class:`ExecutionPlan`.
 
@@ -760,8 +625,7 @@ def stamp_recipe(
     that must complete first.  ``scalar_sets``/``launch_ids`` supply the
     per-segment substitutions of fused recipes; ``prefetch`` marks the
     recipe's pre-launch gather transfers as high-priority (the launch
-    window's cross-launch prefetch pass).  Protos whose index is in ``held``
-    are built but returned in ``held_tasks`` instead of the plan.
+    window's cross-launch prefetch pass).
     """
     temp_chunks: List[Optional[ChunkMeta]] = [
         None if spec is None else ChunkMeta(
@@ -823,9 +687,8 @@ def stamp_recipe(
     plan = T.ExecutionPlan(launch_id=launch_id, description=description,
                            cache_status=cache_status)
     task_ids: List[int] = []
-    held_tasks: Dict[int, T.Task] = {}
     prefetched = 0
-    for index, proto in enumerate(recipe.protos):
+    for proto in recipe.protos:
         deps: List[int] = [task_ids[i] for i in proto.deps]
         for kind, chunk_id in proto.conflicts:
             deps.extend(resolve_conflicts(kind, chunk_id))
@@ -871,10 +734,6 @@ def stamp_recipe(
             priority=priority,
             **fields,
         )
-        if index in held:
-            held_tasks[index] = task
-        else:
-            plan.add(task)
+        plan.add(task)
         task_ids.append(task.task_id)
-    return StampedPlan(plan=plan, task_ids=task_ids, prefetched=prefetched,
-                       held_tasks=held_tasks)
+    return StampedPlan(plan=plan, task_ids=task_ids, prefetched=prefetched)

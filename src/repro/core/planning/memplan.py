@@ -13,11 +13,12 @@ This module closes both gaps at drain time:
   :class:`~repro.core.tasks.MemoryReserveTask` is emitted ahead of the group:
   it picks spill victims up front via the memory manager's existing LRU index
   (:meth:`~repro.runtime.memory.MemoryManager.reserve`), protecting the
-  earliest-used prefix of the working set, and — when the whole working set
-  fits the space — pins the already resident members until a matching
-  :class:`~repro.core.tasks.MemoryReleaseTask` fires after the group.
-  Eviction write-backs therefore start while earlier work still computes,
-  instead of contending with stage-in transfers on the critical path.
+  earliest-used prefix of the working set.  Eviction write-backs therefore
+  start while earlier work still computes, instead of contending with
+  stage-in transfers on the critical path.  Nothing is pinned: a reserve
+  that pinned a group's resident chunks until the group finished could hold
+  the room another tenant's stagings needed while that tenant's reserve held
+  the room this group's stagings needed, and neither group could finish.
 
 * **Hierarchy-aware prefetch** — for every prefetch-eligible launch of the
   group (the same launches whose gathers the PR-3 pass priority-stamps), the
@@ -29,13 +30,12 @@ This module closes both gaps at drain time:
 
 Both mechanisms are pure residency/performance planning: chunk contents are
 untouched and task dependencies are only ever *added* (reserve tasks wait for
-every earlier reader/writer of the chunks they pin), so functional results
-are bit-identical with the pass on or off.
+every earlier reader/writer of the chunks they protect), so functional
+results are bit-identical with the pass on or off.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,23 +47,12 @@ __all__ = ["WindowMemoryPlanner", "GroupMemoryPlan"]
 
 
 @dataclass
-class _Reservation:
-    """One pinned per-space reservation awaiting its release task."""
-
-    worker: int
-    reservation: int
-    chunk_ids: Tuple[ChunkId, ...]
-
-
-@dataclass
 class _ReserveSpec:
     """Blueprint of one reserve task (materialised at finalise time)."""
 
     space: MemorySpace
     chunk_ids: Tuple[ChunkId, ...]
     nbytes: int
-    reservation: int
-    pin: bool
     #: pre-group conflict dependencies, snapshotted before the group stamps
     deps: Tuple[int, ...]
 
@@ -95,9 +84,8 @@ class GroupMemoryPlan:
     Built in two phases: :meth:`WindowMemoryPlanner.plan_group` runs before
     the group is stamped (reserve conflict dependencies must be snapshotted
     while the planner's tables describe only pre-group work) and produces
-    task *blueprints*; :meth:`WindowMemoryPlanner.build_reserve_plan`,
-    :meth:`~WindowMemoryPlanner.build_promote_plan` and
-    :meth:`~WindowMemoryPlanner.build_release_plan` materialise them around
+    task *blueprints*; :meth:`WindowMemoryPlanner.build_reserve_plan` and
+    :meth:`~WindowMemoryPlanner.build_promote_plan` materialise them around
     the stamping loop, anchored to the group's execution timeline.
     Allocating the task ids at materialise time keeps the repo-wide
     invariant that every dependency points at an earlier-allocated task.
@@ -105,8 +93,6 @@ class GroupMemoryPlan:
 
     reserve_specs: List[_ReserveSpec] = field(default_factory=list)
     promote_specs: List[_PromoteSpec] = field(default_factory=list)
-    #: pinned reservations that need a release task after the group
-    reservations: List[_Reservation] = field(default_factory=list)
     #: the reserve tasks, submitted *before* the group's plans
     pre_plan: Optional[T.ExecutionPlan] = None
     #: chunks scheduled for up-hierarchy promotion
@@ -128,7 +114,6 @@ class WindowMemoryPlanner:
         self.planner = planner
         #: the owning context's ``RuntimeStats`` counters
         self.counters = counters
-        self._reservation_ids = itertools.count(1)
 
     # ------------------------------------------------------------------ #
     # group working sets
@@ -138,7 +123,7 @@ class WindowMemoryPlanner:
         return self.runtime.workers[space.worker].memory
 
     @staticmethod
-    def _combine(units: Sequence["object"], hold: bool = False):
+    def _combine(units: Sequence["object"]):
         """Merge the units' access summaries into per-space working sets.
 
         Returns ``(chunks_by_space, chunk_bytes, temp_bytes_by_space)`` where
@@ -146,22 +131,17 @@ class WindowMemoryPlanner:
         temp estimate is the *maximum* over units of one unit's temp bytes
         per space.  A unit counts only the temporaries its tasks create (not
         the slots chain fusion released), and the maximum assumes that
-        different units' temporaries are not alive at the same time.  With
-        ``hold`` (a depth drain) a unit's held write-back targets are left
-        out: the window holds those write-backs back, so the group never
-        stages the targets.  Their temporaries then stay alive until a later
-        unit resolves the held pieces, which the estimate does not count.
+        different units' temporaries are not alive at the same time.
         """
         chunks_by_space: Dict[MemorySpace, List[ChunkId]] = {}
         chunk_bytes: Dict[ChunkId, int] = {}
         temp_bytes: Dict[MemorySpace, int] = {}
         for unit in units:
             summary = unit.recipe.access_summary()
-            skip = unit.recipe.writebacks().held_targets if hold else ()
             for space, chunk_ids in summary.chunks_by_space.items():
                 bucket = chunks_by_space.setdefault(space, [])
                 for cid in chunk_ids:
-                    if cid not in chunk_bytes and cid not in skip:
+                    if cid not in chunk_bytes:
                         chunk_bytes[cid] = summary.chunk_bytes[cid]
                         bucket.append(cid)
             for space, nbytes in summary.temp_bytes_by_space.items():
@@ -171,9 +151,7 @@ class WindowMemoryPlanner:
     # ------------------------------------------------------------------ #
     # plan construction
     # ------------------------------------------------------------------ #
-    def plan_group(
-        self, units: Sequence["object"], hold: bool = False
-    ) -> Optional[GroupMemoryPlan]:
+    def plan_group(self, units: Sequence["object"]) -> Optional[GroupMemoryPlan]:
         """Build the memory plan for one drained group, or ``None`` when the
         group creates no memory pressure anywhere (the common, uncapped case —
         the pass then costs nothing).
@@ -182,10 +160,9 @@ class WindowMemoryPlanner:
         plan template that will be stamped) and ``prefetch`` (whether the
         PR-3 prefetch pass applies to it, i.e. it is not the group's first
         launch).  Must run *before* the group is stamped, while the planner's
-        conflict tables still describe only pre-group work.  ``hold`` marks a
-        depth drain, whose units' deferrable write-backs the window holds.
+        conflict tables still describe only pre-group work.
         """
-        chunks_by_space, chunk_bytes, temp_bytes = self._combine(units, hold)
+        chunks_by_space, chunk_bytes, temp_bytes = self._combine(units)
         memory_plan = GroupMemoryPlan()
 
         #: per space: the promotion regime — ("free", None) when the space has
@@ -218,7 +195,7 @@ class WindowMemoryPlanner:
         Returns the space's promotion regime: ``("free", None)`` when the
         space has room to spare, ``("keep", chunks)`` when the group's working
         set fits the space — the keep set (its earliest-used prefix) is
-        pre-evicted for, pinned, and eligible for promotion — and
+        pre-evicted for and eligible for promotion — and
         ``("none", None)`` when the working set overflows the space: victims
         are still chosen up front, but promoting would only displace
         sooner-used data, so prefetch stands down.
@@ -247,22 +224,14 @@ class WindowMemoryPlanner:
             chunk_bytes[cid] for cid in keep if not resident(cid)
         )
         target = min(incoming_keep + temp_estimate, capacity)
-        pin = ws_total <= capacity
-        reservation = next(self._reservation_ids)
         memory_plan.reserve_specs.append(_ReserveSpec(
             space=space,
             chunk_ids=tuple(keep),
             nbytes=target,
-            reservation=reservation,
-            pin=pin,
             deps=self._conflict_deps(keep),
         ))
         memory_plan.reserved_chunks += len(keep)
-        if pin:
-            memory_plan.reservations.append(
-                _Reservation(worker=space.worker, reservation=reservation,
-                             chunk_ids=tuple(keep))
-            )
+        if ws_total <= capacity:
             return "keep", set(keep)
         return "none", None
 
@@ -277,8 +246,8 @@ class WindowMemoryPlanner:
 
         Promotion is deliberately conservative: in a space whose working set
         fits (``"keep"`` regime) only keep-set members are promoted — they
-        are the chunks planned pre-eviction just made room for and pinning
-        protects until use; in a space with free room any spilled candidate
+        are the chunks planned pre-eviction just made room for; in a space
+        with free room any spilled candidate
         is promoted into the slack; and in an overflowing space (``"none"``)
         a *full* promotion stands down, because a promoted chunk would only
         displace sooner-used data and be evicted again before its use.
@@ -397,8 +366,8 @@ class WindowMemoryPlanner:
         self.counters.disk_promotions_staged += 1
         # The host space must make room for the staged bytes ahead of the
         # disk reads: pre-evict host LRU victims other than the group's own
-        # and the staged chunks down to disk (unpinned — those are only
-        # *protected*, the group may still spill them if its own host
+        # and the staged chunks down to disk (those are only *protected*
+        # from the reserve: the group may still spill them if its own host
         # working set grows).
         if staged_bytes > memory.free_bytes(host):
             staged_ids = tuple(cid for cid, _ in staged)
@@ -416,8 +385,6 @@ class WindowMemoryPlanner:
                     space=host,
                     chunk_ids=chunk_ids,
                     nbytes=staged_bytes,
-                    reservation=next(self._reservation_ids),
-                    pin=False,
                     deps=self._conflict_deps(staged_ids),
                 ))
                 memory_plan.reserved_chunks += len(chunk_ids)
@@ -426,8 +393,8 @@ class WindowMemoryPlanner:
         """Every earlier task touching ``chunk_ids``, per the conflict tables.
 
         Reserve tasks wait for *all* prior readers and writers (``"write"``
-        semantics) so pinning can never starve an earlier task that still
-        needs those chunks; promotions only wait for writers (``"read"``).
+        semantics), so they run once the earlier tasks that still need those
+        chunks are done; promotions only wait for writers (``"read"``).
         """
         resolve = self.planner.dependency_injector.resolve
         deps: List[int] = []
@@ -466,8 +433,6 @@ class WindowMemoryPlanner:
                 space=spec.space,
                 chunk_ids=spec.chunk_ids,
                 nbytes=spec.nbytes,
-                reservation=spec.reservation,
-                pin=spec.pin,
             ))
         memory_plan.pre_plan = plan
         return plan
@@ -527,30 +492,3 @@ class WindowMemoryPlanner:
             # it (and later deletes) must wait for the promoted data.
             self.planner.record_reader(spec.chunk_id, task.task_id)
         return plan
-
-    def build_release_plan(
-        self, memory_plan: GroupMemoryPlan, group_plans: Sequence[T.ExecutionPlan]
-    ) -> Optional[T.ExecutionPlan]:
-        """Release tasks for the plan's pinned reservations, depending on every
-        group task of the owning worker (runs after the group is stamped)."""
-        if not memory_plan.reservations:
-            return None
-        tasks_by_worker: Dict[int, List[int]] = {}
-        for plan in group_plans:
-            for worker, tasks in plan.tasks_by_worker.items():
-                tasks_by_worker.setdefault(worker, []).extend(t.task_id for t in tasks)
-        release_plan = T.ExecutionPlan(description="window memory release")
-        for entry in memory_plan.reservations:
-            task = T.MemoryReleaseTask(
-                task_id=self.planner.allocate_task_id(),
-                worker=entry.worker,
-                deps=tuple(tasks_by_worker.get(entry.worker, ())),
-                label=f"release reservation {entry.reservation}",
-                reservation=entry.reservation,
-            )
-            release_plan.add(task)
-            # The release is the last "reader" of the pinned chunks: a delete
-            # planned after this drain must wait until the pins are gone.
-            for cid in entry.chunk_ids:
-                self.planner.record_reader(cid, task.task_id)
-        return release_plan

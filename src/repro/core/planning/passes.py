@@ -808,19 +808,12 @@ class DependencyInjectionPass:
             return list(self._writers.get(chunk_id, []))
         return list(self._writers.get(chunk_id, [])) + list(self._readers.get(chunk_id, []))
 
-    def apply_bookkeeping(
-        self, recipe: PlanRecipe, task_ids: List[int], held: frozenset = frozenset()
-    ) -> None:
-        """Update the conflict tables with this plan's reads and writes.
-
-        Protos in ``held`` (write-backs the launch window holds back) stay
-        out of the tables until the window submits them.
-        """
+    def apply_bookkeeping(self, recipe: PlanRecipe, task_ids: List[int]) -> None:
+        """Update the conflict tables with this plan's reads and writes."""
         new_writes: Dict[ChunkId, List[int]] = {}
         new_reads: Dict[ChunkId, List[int]] = {}
         for chunk_id, proto_index in recipe.writes:
-            if proto_index not in held:
-                new_writes.setdefault(chunk_id, []).append(task_ids[proto_index])
+            new_writes.setdefault(chunk_id, []).append(task_ids[proto_index])
         for chunk_id, proto_index in recipe.reads:
             new_reads.setdefault(chunk_id, []).append(task_ids[proto_index])
         for chunk_id, writers in new_writes.items():
@@ -829,13 +822,6 @@ class DependencyInjectionPass:
         for chunk_id, readers in new_reads.items():
             if chunk_id not in new_writes:
                 self._readers.setdefault(chunk_id, []).extend(readers)
-
-    def record_writers(self, chunk_id: ChunkId, task_ids: List[int]) -> None:
-        """Make ``task_ids`` the chunk's latest writers (held write-backs the
-        window submits late).  Readers stay: each one either preceded the
-        write-backs' stamp, and so is already their dependency, or is a
-        pin release that a later delete must still wait for."""
-        self._writers[chunk_id] = list(task_ids)
 
 
 # --------------------------------------------------------------------------- #
@@ -1300,5 +1286,29 @@ def build_launch_recipe(
     )
     for planning_pass in (pipeline or default_pipeline()):
         planning_pass.run(state)
-    state.builder.recipe.notes.update(state.notes)
-    return state.builder.recipe
+    recipe = state.builder.recipe
+    recipe.notes.update(state.notes)
+    recipe.misaligned_writes = _misaligned_writes(state)
+    return recipe
+
+
+def _misaligned_writes(state: LaunchState) -> Dict[str, Tuple[Tuple[Region, DeviceId], ...]]:
+    """The launch's :attr:`~.ir.PlanRecipe.misaligned_writes`: its plain
+    ``write`` parameters, bound to no other parameter, that transfer
+    resolution bound to a temporary on some superblock."""
+    bound = [array.array_id for array in state.arrays.values()]
+    misaligned: Dict[str, Tuple[Tuple[Region, DeviceId], ...]] = {}
+    for sbir in state.superblocks:
+        for pir in sbir.params:
+            if (
+                pir.mode is AccessMode.WRITE and pir.temp_spec is not None
+                and pir.param not in misaligned
+                and bound.count(pir.array.array_id) == 1
+            ):
+                misaligned[pir.param] = tuple(
+                    (other.region, each.sb.device)
+                    for each in state.superblocks
+                    for other in each.params
+                    if other.param == pir.param
+                )
+    return misaligned

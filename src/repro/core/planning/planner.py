@@ -214,12 +214,15 @@ class Planner:
     # in-place redistribution (all-to-all re-chunking)
     # ------------------------------------------------------------------ #
     def plan_redistribute(
-        self, array: DistributedArray, new_chunks: Sequence[ChunkMeta]
+        self, array: DistributedArray, new_chunks: Sequence[ChunkMeta], copy: bool = True
     ) -> T.ExecutionPlan:
         """Re-chunk ``array`` in place: create the new chunks, fill each from
         the cheapest old sources (all-to-all), then delete the old chunks.
 
-        Not cached: redistributions are rare, layout-changing operations.
+        Without ``copy`` the new chunks stay empty (zero-filled): the caller
+        knows the next launch overwrites every element, so the old contents
+        are dropped unread.  Not cached: redistributions are rare,
+        layout-changing operations.
         """
         plan = T.ExecutionPlan(description=f"redistribute {array.name}", tenant=self.tenant)
         old_chunks = list(array.chunks)
@@ -232,6 +235,10 @@ class Planner:
                 chunk=new_chunk,
             )
             plan.add(create)
+            self._readers[new_chunk.chunk_id] = []
+            if not copy:
+                self._writers[new_chunk.chunk_id] = [create.task_id]
+                continue
             writers: List[int] = []
             covered: List[Region] = []
 
@@ -309,7 +316,6 @@ class Planner:
                     self._readers[src.chunk_id].append(send.task_id)
                     writers.append(recv.task_id)
             self._writers[new_chunk.chunk_id] = writers
-            self._readers[new_chunk.chunk_id] = []
         for old in old_chunks:
             plan.add(
                 T.DeleteChunkTask(
@@ -410,25 +416,18 @@ class Planner:
         self.planning_seconds += time.perf_counter() - started
         return PreparedLaunch(recipe=recipe, key=key, cache_status=cache_status)
 
-    def _stamp(self, recipe: PlanRecipe, hold: bool, **kwargs) -> StampedPlan:
-        """Stamp ``recipe``, inject its conflict edges and book its accesses.
-
-        With ``hold`` the recipe's deferrable temp write-backs and their
-        temporaries' deletes are built but returned in ``held_tasks``, apart
-        from the plan, and their writes stay out of the conflict tables.
-        """
+    def _stamp(self, recipe: PlanRecipe, **kwargs) -> StampedPlan:
+        """Stamp ``recipe``, inject its conflict edges and book its accesses."""
         started = time.perf_counter()
-        held = recipe.writebacks().held if hold else frozenset()
         stamped = stamp_recipe(
             recipe,
             new_task_id=self._new_task_id,
             new_chunk_id=self._chunk_ids.next_id,
             new_tag=self._next_tag,
             resolve_conflicts=self.dependency_injector.resolve,
-            held=held,
             **kwargs,
         )
-        self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids, held)
+        self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids)
         stamped.plan.tenant = self.tenant
         self.planning_seconds += time.perf_counter() - started
         return stamped
@@ -439,12 +438,11 @@ class Planner:
         scalars: Dict[str, object],
         launch_id: int,
         prefetch: bool = False,
-        hold: bool = False,
     ) -> StampedPlan:
         """Stamp a prepared launch into a concrete plan (window drain time)."""
         self.launches_planned += 1
         return self._stamp(
-            prepared.recipe, hold,
+            prepared.recipe,
             scalars=scalars,
             launch_id=launch_id,
             cache_status=prepared.cache_status,
@@ -525,12 +523,11 @@ class Planner:
         launch_ids: Sequence[int],
         cache_status: Optional[str] = None,
         prefetch: bool = False,
-        hold: bool = False,
     ) -> StampedPlan:
         """Stamp a fused recipe (one set of scalars and a launch id per segment)."""
         self.launches_planned += len(launch_ids)
         return self._stamp(
-            recipe, hold,
+            recipe,
             scalars=scalar_sets[0] if scalar_sets else None,
             launch_id=launch_ids[0] if launch_ids else None,
             cache_status=cache_status,

@@ -9,8 +9,9 @@ The window drains in two ways:
 * a **barrier drain** when program-order semantics become observable:
   ``Context.synchronize()`` (and therefore ``gather``), ``gather``/
   ``delete_array``/``redistribute`` of an array some pending launch
-  references or some held write-back targets, explicit flushes, serving
-  quanta and context exit (``with Context(...) as ctx:``).
+  references (a launch's re-chunk of an array it only writes included),
+  explicit flushes, serving quanta and context exit
+  (``with Context(...) as ctx:``).
 
 Draining runs these cross-launch passes over the group before and during
 the per-launch stamping:
@@ -41,29 +42,24 @@ the per-launch stamping:
    compute) and spilled prefetch candidates get up-hierarchy promotion
    transfers ahead of their use.
 
-5. **The write-back cache** — a depth drain holds each unit's deferrable
-   temp write-backs (see :meth:`~.ir.PlanRecipe.writebacks`) and their
-   temporaries' deletes back from the plan.  Before a later unit stamps,
-   each held piece whose target it touches is dropped when the unit
-   overwrites the piece's whole region through its own temp write-backs,
-   and otherwise submitted just before the unit as the target's writer.
-   Barrier drains submit whatever is still held.
-
 Everything the window does is a driver-side reordering of plan construction:
-plans are stamped in program order and nothing reads a chunk before the
-held write-backs into it are submitted, so results are exactly those of
-eager submission.
+plans are stamped in program order, so results are exactly those of eager
+submission.
+
+Fused chains pay in virtual time once their intermediates are written in
+place: ``Context.launch`` re-chunks an array a launch only writes to that
+launch's superblock write regions (see ARCHITECTURE "Re-chunking write-only
+arrays"), so a fused task writes each intermediate straight into a chunk on
+its own GPU instead of into a temporary that a write-back copies home.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .. import tasks as T
-from ..geometry import Region, regions_cover
 from .memplan import WindowMemoryPlanner
 from .planner import Planner, PreparedLaunch
 
@@ -102,41 +98,6 @@ class DrainUnit:
     cache_status: Optional[str]
     prefetch: bool
     fused: bool
-
-
-@dataclass
-class _HeldTemp:
-    """A plan temporary whose write-backs the window holds, and its delete."""
-
-    delete: T.Task
-    #: held pieces not yet dropped or submitted
-    pending: int
-    #: the producing unit's plan while its drain has not submitted it yet:
-    #: pieces released inside that drain rejoin it, as if never held
-    plan: Optional[T.ExecutionPlan]
-    #: reader task ids of the dropped pieces (left out of the delete's deps)
-    dropped: set = field(default_factory=set)
-
-
-@dataclass
-class _HeldPiece:
-    """One held temp write-back: a copy, or a send+recv pair."""
-
-    tasks: Tuple[T.Task, ...]
-    region: Region
-    nbytes: int
-    array_id: Optional[int]
-    temp: _HeldTemp
-
-    @property
-    def reader(self) -> int:
-        """The task that reads the temporary (the copy or the send)."""
-        return self.tasks[0].task_id
-
-    @property
-    def writer(self) -> int:
-        """The task whose completion means the target holds the data."""
-        return self.tasks[-1].task_id
 
 
 class LaunchWindow:
@@ -178,9 +139,6 @@ class LaunchWindow:
         self._holding = False
         #: drains by reason
         self.flush_reasons: Dict[str, int] = {}
-        #: held write-backs by target chunk (all from one unit per chunk:
-        #: any later unit touching the chunk resolves them first)
-        self._held: Dict[int, List[_HeldPiece]] = {}
         #: launch-task ids (by worker) of the previous drain's last unit, the
         #: timeline anchor for the next drain's reserve/promotion tasks
         self._previous_group_tail: Dict[int, List[int]] = {}
@@ -235,12 +193,8 @@ class LaunchWindow:
                 self.flush("window-full")
 
     def references(self, array_id: int) -> bool:
-        """True when some pending launch binds the given array, or some held
-        write-back targets one of its chunks."""
-        return any(array_id in p.array_ids for p in self._pending) or any(
-            piece.array_id == array_id
-            for pieces in self._held.values() for piece in pieces
-        )
+        """True when some pending launch binds the given array."""
+        return any(array_id in p.array_ids for p in self._pending)
 
     # ------------------------------------------------------------------ #
     # draining
@@ -249,8 +203,8 @@ class LaunchWindow:
         """Submit ``plan`` (if any), tagging it with this window's tenant first.
 
         Launch plans come out of the planner already stamped; the window's
-        auxiliary memory plans (reserve/promote/release) and held write-backs
-        are built outside the stamp path and pick up the tag here.
+        auxiliary memory plans (reserve/promote) are built outside the stamp
+        path and pick up the tag here.
         """
         if plan is None:
             return
@@ -265,15 +219,10 @@ class LaunchWindow:
 
         A *depth drain* (``"window-full"`` at depth > 1) keeps the group's
         last unit pending when ``incoming``, the launch that filled the
-        window, extends it, and holds the units' deferrable temp write-backs
-        in the write-back cache.  Every other drain is a *barrier*: it
-        carries nothing and submits whatever is still held, even when no
-        launch is pending.
+        window, extends it.  Every other drain is a *barrier*: it carries
+        nothing.
         """
-        hold = reason == "window-full" and self.depth > 1
         if not self._pending:
-            if not hold:
-                self._submit_held()
             return
         group, self._pending = self._pending, []
         counters = self.counters
@@ -326,8 +275,8 @@ class LaunchWindow:
         # group's last unit, that unit leads the next drain instead of being
         # cut off here.  Never the whole group, so the window stays bounded.
         if (
-            incoming is not None and hold and len(units) > 1
-            and self._extends(units[-1], incoming)
+            incoming is not None and reason == "window-full" and self.depth > 1
+            and len(units) > 1 and self._extends(units[-1], incoming)
         ):
             self._pending = list(units.pop().members)
             counters.units_carried += 1
@@ -337,20 +286,15 @@ class LaunchWindow:
         # must still describe only pre-group work.
         memory_plan = None
         if self.memplan is not None:
-            memory_plan = self.memplan.plan_group(units, hold)
+            memory_plan = self.memplan.plan_group(units)
 
-        # Pass 3 — stamping, in program order.  Held write-backs the unit
-        # touches are resolved first, then the unit's promotion plan is
-        # materialised, so a consumer that writes a promoted chunk picks up a
-        # conflict dependency on the promotion, and a promotion of a chunk
-        # with a held write-back depends on the write-back.
+        # Pass 3 — stamping, in program order.  Each unit's promotion plan is
+        # materialised first, so a consumer that writes a promoted chunk picks
+        # up a conflict dependency on the promotion.
         plans = []
         promote_plans: List[object] = []
-        resolved_plans: List[object] = []
-        opened: List[_HeldTemp] = []
         unit_launch_ids: List[Dict[int, List[int]]] = []
         for index, unit in enumerate(units):
-            resolved_plans.append(self._held_plan(self._resolve(unit.recipe)))
             if memory_plan is not None:
                 promote_plans.append(self.memplan.build_promote_plan(
                     memory_plan, index, unit_launch_ids, self._previous_group_tail
@@ -364,7 +308,6 @@ class LaunchWindow:
                     launch_ids=[m.launch_id for m in unit.members],
                     cache_status=unit.cache_status,
                     prefetch=unit.prefetch,
-                    hold=hold,
                 )
                 counters.launches_fused += len(unit.members) - 1
                 if len(unit.members) > 2:
@@ -384,11 +327,8 @@ class LaunchWindow:
                     pending.scalars,
                     pending.launch_id,
                     prefetch=unit.prefetch,
-                    hold=hold,
                 )
             plan = stamped.plan
-            if stamped.held_tasks:
-                opened.extend(self._hold(unit.recipe, plan, stamped.held_tasks))
             if unit.prefetch:
                 counters.transfers_prefetched += stamped.prefetched
             # Only the memory planner consumes launch-id anchors; skip the
@@ -402,37 +342,18 @@ class LaunchWindow:
                 unit_launch_ids.append(by_worker)
             plans.append(plan)
 
-        # Pieces released inside this drain rejoined their producer's plan at
-        # its end; restore stamp order (task ids follow it), as if never held.
-        for plan in {id(temp.plan): temp.plan for temp in opened}.values():
-            for tasks in plan.tasks_by_worker.values():
-                tasks.sort(key=attrgetter("task_id"))
-        for temp in opened:
-            temp.plan = None
-
-        # Submission: reserves precede the whole group; each unit's resolved
-        # write-backs and promote plan precede the unit they serve (but
-        # follow their anchor units), so every dependency points at an
-        # already-submitted task and on a readiness tie the promotion stages
-        # before its consumer; the pin release comes last, and a barrier
-        # then submits whatever is still held.
+        # Submission: reserves precede the whole group, and each unit's
+        # promote plan precedes the unit it serves (but follows its anchor
+        # units), so every dependency points at an already-submitted task and
+        # on a readiness tie the promotion stages before its consumer.
         if memory_plan is not None:
             counters.window_memory_plans += 1
-            reserve = self.memplan.build_reserve_plan(
+            self._submit(self.memplan.build_reserve_plan(
                 memory_plan, self._previous_group_tail
-            )
-            if reserve is not None:
-                self._submit(reserve)
-        for plan, promote, resolved in zip(plans, promote_plans, resolved_plans):
-            self._submit(resolved)
+            ))
+        for plan, promote in zip(plans, promote_plans):
             self._submit(promote)
             self._submit(plan)
-        if memory_plan is not None:
-            release = self.memplan.build_release_plan(memory_plan, plans)
-            if release is not None:
-                self._submit(release)
-        if not hold:
-            self._submit_held()
         # Fold this group's launches into the per-worker anchor map: a
         # worker's anchor is its most recent launch across *all* units (the
         # last unit may not have touched every worker), and workers untouched
@@ -441,7 +362,7 @@ class LaunchWindow:
             self._previous_group_tail.update(by_worker)
 
     # ------------------------------------------------------------------ #
-    # whole chains and the write-back cache
+    # whole chains
     # ------------------------------------------------------------------ #
     def _extends(self, unit: DrainUnit, incoming: PendingLaunch) -> bool:
         """True when ``incoming`` would fuse onto ``unit``."""
@@ -453,107 +374,3 @@ class LaunchWindow:
             )
         chain = unit.members + (incoming,)
         return self.planner.prepare_fused_chain(chain)[0] is not None
-
-    def _hold(
-        self, recipe, plan: T.ExecutionPlan, held_tasks: Dict[int, T.Task]
-    ) -> List[_HeldTemp]:
-        """Put one stamped unit's deferrable write-backs in the cache;
-        returns the held temporaries."""
-        writebacks = recipe.writebacks()
-        temps = {
-            slot: _HeldTemp(delete=held_tasks[index], pending=0, plan=plan)
-            for slot, index in writebacks.deletes.items()
-        }
-        for piece in writebacks.pieces:
-            temp = temps[piece.temp]
-            temp.pending += 1
-            self._held.setdefault(piece.chunk_id, []).append(_HeldPiece(
-                tasks=tuple(held_tasks[index] for index in piece.protos),
-                region=piece.region,
-                nbytes=piece.nbytes,
-                array_id=recipe.chunk_metas[piece.chunk_id].array_id,
-                temp=temp,
-            ))
-        self.counters.writebacks_deferred += len(writebacks.pieces)
-        return list(temps.values())
-
-    def _resolve(self, recipe) -> List[T.Task]:
-        """Drop or release the held write-backs whose target ``recipe`` touches.
-
-        A piece is *dropped* when the recipe touches its target only through
-        temp write-backs that cover the piece's region: nothing can read
-        what it would have written.  Otherwise it is *released*: submitted
-        before the recipe's plan, as its target's writer — or, when its
-        producer's plan is still unsubmitted, as part of that plan.  Returns
-        the tasks to submit before the recipe's plan (released pieces and the
-        deletes of settled temporaries).
-        """
-        if not self._held:
-            return []
-        writebacks = recipe.writebacks()
-        tasks: List[T.Task] = []
-        for chunk_id in writebacks.touched:
-            pieces = self._held.pop(chunk_id, None)
-            if pieces is None:
-                continue
-            cover = writebacks.overwrites.get(chunk_id)
-            writers = []
-            for piece in pieces:
-                if cover is not None and (
-                    any(region.contains_region(piece.region) for region in cover)
-                    or regions_cover(piece.region, cover)
-                ):
-                    self.counters.writebacks_dropped += 1
-                    self.counters.writeback_bytes_dropped += piece.nbytes
-                    piece.temp.dropped.add(piece.reader)
-                else:
-                    self._emit(piece.temp, piece.tasks, tasks)
-                    writers.append(piece.writer)
-                self._emit(piece.temp, self._settle(piece.temp), tasks)
-            if writers:
-                self.planner.dependency_injector.record_writers(chunk_id, writers)
-        return tasks
-
-    def _submit_held(self) -> None:
-        """Submit every held write-back (a barrier drain)."""
-        tasks: List[T.Task] = []
-        for chunk_id, pieces in self._held.items():
-            self.planner.dependency_injector.record_writers(
-                chunk_id, [piece.writer for piece in pieces]
-            )
-            for piece in pieces:
-                tasks.extend(piece.tasks)
-                tasks.extend(self._settle(piece.temp))
-        self._held.clear()
-        self._submit(self._held_plan(tasks))
-
-    @staticmethod
-    def _emit(temp: _HeldTemp, released, tasks: List[T.Task]) -> None:
-        """Route released tasks of ``temp`` into its producer's unsubmitted
-        plan, or else onto ``tasks``."""
-        if temp.plan is None:
-            tasks.extend(released)
-        else:
-            for task in released:
-                temp.plan.add(task)
-
-    @staticmethod
-    def _settle(temp: _HeldTemp) -> Tuple[T.Task, ...]:
-        """Count one piece of ``temp`` resolved; its delete once all are."""
-        temp.pending -= 1
-        if temp.pending:
-            return ()
-        delete = temp.delete
-        if temp.dropped:
-            delete.deps = tuple(d for d in delete.deps if d not in temp.dropped)
-        return (delete,)
-
-    @staticmethod
-    def _held_plan(tasks: List[T.Task]) -> Optional[T.ExecutionPlan]:
-        """Wrap released write-backs in a plan (``None`` when there are none)."""
-        if not tasks:
-            return None
-        plan = T.ExecutionPlan(description="held write-backs")
-        for task in tasks:
-            plan.add(task)
-        return plan

@@ -53,7 +53,6 @@ __all__ = [
     "CombineTask",
     "DownloadTask",
     "MemoryReserveTask",
-    "MemoryReleaseTask",
     "PromoteChunkTask",
     "ExecutionPlan",
     "TaskIdAllocator",
@@ -413,27 +412,16 @@ class MemoryReserveTask(Task):
     """Apply one memory space's share of a launch-group memory plan.
 
     Emitted by the launch window's drain pass (see
-    :mod:`repro.core.planning.memplan`): pre-evicts spill victims from
-    ``space`` so ``nbytes`` of the drained group's working set can stage
-    without reactive eviction, and — when ``pin`` is set — pins the already
-    resident working-set chunks until the matching :class:`MemoryReleaseTask`
-    runs.  Pure residency bookkeeping plus background write-back transfers;
-    it never touches chunk contents.
+    :mod:`repro.core.planning.memplan`): pre-evicts spill victims other
+    than ``chunk_ids`` from ``space`` so ``nbytes`` of the drained group's
+    working set can stage without reactive eviction.  Pure residency
+    bookkeeping plus background write-back transfers; it never touches
+    chunk contents.
     """
 
     space: MemorySpace = None  # type: ignore[assignment]
     chunk_ids: Tuple[ChunkId, ...] = ()
     nbytes: int = 0
-    reservation: int = 0
-    pin: bool = False
-
-
-@dataclass
-class MemoryReleaseTask(Task):
-    """Release the pins taken by the :class:`MemoryReserveTask` with the same
-    ``reservation`` id, once the drained group's tasks on this worker are done."""
-
-    reservation: int = 0
 
 
 @dataclass

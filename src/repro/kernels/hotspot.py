@@ -206,17 +206,14 @@ class HotSpotDoubleWorkload(Workload):
     application's per-iteration kernel chains).  The consumer reads ``mid``
     exactly where its superblock's producer wrote it, so the launch window's
     fusion pass can merge every (stencil, apply) pair into one task per
-    superblock and elide the consumer's gather transfers of ``mid``; the
-    halo exchange between *iterations* stays, as it must.
+    superblock; the halo exchange between *iterations* stays, as it must.
 
-    ``mid`` is deliberately chunked at half the superblock granularity
-    (intermediates are rarely hand-aligned to the work distribution), which
-    is what makes the elided intermediate traffic visible as a byte saving.
-    Each superblock's ``mid`` therefore lives in a temporary that writes back
-    into two chunks, mostly homed on other GPUs.  The next iteration
-    overwrites ``mid`` before anything reads it, so the launch window's
-    write-back cache drops those write-backs at depth drains (see
-    :mod:`repro.core.planning.window`); only the last iteration's reach home.
+    ``mid`` is deliberately declared at half the superblock granularity
+    (intermediates are rarely hand-aligned to the work distribution), so a
+    superblock's write region spans two chunks, mostly homed on other GPUs.
+    The first stencil launch only writes ``mid`` and overwrites all of it,
+    so ``Context.launch`` re-chunks it to the superblocks; every launch then
+    writes and reads ``mid`` in place and no ``mid`` byte moves.
     """
 
     name = "hotspot2"
@@ -372,16 +369,15 @@ class HotSpotTripleWorkload(Workload):
     fusion pass cannot fully merge.  The middle and last kernels read their
     predecessor's output exactly where it was written, so the launch window's
     *chain* fusion pass merges every (stencil, source, apply) triple into one
-    task per superblock and elides the gathers of both intermediates; the
-    halo exchange between *iterations* stays, as it must.
+    task per superblock; the halo exchange between *iterations* stays, as it
+    must.
 
-    Both intermediates are chunked at half the superblock granularity (as in
-    :class:`HotSpotDoubleWorkload`), which is what makes the elided
-    intermediate traffic visible as a byte saving.  Their write-backs home
-    are dropped by the launch window's write-back cache whenever the next
-    iteration overwrites them first, and depth drains keep each
-    three-launch chain whole; on 2×2 GPUs at 2.16e9 elements a 20-iteration
-    pass takes 2.2 virtual seconds with both, against 34.4 without.
+    Both intermediates are declared at half the superblock granularity (as
+    in :class:`HotSpotDoubleWorkload`), and the first launch that writes
+    each re-chunks it to the superblocks, so the chains write them in place;
+    depth drains keep each three-launch chain whole.  On 2×2 GPUs at 2.16e9
+    elements a 20-iteration pass takes 0.97 virtual seconds with both,
+    against 34.4 without.
     """
 
     name = "hotspot3"

@@ -261,9 +261,11 @@ class KMeansTwoPhaseWorkload(Workload):
     reduction*: the per-superblock partial combine runs inside the fused task
     and only the cross-superblock merge remains as separate tasks.
 
-    ``best`` is deliberately chunked at half the work-distribution granularity
-    (label arrays are rarely hand-aligned), which is what makes the elided
-    label traffic visible as a byte saving.
+    ``best`` is deliberately declared at half the work-distribution
+    granularity (label arrays are rarely hand-aligned).  The first assign
+    launch only writes ``best`` and overwrites all of it, so
+    ``Context.launch`` re-chunks it to the superblocks and the labels never
+    leave their superblock's GPU.
     """
 
     name = "kmeans2"

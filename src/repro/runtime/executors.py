@@ -91,24 +91,14 @@ class TaskExecutor:
         self.resources.cpu.request(_TINY_TASK_DURATION, done, label=task.label or "combine")
 
     # ------------------------------------------------------------------ #
-    # window-aware memory planning (reserve / release / promote)
+    # window-aware memory planning (reserve / promote)
     # ------------------------------------------------------------------ #
     def _exec_memoryreserve(self, task: T.MemoryReserveTask, done: Callable[[], None]) -> None:
         def payload() -> None:
-            self.memory.reserve(
-                task.space, list(task.chunk_ids), task.nbytes,
-                reservation=task.reservation, pin=task.pin,
-            )
+            self.memory.reserve(task.space, list(task.chunk_ids), task.nbytes)
             done()
 
         self.resources.cpu.request(_TINY_TASK_DURATION, payload, label=task.label or "reserve")
-
-    def _exec_memoryrelease(self, task: T.MemoryReleaseTask, done: Callable[[], None]) -> None:
-        def payload() -> None:
-            self.memory.release(task.reservation)
-            done()
-
-        self.resources.cpu.request(_TINY_TASK_DURATION, payload, label=task.label or "release")
 
     def _exec_promotechunk(self, task: T.PromoteChunkTask, done: Callable[[], None]) -> None:
         # The promotion itself happened during staging (the chunk was pulled

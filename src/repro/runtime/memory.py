@@ -85,7 +85,7 @@ class MemoryStats:
     #: either queued behind pinned chunks or blocked on incoming transfers
     staging_stalls: int = 0
     #: staging transactions that completed instantly *because* a window memory
-    #: plan had already promoted or reserved their chunks
+    #: plan had already promoted their chunks
     staging_stalls_avoided: int = 0
     peak_gpu_bytes: Dict[int, int] = field(default_factory=dict)
 
@@ -153,10 +153,8 @@ class MemoryManager:
         self._pending: List[_PendingStage] = []
         self._use_counter = 0
         self.stats = MemoryStats()
-        #: reservation id -> chunk ids pinned by :meth:`reserve`
-        self._reservations: Dict[int, List[ChunkId]] = {}
-        #: chunks a window memory plan promoted or reserved; consumed (once)
-        #: by the stall-avoidance accounting in :meth:`_try_stage`
+        #: chunks a window memory plan promoted; consumed (once) by the
+        #: stall-avoidance accounting in :meth:`_try_stage`
         self._prepared: set = set()
         #: True while :meth:`reserve` runs, so evictions are attributed to the
         #: planned pre-eviction counter instead of the staging-time one
@@ -417,7 +415,7 @@ class MemoryManager:
         longer protects its residency: retry the queued requests that room
         may now admit (no unstage announces it)."""
         if tenant in self._tenant_quota:
-            self._retry_pending()
+            self.release()
 
     def _tenant_evictable(self, tenant: int, space: MemorySpace) -> int:
         """Bytes a *rival* tenant may evict from ``tenant`` in ``space``:
@@ -546,11 +544,12 @@ class MemoryManager:
             state = self._chunks.get(chunk_id)
             if state is not None:
                 self._unpin(state)
-        self._retry_pending()
+        self.release()
 
-    def _retry_pending(self) -> None:
-        """Retry the queued requests in FIFO order; one whose block holds would
-        fail again, without side effects, so it stays queued untried."""
+    def release(self) -> None:
+        """Release the queued staging requests that room freed since their
+        last attempt admits: retry them in FIFO order.  One whose block holds
+        would fail again, without side effects, so it stays queued untried."""
         still_pending: List[_PendingStage] = []
         chunks, pinned = self._chunks, self._pinned
         for pending in self._pending:
@@ -763,30 +762,18 @@ class MemoryManager:
     # ------------------------------------------------------------------ #
     # window-aware reservations (planned pre-eviction)
     # ------------------------------------------------------------------ #
-    def reserve(
-        self,
-        space: MemorySpace,
-        chunks: List[ChunkId],
-        nbytes: int,
-        reservation: Optional[int] = None,
-        pin: bool = True,
-    ) -> int:
+    def reserve(self, space: MemorySpace, chunks: List[ChunkId], nbytes: int) -> int:
         """Prepare ``space`` for a launch group that will stage ``chunks``.
 
         The launch window's drain pass calls this (through a
         :class:`~repro.core.tasks.MemoryReserveTask`) with the group's
-        combined working set for one memory space:
-
-        * **planned pre-eviction** — LRU victims *outside* ``chunks`` are
-          spilled down the hierarchy (each to the level
-          :meth:`_spill_level` picks) until ``nbytes`` are free (or nothing
-          evictable remains), so the group's stagings find room instead of
-          evicting chunk-by-chunk on the critical path; the write-back
-          transfers start now, overlapped with whatever is computing;
-        * **pinning** — when ``pin`` is set, the members of ``chunks``
-          already resident in ``space`` are pinned until :meth:`release`,
-          protecting them from interleaved evictions.  The planner only
-          requests pinning when the whole working set fits the space.
+        combined working set for one memory space: LRU victims *outside*
+        ``chunks`` are spilled down the hierarchy (each to the level
+        :meth:`_spill_level` picks) until ``nbytes`` are free (or nothing
+        evictable remains), so the group's stagings find room instead of
+        evicting chunk-by-chunk on the critical path; the write-back
+        transfers start now, overlapped with whatever is computing.  Nothing
+        is pinned: the group's stagings pin their own chunks.
 
         Returns the number of chunks pre-evicted.  Never raises: if the
         request cannot be met in full (pinned chunks in the way), it frees
@@ -806,25 +793,7 @@ class MemoryManager:
             pass  # a spill into a full disk tier; staging copes
         finally:
             self._in_reserve = False
-        pinned: List[ChunkId] = []
-        if pin:
-            for cid in chunks:
-                state = self._chunks.get(cid)
-                if state is not None and state.space == space:
-                    self._pin(state)
-                    pinned.append(cid)
-                    self._prepared.add(cid)
-        if reservation is not None and pinned:
-            self._reservations.setdefault(reservation, []).extend(pinned)
         return self.stats.chunks_preevicted - evicted_before
-
-    def release(self, reservation: int) -> None:
-        """Drop the pins taken by the :meth:`reserve` call with the same id."""
-        for chunk_id in self._reservations.pop(reservation, []):
-            state = self._chunks.get(chunk_id)
-            if state is not None:
-                self._unpin(state)
-        self._retry_pending()
 
     # ------------------------------------------------------------------ #
     # allocation, eviction and transfers

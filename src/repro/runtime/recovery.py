@@ -139,7 +139,7 @@ class LineageTracker:
             self._live.discard(task.chunk_id)
             return
         if kind in (
-            "download", "combine", "memoryreserve", "memoryrelease", "promotechunk",
+            "download", "combine", "memoryreserve", "promotechunk",
         ):
             return
 

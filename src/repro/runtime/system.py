@@ -89,19 +89,17 @@ class RuntimeStats:
     fused_chain_max_len: int = _per_context(max)
     reductions_fused: int = _per_context()
     transfers_prefetched: int = _per_context()
-    #: write-back cache: temp write-backs held back by depth drains, those
-    #: dropped (and their bytes) because a later launch overwrote their
-    #: region first, and drain units kept pending to lead the next drain so
-    #: fused chains stay whole
-    writebacks_deferred: int = _per_context()
-    writebacks_dropped: int = _per_context()
-    writeback_bytes_dropped: int = _per_context()
+    #: drain units kept pending to lead the next drain, so fused chains stay
+    #: whole at depth drains
     units_carried: int = _per_context()
+    #: arrays re-chunked to the superblock write regions of a launch that
+    #: only writes them (at most once per array; see ``Context.launch``)
+    arrays_rechunked: int = _per_context()
     #: drains for which the memory-planning pass emitted a (non-empty) plan
     window_memory_plans: int = _per_context()
     #: window-aware memory planning: spill victims chosen up front by reserve
     #: tasks, spilled chunks pulled back up the hierarchy ahead of use, and
-    #: staging transactions that completed instantly because of either
+    #: staging transactions that completed instantly because of a promotion
     chunks_preevicted: int = 0
     prefetch_promotions: int = 0
     staging_stalls: int = 0

@@ -179,17 +179,17 @@ def test_pinned_host_capacity_bounds_the_gpu_cascade():
         assert stage(manager, engine, 100 + cid, [(cid, "gpu")])
         manager.unstage(100 + cid)
     assert manager.used_bytes(HOST0) == 4 * MB
-    manager.reserve(HOST0, [1, 2, 3, 4], 4 * MB, reservation=9, pin=True)
+    assert stage(manager, engine, 200, [(cid, "host") for cid in (1, 2, 3, 4)])
     assert manager.pinned_bytes(HOST0) == 4 * MB
 
     # GPU is full of 5..8 (unpinned) but host can't receive: staging a new
-    # chunk must wait, not raise.  Releasing the host pins unblocks it.
+    # chunk must wait, not raise.  Unstaging the host task unblocks it.
     manager.register(chunk(9, 1))
     done = []
     manager.stage(900, [(9, "gpu")], lambda: done.append(9))
     engine.run()
     assert not done
-    manager.release(reservation=9)
+    manager.unstage(200)
     engine.run()
     assert done == [9]
 
@@ -207,7 +207,7 @@ def read_only():
 def spill_to_disk(manager, engine):
     """Push every unpinned chunk from the GPU to host, then from host to disk."""
     for space in (GPU0_SPACE, HOST0):
-        manager.reserve(space, [], manager.capacity(space), pin=False)
+        manager.reserve(space, [], manager.capacity(space))
         engine.run()
 
 

@@ -443,9 +443,10 @@ def test_eviction_skips_a_recently_touched_chunk():
 # queued staging requests: retries skipped while their block holds
 # --------------------------------------------------------------------------- #
 class _FullRetryManager(MemoryManager):
-    """Reference: re-attempts every queued request on every unstage/release."""
+    """Reference: re-attempts every queued request on every release (each
+    unstage, and each tenant going idle)."""
 
-    def _retry_pending(self):
+    def release(self):
         still_pending = []
         for pending in self._pending:
             if self._try_stage(
@@ -546,7 +547,7 @@ def _random_program(seed):
     fast = _Side(MemoryManager, tenants[0], capacities)
     full = _Side(_FullRetryManager, tenants[1], capacities)
     devices = [DeviceId(0, 0), DeviceId(0, 1)]
-    chunk_ids, unstaged, reservations = [], set(), []
+    chunk_ids, unstaged = [], set()
     #: announced tasks that have not committed, and stage ops held back
     announced, upcoming, committed = {}, [], set()
     next_task = next_chunk = 0
@@ -594,14 +595,9 @@ def _random_program(seed):
             unstaged.add(task_id)
             ops.append(("unstage", task_id))
         elif roll < 0.9:
-            if reservations and rng.random() < 0.5:
-                ops.append(("release", reservations.pop(rng.randrange(len(reservations)))))
-            else:
-                reservations.append(1000 + step)
-                space = rng.choice(full.spaces[:3])
-                keep = rng.sample(chunk_ids, rng.randint(0, 3))
-                ops.append(("reserve", space, keep, rng.randint(0, 8) * MB,
-                            reservations[-1], rng.random() < 0.5))
+            space = rng.choice(full.spaces[:3])
+            keep = rng.sample(chunk_ids, rng.randint(0, 3))
+            ops.append(("reserve", space, keep, rng.randint(0, 8) * MB))
         elif roll < 0.93:
             cid = rng.choice(chunk_ids)
             meta = full.manager._chunks[cid].meta

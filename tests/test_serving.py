@@ -383,8 +383,12 @@ DISK_JOBS = [
 ]
 
 
-def _disk_serving(memory_fraction=None, jobs=DISK_JOBS, stagger=0.0, **kwargs):
-    capacities = {DeviceId(0, local).memory_space: 48 * KiB for local in range(2)}
+#: a second hotspot3 tenant
+H4 = ("hotspot3", 64 * 64, {"iterations": 3, "seed": 4, "chunk_elems": 1024})
+
+
+def _disk_serving(memory_fraction=None, jobs=DISK_JOBS, stagger=0.0, gpu_kib=48, **kwargs):
+    capacities = {DeviceId(0, local).memory_space: gpu_kib * KiB for local in range(2)}
     capacities[MemorySpace(0, MemoryKind.HOST)] = 64 * KiB
     serving = small_serving(nodes=1, gpus=2, memory_capacities=capacities, **kwargs)
     for tenant, (workload, n, params) in enumerate(jobs):
@@ -397,7 +401,9 @@ def _disk_serving(memory_fraction=None, jobs=DISK_JOBS, stagger=0.0, **kwargs):
 @pytest.mark.parametrize("faults", [None, ""], ids=["clean", "faults"])
 def test_disk_tier_under_serving_bit_identical(faults):
     reference = [_result_of(job) for job in _disk_serving().run().jobs]
-    serving = _disk_serving(memory_fraction=0.3, disk=True, disk_seed=3, faults=faults)
+    # 40 KiB GPUs overflow enough for the window to stage disk→host promotions
+    serving = _disk_serving(memory_fraction=0.3, gpu_kib=40, disk=True, disk_seed=3,
+                            faults=faults)
     report = serving.run()
     assert all(job.workload.verify() for job in report.jobs)
     for job, expected in zip(report.jobs, reference):
@@ -412,7 +418,7 @@ def test_disk_tier_under_serving_bit_identical(faults):
 
 
 def test_runtime_stats_under_serving_are_the_tenants_sum():
-    serving = _disk_serving(disk=True, disk_seed=3)
+    serving = _disk_serving(gpu_kib=40, disk=True, disk_seed=3)
     report = serving.run()
     total = serving.runtime.stats()
     views = [ctx.stats() for ctx in serving.contexts]
@@ -447,19 +453,31 @@ def test_tenant_quotas_under_memory_pressure(disk):
     assert all(job.workload.verify() for job in report.jobs)
 
 
+#: case -> (jobs, arrival stagger, quota fractions).  The first 1 to 3
+#: ``DISK_JOBS`` sweep every quota; the ``pins_*`` runs stalled while window
+#: reserves pinned a group's resident chunks until the group finished, two
+#: tenants' reserves each pinning the room the other's stagings needed.
+QUOTA_SWEEP = {
+    **{str(n): (DISK_JOBS[:n], 0.0, (0.2, 0.3, 0.5, 1.0)) for n in (1, 2, 3)},
+    "pins_a": ((DISK_JOBS[2], DISK_JOBS[1], H4), 1e-4, (0.5,)),
+    "pins_b": ((H4, DISK_JOBS[0], DISK_JOBS[1]), 1e-4, (0.5,)),
+}
+
+
 @pytest.mark.parametrize("disk", [False, True], ids=["no_disk", "disk"])
-@pytest.mark.parametrize("tenants", [1, 2, 3])
-def test_quota_sweep_matches_quota_free_runs(tenants, disk):
+@pytest.mark.parametrize("case", sorted(QUOTA_SWEEP))
+def test_quota_sweep_matches_quota_free_runs(case, disk):
     """Every quota, from a fifth of each pool to all of it, completes with
     results bit-identical to the quota-free run of the same tenants: a
     quota protects only a busy tenant's residency, so finished tenants
     never stall the rest."""
     kwargs = {"disk": True, "disk_seed": 3} if disk else {}
-    jobs = DISK_JOBS[:tenants]
-    reference = [_result_of(job) for job in _disk_serving(jobs=jobs, **kwargs).run().jobs]
-    for fraction in (0.2, 0.3, 0.5, 1.0):
-        report = _disk_serving(fraction, jobs=jobs, **kwargs).run()
-        assert len(report.jobs) == tenants, fraction
+    jobs, stagger, fractions = QUOTA_SWEEP[case]
+    reference = [_result_of(job) for job in
+                 _disk_serving(jobs=jobs, stagger=stagger, **kwargs).run().jobs]
+    for fraction in fractions:
+        report = _disk_serving(fraction, jobs=jobs, stagger=stagger, **kwargs).run()
+        assert len(report.jobs) == len(jobs), fraction
         assert all(job.workload.verify() for job in report.jobs), fraction
         for job, expected in zip(report.jobs, reference):
             assert np.array_equal(_result_of(job), expected), fraction

@@ -77,33 +77,13 @@ def test_reserve_preevicts_lru_victims_outside_the_working_set():
     # the LRU chunks 1 and 2, not the reserved set.
     manager.register(chunk(5, 1))
     manager.register(chunk(6, 1))
-    evicted = manager.reserve(gpu, [5, 6], 2 * MB, reservation=1, pin=True)
+    evicted = manager.reserve(gpu, [5, 6], 2 * MB)
     assert evicted == 2
     assert manager.stats.chunks_preevicted == 2
     assert manager.residency(1).kind is MemoryKind.HOST
     assert manager.residency(2).kind is MemoryKind.HOST
     assert manager.residency(3) == gpu and manager.residency(4) == gpu
     assert manager.free_bytes(gpu) == 2 * MB
-
-
-def test_reserve_pins_resident_members_until_release():
-    manager, engine = make_manager(gpu_capacity=4 * MB)
-    for cid in (1, 2):
-        manager.register(chunk(cid, 1))
-        assert stage(manager, engine, 100 + cid, [(cid, "gpu")])
-        manager.unstage(100 + cid)
-    gpu = GPU0.memory_space
-    manager.reserve(gpu, [1, 2], 2 * MB, reservation=7, pin=True)
-    assert manager.pinned_bytes(gpu) == 2 * MB
-
-    # A staging that would need to evict the pinned chunks must wait...
-    for cid in (3, 4, 5):
-        manager.register(chunk(cid, 1))
-    assert not stage(manager, engine, 200, [(3, "gpu"), (4, "gpu"), (5, "gpu")])
-    # ...until the release drops the reservation's pins.
-    manager.release(7)
-    engine.run()
-    assert manager.pinned_bytes(gpu) == 3 * MB  # task 200 staged and pinned
 
 
 def test_reserve_caps_at_what_is_achievable():
@@ -114,7 +94,7 @@ def test_reserve_caps_at_what_is_achievable():
     gpu = GPU0.memory_space
     # Asking for more than evictable bytes must not raise: the pinned chunk
     # stays, the reservation frees what it can.
-    evicted = manager.reserve(gpu, [2], 4 * MB, reservation=1, pin=True)
+    evicted = manager.reserve(gpu, [2], 4 * MB)
     assert evicted == 0
     assert manager.residency(1) == gpu
 
@@ -323,9 +303,9 @@ def test_fused_chains_at_their_real_peak_plan_no_memory():
 
 
 def test_delete_after_pinned_drain_waits_for_release():
-    """Deleting an array right after a drain that pinned its chunks must not
-    trip the 'cannot delete pinned chunk' guard: the release task is
-    registered as the pins' last reader."""
+    """Deleting arrays right after a drain that reserved room for their
+    chunks must not trip the 'cannot delete pinned chunk' guard: each delete
+    waits for the group's tasks, whose stagings are the only pins."""
     ctx, _ = None, None
     caps = {DeviceId(0, i).memory_space: 48 * MB for i in range(2)}
     ctx = Context(azure_nc24rsv2(nodes=1, gpus_per_node=2), mode="functional",
@@ -351,7 +331,7 @@ def test_delete_after_pinned_drain_waits_for_release():
     for j in range(6):
         kernel.launch(elems, 256, BlockWorkDist(elems // 2), (elems, batches[j]))
     for b in batches:
-        ctx.delete_array(b)  # drains (referenced) and deletes while pins live
+        ctx.delete_array(b)  # drains (referenced) and deletes before the group runs
     ctx.synchronize()
     assert ctx.stats().window_memory_plans > 0
 

@@ -1,7 +1,13 @@
-"""Tests for whole chains at depth drains and the launch window's write-back
-cache: temp write-backs held by depth drains, dropped when a later launch
-overwrites their region first, and submitted before anything else reads
-their target."""
+"""Tests for whole chains at depth drains and for the chain intermediates
+that re-chunking aligns with their superblocks.
+
+hotspot2's ``mid``, hotspot3's ``mid1``/``mid2`` and kmeans2's ``best`` are
+declared at half the superblock granularity, so a superblock's write region
+spans two chunks, mostly homed on other GPUs.  The first launch that only
+writes each of them re-chunks it to its superblock write regions; from then
+on every chain writes the intermediates in place, with no temporary and no
+write-back.  Barriers (gathers, redistribute, delete, device failure) must
+see exactly what eager submission computes."""
 
 import hashlib
 
@@ -21,12 +27,14 @@ from repro.core import tasks as T
 from repro.kernels import create_workload
 
 #: (workload, n, params): small functional sizes whose intermediates are
-#: chunked finer than the superblocks, so every chain writes back temps
+#: declared finer than the superblocks that write them
 WORKLOADS = {
     "hotspot3": (64 * 64, dict(chunk_elems=64 * 32, iterations=4, seed=3)),
     "hotspot2": (64 * 64, dict(chunk_elems=64 * 32, iterations=4, seed=3)),
     "kmeans2": (8192, dict(iterations=4, seed=0, chunk_elems=2048)),
 }
+#: the intermediates each workload's first writers re-chunk
+INTERMEDIATES = {"hotspot3": 2, "hotspot2": 1, "kmeans2": 1}
 LOOKAHEADS = (1, 2, 4, 6)
 FUSIONS = (True, "pairwise", False)
 
@@ -64,6 +72,14 @@ def temporaries_alive(ctx):
     ]
 
 
+def aligned(array, workload):
+    """True when every chunk of ``array`` is one superblock's rows (it was
+    declared with chunks of ``mid_rows``, half a superblock)."""
+    return array.rechunked and all(
+        chunk.region.shape[0] == workload.rows_per_chunk for chunk in array.chunks
+    )
+
+
 @pytest.fixture(scope="module")
 def reference():
     """Gathered result of every workload at lookahead 1 (eager submission)."""
@@ -84,18 +100,19 @@ def test_every_arm_matches_eager_submission(name, reference):
             ctx, workload = submitted(name, lookahead, fusion)
             assert sha(result_of(ctx, workload)) == reference[name], (lookahead, fusion)
             assert workload.verify(), (lookahead, fusion)
-            assert not ctx.window._held
+            assert ctx.stats().arrays_rechunked == INTERMEDIATES[name], (lookahead, fusion)
             assert not temporaries_alive(ctx)
 
 
 # --------------------------------------------------------------------------- #
-# barriers while write-backs are held
+# barriers on re-chunked intermediates
 # --------------------------------------------------------------------------- #
 def test_gathers_of_the_intermediates_see_the_held_writebacks():
     eager, eager_w = submitted("hotspot3", lookahead=1)
     ctx, workload = submitted("hotspot3")
-    assert ctx.window._held
+    assert len(ctx.window) > 0
     for array in ("mid1", "mid2"):
+        assert aligned(getattr(workload, array), workload)
         expected = eager.gather(getattr(eager_w, array))
         assert np.array_equal(ctx.gather(getattr(workload, array)), expected)
 
@@ -103,37 +120,44 @@ def test_gathers_of_the_intermediates_see_the_held_writebacks():
 def test_redistribute_releases_held_writebacks_first():
     eager, eager_w = submitted("hotspot3", lookahead=1)
     ctx, workload = submitted("hotspot3")
-    assert ctx.window._held
+    assert ctx.window.references(workload.mid2.array_id)
     eager.redistribute(eager_w.mid2, RowDist(8))
     ctx.redistribute(workload.mid2, RowDist(8))
     assert np.array_equal(ctx.gather(workload.mid2), eager.gather(eager_w.mid2))
+    assert workload.mid2.distribution == RowDist(8)
 
 
 def test_delete_releases_held_writebacks_first():
     eager, eager_w = submitted("hotspot3", lookahead=1)
     ctx, workload = submitted("hotspot3")
-    assert ctx.window._held
+    assert workload.mid1.rechunked
     for context, w in ((eager, eager_w), (ctx, workload)):
         context.delete_array(w.mid1)
         context.synchronize()
     assert np.array_equal(result_of(ctx, workload), result_of(eager, eager_w))
+    assert not temporaries_alive(ctx)
 
 
 @pytest.mark.parametrize("before_sync", [True, False])
 def test_device_failure_with_held_writebacks(before_sync):
-    results = []
-    for lookahead in (1, 4):
-        ctx, workload = submitted("hotspot3", lookahead=lookahead, faults="")
-        if lookahead > 1:
-            assert ctx.window._held
-        if not before_sync:
-            ctx.synchronize()
-        ctx.fail_device((1, 0))
+    """``fail_device((1, 0))`` on a context whose intermediates are
+    re-chunked recovers bit-identical to the fault-free run, whether the
+    failure comes before or after ``synchronize()``."""
+    clean, clean_w = submitted("hotspot3")
+    expected = (result_of(clean, clean_w), clean.gather(clean_w.mid1),
+                clean.gather(clean_w.mid2))
+    ctx, workload = submitted("hotspot3", faults="")
+    assert ctx.stats().arrays_rechunked == 2
+    if not before_sync:
         ctx.synchronize()
-        assert ctx.stats().devices_failed == 1
-        results.append((result_of(ctx, workload), ctx.gather(workload.mid1)))
-    for eager, windowed in zip(*results):
-        assert np.array_equal(eager, windowed)
+    ctx.fail_device((1, 0))
+    ctx.synchronize()
+    assert ctx.stats().devices_failed == 1
+    # recovery re-evaluates the declared distribution on the survivors
+    assert workload.mid1.distribution == RowDist(workload.mid_rows)
+    got = (result_of(ctx, workload), ctx.gather(workload.mid1), ctx.gather(workload.mid2))
+    for clean_array, recovered in zip(expected, got):
+        assert np.array_equal(clean_array, recovered)
 
 
 # --------------------------------------------------------------------------- #
@@ -142,12 +166,9 @@ def test_device_failure_with_held_writebacks(before_sync):
 def test_synchronize_leaves_no_piece_and_no_temporary():
     ctx, workload = submitted("hotspot3")
     ctx.synchronize()
-    assert not ctx.window._held
     assert not temporaries_alive(ctx)
-    stats = ctx.stats()
-    assert stats.writebacks_dropped > 0
-    assert stats.writeback_bytes_dropped > 0
-    assert stats.writebacks_deferred >= stats.writebacks_dropped
+    assert ctx.stats().arrays_rechunked == 2
+    assert aligned(workload.mid1, workload) and aligned(workload.mid2, workload)
     # every dependency names a task submitted no later than its dependent:
     # the scheduler would treat an unknown id as already finished
     seen = set()
@@ -184,38 +205,19 @@ def test_depth_drains_keep_fused_chains_whole():
     assert fused and all(t.segment_count == 3 for t in fused)
 
 
-def test_pieces_released_in_their_own_drain_keep_stamp_order():
-    # Without fusion each ``best`` label write-back is read by the very next
-    # launch of the same drain, so every held piece rejoins its producer's
-    # plan, which must then be exactly the plan an eager stamp builds.
-    ctx, workload = submitted("kmeans2", lookahead=6, fusion=False)
-    ctx.synchronize()
-    stats = ctx.stats()
-    assert stats.writebacks_deferred > 0
-    assert stats.writebacks_dropped == 0
-    launch_plans = [plan for plan in ctx.recorded_plans if plan.launch_id is not None]
-    assert launch_plans
-    for plan in launch_plans:
-        assert plan.description != "held write-backs"
-        for tasks in plan.tasks_by_worker.values():
-            ids = [t.task_id for t in tasks]
-            assert ids == sorted(ids), plan.description
-
-
 def test_lookahead_one_holds_and_carries_nothing():
     ctx, workload = submitted("hotspot3", lookahead=1)
-    assert not ctx.window._held
+    assert len(ctx.window) == 0
     ctx.synchronize()
     stats = ctx.stats()
-    assert stats.writebacks_deferred == stats.writebacks_dropped == 0
     assert stats.units_carried == 0
-    # eager plans keep every write-back and temp delete in the launch plan
-    for plan in ctx.recorded_plans:
-        assert plan.description != "held write-backs"
+    # re-chunking happens at launch time, whatever the window depth
+    assert stats.arrays_rechunked == 2
+    assert not temporaries_alive(ctx)
 
 
 # --------------------------------------------------------------------------- #
-# partial overwrites must not drop a held piece
+# redistribute and delete of re-chunked arrays no pending launch names
 # --------------------------------------------------------------------------- #
 def fill_kernel(ctx):
     def body(lc, n, out, value):
@@ -234,28 +236,11 @@ def fill_kernel(ctx):
     )
 
 
-def test_partial_overwrite_releases_instead_of_dropping():
-    # 8-element chunks dealt round-robin over 4 GPUs, 16-element superblocks:
-    # every superblock writes a temp back into two chunks.  The second fill
-    # stops at 60, so it overwrites the last chunk only in part.
-    n = 64
-    ctx = make_ctx(lookahead=2, fusion=False)
-    fill = fill_kernel(ctx)
-    out = ctx.zeros(n, BlockDist(8), name="out")
-    fill.launch(n, 4, BlockWorkDist(16), (n, out, 1.0))
-    fill.launch(60, 4, BlockWorkDist(16), (60, out, 2.0))
-    fill.launch(16, 4, BlockWorkDist(16), (16, out, 3.0))
-    stats = ctx.stats()
-    assert stats.writebacks_dropped > 0
-    expected = np.full(n, 2.0, dtype=np.float32)
-    expected[:16] = 3.0
-    expected[60:] = 1.0
-    assert np.array_equal(ctx.gather(out), expected)
-
-
 def test_delete_and_redistribute_release_writebacks_no_launch_names():
-    # The depth drain of the first two fills holds write-backs into both
-    # arrays; the pending third fill names only ``other``.
+    # 8-element chunks dealt round-robin over 4 GPUs, 16-element superblocks:
+    # each array's first fill re-chunks it to the superblocks.  The pending
+    # fills name only ``other`` when ``out`` is redistributed and ``doomed``
+    # deleted.
     n = 64
     ctx = make_ctx(lookahead=2, fusion=False)
     fill = fill_kernel(ctx)
@@ -265,14 +250,15 @@ def test_delete_and_redistribute_release_writebacks_no_launch_names():
     fill.launch(n, 4, BlockWorkDist(16), (n, out, 1.0))
     fill.launch(n, 4, BlockWorkDist(16), (n, doomed, 2.0))
     fill.launch(n, 4, BlockWorkDist(16), (n, other, 3.0))
-    assert ctx.window._held
+    assert ctx.stats().arrays_rechunked == 3
+    assert not ctx.window.references(out.array_id)
     ctx.redistribute(out, BlockDist(16))
-    assert not ctx.window._held
     fill.launch(n, 4, BlockWorkDist(16), (n, doomed, 4.0))
     fill.launch(n, 4, BlockWorkDist(16), (n, other, 5.0))
     fill.launch(n, 4, BlockWorkDist(16), (n, other, 6.0))
-    assert ctx.window._held
+    assert not ctx.window.references(doomed.array_id)
     ctx.delete_array(doomed)
-    assert not ctx.window._held
     assert np.array_equal(ctx.gather(out), np.full(n, 1.0, dtype=np.float32))
     assert np.array_equal(ctx.gather(other), np.full(n, 6.0, dtype=np.float32))
+    assert ctx.stats().arrays_rechunked == 3
+    assert not temporaries_alive(ctx)
