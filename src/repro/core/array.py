@@ -63,7 +63,8 @@ class DistributedArray:
         #: templates keyed on it
         self.layout_epoch = 0
         #: True once a launch that only writes the array re-chunked it to its
-        #: superblock write regions (``Context.launch``; at most once)
+        #: superblock write regions (``Context.launch``; at most once, until
+        #: device recovery redistributes it back to ``distribution``)
         self.rechunked = False
         #: lazily built axis-0 interval index over ``chunks`` (see
         #: :meth:`_chunk_interval_index`); invalidated by identity/epoch checks

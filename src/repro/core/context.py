@@ -369,16 +369,18 @@ class Context:
     def _rechunk_written(self, recipe, arrays: Dict[str, DistributedArray]) -> bool:
         """Re-chunk the arrays a freshly planned launch only writes.
 
-        An array qualifies when the launch binds it to one plain ``write``
-        parameter (:attr:`~.planning.ir.PlanRecipe.misaligned_writes`: some
-        superblock writes it through a temporary) and the superblock write
-        regions are disjoint and cover it, so the launch overwrites every
-        element: its chunks become those regions, each on its superblock's
-        GPU, created empty, and the launch then writes them in place.  An
-        array is re-chunked at most once, so writers with different work
-        distributions cannot ping-pong it, and ``array.distribution`` stays
-        the declared one (checkpoints encode it, device recovery re-evaluates
-        it).  Returns True when some array was re-chunked.
+        :meth:`~.planning.planner.Planner.prepare_launch` calls this between
+        building a cold recipe and storing it.  An array qualifies when the
+        launch binds it to one plain ``write`` parameter
+        (:attr:`~.planning.ir.PlanRecipe.misaligned_writes`: some superblock
+        writes it through a temporary) and the superblock write regions are
+        disjoint and cover it, so the launch overwrites every element: its
+        chunks become those regions, each on its superblock's GPU, created
+        empty, and the launch then writes them in place.  An array is
+        re-chunked at most once, so writers with different work distributions
+        cannot ping-pong it, and ``array.distribution`` stays the declared one
+        (checkpoints encode it; device recovery re-evaluates it and clears
+        the mark).  Returns True when some array was re-chunked.
         """
         rechunked = False
         for param, placements in recipe.misaligned_writes.items():
@@ -619,16 +621,11 @@ class Context:
         self.expr.force_before_launch(kernel, arrays)
         self._launch_counter += 1
         array_bindings = {name: arr for name, arr in arrays.items()}
-        prepared = self.planner.prepare_launch(
-            kernel, grid_dims, block_dims, work_dist, array_bindings
-        )
         # Only a launch planned cold can re-chunk: cached launches pay nothing.
-        if prepared.cache_status != "hit" and self._rechunk_written(
-            prepared.recipe, array_bindings
-        ):
-            prepared = self.planner.prepare_launch(
-                kernel, grid_dims, block_dims, work_dist, array_bindings
-            )
+        prepared = self.planner.prepare_launch(
+            kernel, grid_dims, block_dims, work_dist, array_bindings,
+            rechunk=self._rechunk_written,
+        )
         self.window.submit(
             PendingLaunch(
                 kernel=kernel,

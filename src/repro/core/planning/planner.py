@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -377,44 +377,62 @@ class Planner:
         block: Tuple[int, ...],
         work_dist: WorkDistribution,
         arrays: Dict[str, DistributedArray],
+        rechunk: Optional[Callable[[PlanRecipe, Dict[str, DistributedArray]], bool]] = None,
     ) -> PreparedLaunch:
         """Resolve the template cache and (on a miss) run the analysis passes.
 
         Runs at ``Context.launch`` time, before the launch enters the window:
         planning errors surface at the call site and the cached hot path pays
-        nothing at drain time but the re-stamp.
+        nothing at drain time but the re-stamp.  A cold recipe goes to
+        ``rechunk(recipe, arrays)`` (the context's re-chunk step) before it is
+        stored; when that changes a layout, only the replanned recipe is kept.
         """
         started = time.perf_counter()
         cache_status: Optional[str] = None
         recipe = None
-        key = None
-        if self.cache_enabled:
-            try:
-                key = self.cache.key_for(kernel, grid, block, work_dist, arrays)
-                if self.device_rotation:
-                    # A plan cache shared across tenants must not alias plans
-                    # built under different work-placement rotations.  Rotation
-                    # 0 keeps the seed cache keys bit-identical.
-                    key = ("rotation", self.device_rotation, key)
-                hash(key)
-            except TypeError:
-                # User-defined work distributions are not required to be
-                # hashable; such launches are simply planned cold every time.
-                key = None
-            else:
-                recipe = self.cache.lookup(key)
-                cache_status = "hit" if recipe is not None else "miss"
+        key = self._cache_key(kernel, grid, block, work_dist, arrays)
+        if key is not None:
+            recipe = self.cache.lookup(key)
+            cache_status = "hit" if recipe is not None else "miss"
         if recipe is None:
             recipe = build_launch_recipe(
                 self.cluster, kernel, grid, block, work_dist, arrays,
                 cost_model=self.cost_model, rotation=self.device_rotation,
             )
+            if rechunk is not None:
+                paused = time.perf_counter()  # a relayout is not launch planning
+                changed = rechunk(recipe, arrays)
+                started += time.perf_counter() - paused
+                if changed:  # under the new layout epochs, so a new key
+                    recipe = build_launch_recipe(
+                        self.cluster, kernel, grid, block, work_dist, arrays,
+                        cost_model=self.cost_model, rotation=self.device_rotation,
+                    )
+                    key = self._cache_key(kernel, grid, block, work_dist, arrays)
             for note, value in recipe.notes.items():
                 self.pass_stats[note] = self.pass_stats.get(note, 0) + value
             if key is not None:
                 self.cache.store(key, recipe)
         self.planning_seconds += time.perf_counter() - started
         return PreparedLaunch(recipe=recipe, key=key, cache_status=cache_status)
+
+    def _cache_key(self, kernel, grid, block, work_dist, arrays) -> Optional[Hashable]:
+        """The launch's plan-cache key; ``None`` when there is none to use."""
+        if not self.cache_enabled:
+            return None
+        try:
+            key = self.cache.key_for(kernel, grid, block, work_dist, arrays)
+            if self.device_rotation:
+                # A plan cache shared across tenants must not alias plans
+                # built under different work-placement rotations.  Rotation
+                # 0 keeps the seed cache keys bit-identical.
+                key = ("rotation", self.device_rotation, key)
+            hash(key)
+        except TypeError:
+            # User-defined work distributions are not required to be
+            # hashable; such launches are simply planned cold every time.
+            return None
+        return key
 
     def _stamp(self, recipe: PlanRecipe, **kwargs) -> StampedPlan:
         """Stamp ``recipe``, inject its conflict edges and book its accesses."""

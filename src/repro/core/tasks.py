@@ -14,7 +14,8 @@ launch window fuses a chain of launches into one task per superblock, and a
 plain launch is the one-segment case.  Each task type says what it stages
 (:meth:`Task.chunk_requirements`), what it may modify
 (:meth:`Task.chunk_writes`) and what it does to chunk data
-(:meth:`Task.apply`), once.
+(:meth:`Task.apply`), once.  Create, delete and combine tasks are
+*bookkeeping* (:attr:`Task.bookkeeping`): the scheduler applies them itself.
 
 Tasks reference each other by id through ``deps``; dependencies may point at
 tasks from previously submitted plans (the scheduler treats dependencies on
@@ -91,6 +92,9 @@ class Task:
     #: once per class in ``__init_subclass__`` — the scheduler interpolates it
     #: into a label for every task, so a per-access property is measurable.
     kind: ClassVar[str] = ""
+    #: True for kinds that stage nothing and occupy no resource: the worker's
+    #: scheduler applies and completes them the moment they are ready.
+    bookkeeping: ClassVar[bool] = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -132,11 +136,8 @@ class Task:
 class CreateChunkTask(Task):
     """Register (and in functional mode allocate) a chunk on its home worker."""
 
+    bookkeeping: ClassVar[bool] = True
     chunk: ChunkMeta = None  # type: ignore[assignment]
-
-    def chunk_requirements(self):
-        """Nothing to stage: the chunk is only being registered."""
-        return ()
 
     def apply(self, storage, kernels) -> None:
         """Register the chunk (zero-filled when storage holds buffers)."""
@@ -148,6 +149,7 @@ class CreateChunkTask(Task):
 class DeleteChunkTask(Task):
     """Drop a chunk's data and bookkeeping."""
 
+    bookkeeping: ClassVar[bool] = True
     chunk_id: ChunkId = 0
 
 
@@ -405,6 +407,8 @@ class ReduceTask(Task):
 @dataclass
 class CombineTask(Task):
     """Join node: no work, used to fan in dependencies (matches Fig. 4's 'combine')."""
+
+    bookkeeping: ClassVar[bool] = True
 
 
 @dataclass

@@ -62,8 +62,10 @@ class OverheadModel:
     * ``restamp_per_task`` — driver time per task when a launch is re-stamped
       from a cached plan template instead of planned from scratch (fresh ids
       and conflict deps only; the analysis passes are skipped).
-    * ``schedule_per_task`` — time a worker's scheduler spends per task
-      (staging requests, readiness checks).
+    * ``schedule_per_task`` — time a worker's scheduler spends per task it
+      stages and dispatches to an executor (staging requests, readiness
+      checks); bookkeeping tasks (create, delete, combine) are applied
+      without it.
     * ``launch_fixed`` — additional fixed cost of one kernel-launch task
       beyond the device launch latency (wrapper argument marshalling).
     * ``rpc_latency`` — latency of one driver→worker control message.

@@ -68,29 +68,6 @@ class TaskExecutor:
         handler(task, on_complete)
 
     # ------------------------------------------------------------------ #
-    # bookkeeping-only tasks
-    # ------------------------------------------------------------------ #
-    def _exec_createchunk(self, task: T.CreateChunkTask, done: Callable[[], None]) -> None:
-        def payload() -> None:
-            # Registration is bookkeeping, so it runs in both modes.
-            task.apply(self.storage, self.kernel_registry)
-            done()
-
-        self.resources.cpu.request(_TINY_TASK_DURATION, payload, label=task.label or "create")
-
-    def _exec_deletechunk(self, task: T.DeleteChunkTask, done: Callable[[], None]) -> None:
-        def payload() -> None:
-            self.storage.delete(task.chunk_id)
-            if self.memory is not None:
-                self.memory.delete(task.chunk_id)
-            done()
-
-        self.resources.cpu.request(_TINY_TASK_DURATION, payload, label=task.label or "delete")
-
-    def _exec_combine(self, task: T.CombineTask, done: Callable[[], None]) -> None:
-        self.resources.cpu.request(_TINY_TASK_DURATION, done, label=task.label or "combine")
-
-    # ------------------------------------------------------------------ #
     # window-aware memory planning (reserve / promote)
     # ------------------------------------------------------------------ #
     def _exec_memoryreserve(self, task: T.MemoryReserveTask, done: Callable[[], None]) -> None:
@@ -105,8 +82,7 @@ class TaskExecutor:
         # to its home GPU through the ordinary staging machinery); the task
         # body only accounts for it.
         def payload() -> None:
-            if self.memory is not None:
-                self.memory.stats.prefetch_promotions += 1
+            self.memory.stats.prefetch_promotions += 1
             done()
 
         self.resources.cpu.request(_TINY_TASK_DURATION, payload, label=task.label or "promote")

@@ -117,10 +117,7 @@ _KIND_RANK: Dict[str, int] = {
     "recv": 0,
     "copy": 1,
     "reduce": 2,
-    "combine": 3,
     "fill": 3,
-    "createchunk": 3,
-    "deletechunk": 3,
     "download": 4,
     "launch": 5,
 }

@@ -424,6 +424,7 @@ def recover_device(runtime, device: DeviceId) -> None:
     # through its own planner, so the plans carry its tenant tag).
     for owner, array in affected:
         owner.redistribute(array, array.distribution)
+        array.rechunked = False  # the next cold launch may re-chunk it again
         runtime.counters.redistributes_forced += 1
 
 

@@ -10,8 +10,9 @@ Each worker node owns the resources the paper's executors map onto:
 * one disk per node for the lowest spill tier,
 * a host/CPU executor (chunk fills, downloads), and
 * the worker's scheduler control path, which charges a fixed cost per task
-  and therefore bounds how many tiny tasks per second one worker can manage
-  (the left edge of Fig. 10).
+  it stages and dispatches and therefore bounds how many tiny tasks per
+  second one worker can manage (the left edge of Fig. 10).  Bookkeeping
+  tasks (create, delete, combine) occupy no resource at all.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ per-task cost), is *staged* by the memory manager (all its chunks are
 materialised in the right memory spaces), executed on its resource, and
 finally unstaged so its successors can proceed.
 
+Bookkeeping tasks (:attr:`~repro.core.tasks.Task.bookkeeping`) skip all of
+that: the moment one is ready, the scheduler registers (create) or drops
+(delete) its chunk with the worker's storage and memory manager, or does
+nothing (combine), and reports its completion at the same virtual instant.
+
 The scheduler throttles how many bytes may be staged per executor at once
 (default 2 GB, as in the paper): too few concurrently staged tasks prevents
 overlapping transfers with execution, too many causes contention because
@@ -66,7 +71,6 @@ class Scheduler:
         #: requirements and re-sum its footprint (both are static per task)
         self._throttled_info: Dict[int, tuple] = {}
         self.tasks_completed = 0
-        self.tasks_submitted = 0
         #: Permanently failed local devices.  Recovery retargets all chunks
         #: and invalidates every cached plan, so no new task should ever name
         #: a blacklisted device — this guard turns a planner bug into a loud
@@ -93,7 +97,6 @@ class Scheduler:
         blacklist = self.blacklist
         announce = self.memory.announce
         for task in tasks:
-            self.tasks_submitted += 1
             if blacklist and getattr(task, "device", None) in blacklist:
                 raise FaultError(
                     f"task {task} targets blacklisted device {task.device} "
@@ -120,6 +123,9 @@ class Scheduler:
 
     def _ready(self, task: T.Task) -> None:
         """Dependencies satisfied: pass through the scheduler control path."""
+        if task.bookkeeping:
+            self._apply_bookkeeping(task)
+            return
         kind = task.kind
         label = _SCHED_LABELS.get(kind)
         if label is None:
@@ -127,6 +133,17 @@ class Scheduler:
         self.resources.scheduler.request(
             0.0, lambda: self._begin_staging(task), label=label
         )
+
+    def _apply_bookkeeping(self, task: T.Task) -> None:
+        """Register a created chunk or drop a deleted one, then complete."""
+        if isinstance(task, T.CreateChunkTask):
+            task.apply(self.executor.storage, self.executor.kernel_registry)
+            self.memory.register(task.chunk)
+        elif isinstance(task, T.DeleteChunkTask):
+            self.executor.storage.delete(task.chunk_id)
+            self.memory.delete(task.chunk_id)
+        self.tasks_completed += 1
+        self.runtime.notify_completion(task.task_id)
 
     # ------------------------------------------------------------------ #
     # staging with throttle

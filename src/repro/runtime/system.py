@@ -394,8 +394,8 @@ class RuntimeSystem:
 
         def _deliver() -> None:
             for worker_id, tasks in plan.tasks_by_worker.items():
-                worker = self.workers[worker_id]
-                self.rpc.call(worker_id, lambda w=worker, t=tasks: w.submit(t))
+                scheduler = self.workers[worker_id].scheduler
+                self.rpc.call(worker_id, lambda s=scheduler, t=tasks: s.submit(t))
 
         self.driver_plan.request(planning_time, _deliver, label=plan.description or "plan")
 

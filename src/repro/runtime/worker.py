@@ -2,15 +2,14 @@
 
 In the paper a worker is a separate MPI process on its own node; here it is a
 plain object bundling the per-node pieces of the runtime.  The interfaces
-between driver and worker (submit a DAG fragment, report completion) are the
-same ones an RPC layer would expose.
+between driver and worker (the scheduler's ``submit`` of a DAG fragment,
+the runtime's completion report) are the same ones an RPC layer would expose.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from ..core import tasks as T
 from ..hardware.topology import Node
 from ..perfmodel.costs import DEFAULT_OVERHEADS
 from ..simulator.engine import Engine
@@ -70,16 +69,3 @@ class Worker:
             stage_threshold=stage_threshold,
             policy=scheduler_policy,
         )
-
-    # ------------------------------------------------------------------ #
-    # driver-facing interface
-    # ------------------------------------------------------------------ #
-    def submit(self, tasks: List[T.Task]) -> None:
-        """Accept a DAG fragment from the driver (invoked through the RPC layer)."""
-        for task in tasks:
-            if isinstance(task, T.CreateChunkTask):
-                # Chunk metadata must be known to the memory manager before any
-                # dependent task computes its staging footprint.
-                if not self.memory.knows(task.chunk.chunk_id):
-                    self.memory.register(task.chunk)
-        self.scheduler.submit(tasks)

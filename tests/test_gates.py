@@ -29,11 +29,11 @@ def _baseline():
 
 def _broken(baseline):
     """The baseline with one ulp on lazy's virtual time, eager's record gone and
-    lazy's events/s far above anything this run can reach."""
+    lazy's tasks/s far above anything this run can reach."""
     edited = copy.deepcopy(baseline)
     lazy = edited["expr"]["lazy"][EXPR]
     lazy["virtual_time"] = math.nextafter(lazy["virtual_time"], math.inf)
-    lazy["events_per_second"] = 1e12
+    lazy["tasks_per_second"] = 1e12
     del edited["expr"]["eager"][EXPR]
     return edited
 
@@ -42,10 +42,10 @@ def test_gate_failures_name_gate_arm_config_and_field():
     _, failures = gates.check(["expr"], _broken(_baseline()))
     report = "\n".join(failures)
     assert f"expr/lazy/{EXPR}: virtual_time " in report
-    assert f"expr/eager/{EXPR}: events_processed 2838 != baseline '<missing>'" in report
-    assert f"expr/lazy/{EXPR}: events_per_second " in report
+    assert f"expr/eager/{EXPR}: events_processed 1950 != baseline '<missing>'" in report
+    assert f"expr/lazy/{EXPR}: tasks_per_second " in report
     assert f"is below {gates.MIN_THROUGHPUT} of the baseline's" in report
-    # the ulp, every field of the deleted record, the events/s floor
+    # the ulp, every field of the deleted record, the tasks/s floor
     assert len(failures) == 1 + (1 + len(gates.EXPR_COUNTERS)) + 1
 
 
@@ -70,7 +70,7 @@ def test_a_refreshed_baseline_passes_the_next_run(tmp_path, monkeypatch):
     monkeypatch.setattr(gates, "BASELINE", str(baseline))
     monkeypatch.setattr(gates, "RESULT", str(tmp_path / "gates.json"))
     monkeypatch.delenv("GITHUB_STEP_SUMMARY", raising=False)
-    # The lazy arm is far below the edited events/s floor, so the refresh run
+    # The lazy arm is far below the edited tasks/s floor, so the refresh run
     # itself fails; the refreshed baseline holds this machine's rate.
     assert gates.main(["--refresh", "expr"]) == 1
     refreshed = json.loads(baseline.read_text())

@@ -143,3 +143,49 @@ def test_checkpoint_restore_of_rechunked_intermediates(tmp_path):
     for array in ctx.arrays.values():
         assert np.array_equal(restore_ctx.gather(restored[array.name]), ctx.gather(array))
     assert restored["hotspot3_mid1"].distribution == RowDist(workload.mid_rows)
+
+
+def test_a_rechunking_launch_is_planned_and_counted_once():
+    # hotspot3's five distinct launches, two of which re-chunk: only the
+    # recipe of the new layout is built for the cache, so each launch misses
+    # once and no recipe of the old layout is stored to be invalidated.
+    def run(plan_cache):
+        ctx = Context(azure_nc24rsv2(nodes=1, gpus_per_node=2), mode="simulate",
+                      plan_cache=plan_cache, record_plans=True)
+        workload = create_workload("hotspot3", ctx, 1024 * 1024, iterations=4)
+        workload.prepare()
+        workload.submit()
+        ctx.synchronize()
+        assert ctx.stats().arrays_rechunked == 2
+        return ctx, [[(str(task), task.deps) for task in plan.all_tasks()]
+                     for plan in ctx.runtime.recorded_plans]
+
+    ctx, plans = run(plan_cache=True)
+    assert ctx.planner.cache.misses == 5
+    assert ctx.planner.cache.invalidations == 0
+    assert ctx.stats().plan_cache_invalidations == 0
+    # the same plans as planning every launch cold
+    assert plans == run(plan_cache=False)[1]
+
+
+def test_recovery_lets_the_next_cold_launch_rechunk_again():
+    # Recovery redistributes mid1/mid2 back to their declared row
+    # distribution on the survivors; the next launches must re-chunk them
+    # again instead of writing them through cross-node temporaries.
+    ctx = Context(azure_nc24rsv2(nodes=2, gpus_per_node=2), mode="simulate", faults="")
+    workload = create_workload("hotspot3", ctx, 2048 * 2048, chunk_elems=2048 * 512,
+                               iterations=5)
+    workload.prepare()
+    workload.submit()
+    ctx.synchronize()
+    ctx.fail_device((1, 0))
+    ctx.synchronize()
+    assert ctx.stats().redistributes_forced > 0
+    before = ctx.stats().network_bytes
+    workload.submit()
+    ctx.synchronize()
+    stats = ctx.stats()
+    assert stats.arrays_rechunked == 4
+    assert workload.mid1.rechunked and workload.mid2.rechunked
+    # only the halo rows cross the network (42 MB through temporaries)
+    assert stats.network_bytes - before == 163_840
