@@ -377,7 +377,7 @@ class Planner:
         block: Tuple[int, ...],
         work_dist: WorkDistribution,
         arrays: Dict[str, DistributedArray],
-        rechunk: Optional[Callable[[PlanRecipe, Dict[str, DistributedArray]], bool]] = None,
+        rechunk: Callable[[PlanRecipe, Dict[str, DistributedArray]], bool],
     ) -> PreparedLaunch:
         """Resolve the template cache and (on a miss) run the analysis passes.
 
@@ -399,16 +399,15 @@ class Planner:
                 self.cluster, kernel, grid, block, work_dist, arrays,
                 cost_model=self.cost_model, rotation=self.device_rotation,
             )
-            if rechunk is not None:
-                paused = time.perf_counter()  # a relayout is not launch planning
-                changed = rechunk(recipe, arrays)
-                started += time.perf_counter() - paused
-                if changed:  # under the new layout epochs, so a new key
-                    recipe = build_launch_recipe(
-                        self.cluster, kernel, grid, block, work_dist, arrays,
-                        cost_model=self.cost_model, rotation=self.device_rotation,
-                    )
-                    key = self._cache_key(kernel, grid, block, work_dist, arrays)
+            paused = time.perf_counter()  # a relayout is not launch planning
+            changed = rechunk(recipe, arrays)
+            started += time.perf_counter() - paused
+            if changed:  # under the new layout epochs, so a new key
+                recipe = build_launch_recipe(
+                    self.cluster, kernel, grid, block, work_dist, arrays,
+                    cost_model=self.cost_model, rotation=self.device_rotation,
+                )
+                key = self._cache_key(kernel, grid, block, work_dist, arrays)
             for note, value in recipe.notes.items():
                 self.pass_stats[note] = self.pass_stats.get(note, 0) + value
             if key is not None:

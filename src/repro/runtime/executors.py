@@ -17,6 +17,7 @@ import numpy as np
 from ..core import tasks as T
 from ..hardware.topology import Node
 from ..perfmodel.costs import DEFAULT_OVERHEADS, kernel_time
+from .memory import MemoryManager
 from .network import Message, NetworkFabric
 from .resources import WorkerResources
 from .storage import ChunkStorage
@@ -37,7 +38,7 @@ class TaskExecutor:
         fabric: NetworkFabric,
         kernel_registry: Dict[str, object],
         functional: bool,
-        memory=None,
+        memory: MemoryManager,
     ):
         self.node = node
         self.worker = node.worker

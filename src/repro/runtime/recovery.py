@@ -117,10 +117,6 @@ class LineageTracker:
             return
         self._durable[(chunk_id, version)] = loader
 
-    def chunk_version(self, chunk_id: ChunkId) -> int:
-        """Current version of a chunk (0 = created, never written)."""
-        return self._version[chunk_id]
-
     def _observe_task(self, task: T.Task) -> None:
         kind = task.kind
         if kind == "createchunk":

@@ -182,13 +182,6 @@ class JobRecord:
             return None
         return self.finished - self.spec.arrival
 
-    @property
-    def queue_delay(self) -> Optional[float]:
-        """Arrival-to-start time, or ``None`` while queued."""
-        if self.started is None:
-            return None
-        return self.started - self.spec.arrival
-
 
 def _percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile of ``values`` (q in [0, 100])."""
