@@ -67,11 +67,6 @@ class MapKernelSpec:
     #: input slot whose (dead) buffer doubles as the output, if any
     inplace_slot: Optional[int] = None
 
-    @property
-    def compute_instrs(self) -> int:
-        """Number of elementwise operations the group fuses."""
-        return len(self.instrs)
-
 
 def _ref_expr(ref: Ref) -> str:
     tag, index = ref

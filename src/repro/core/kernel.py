@@ -78,10 +78,6 @@ class KernelDef:
         """Attach the per-thread cost descriptor used by the performance model."""
         return replace(self, cost=cost)
 
-    def with_function(self, func: Callable) -> "KernelDef":
-        """Attach (or replace) the kernel function."""
-        return replace(self, func=func)
-
     def compile(self, context: "object") -> "CompiledKernel":
         """Register the kernel with a context's runtime (runtime compilation)."""
         return context.compile(self)
@@ -112,11 +108,6 @@ class KernelDef:
             raise ValueError(
                 f"kernel {self.name!r}: annotation references unknown arrays {sorted(unknown)}"
             )
-
-    @property
-    def value_params(self) -> Tuple[Param, ...]:
-        """The scalar parameters, in declaration order."""
-        return tuple(p for p in self.params if p.kind == "value")
 
     @property
     def array_params(self) -> Tuple[Param, ...]:

@@ -3,9 +3,10 @@
 The package splits the old monolithic planner into
 
 * :mod:`.ir` — the plan IR: task protos, plan recipes and stamping;
-* :mod:`.passes` — the pass pipeline (access analysis, transfer resolution,
-  reduction planning, redundant-transfer elimination, copy coalescing, task
-  emission) plus the stamp-time dependency-injection pass;
+* :mod:`.passes` — the analysis passes (access analysis, transfer
+  resolution, reduction planning, redundant-transfer elimination, copy
+  coalescing), the one task emitter that plain launches (one-segment chains)
+  and fused chains share, and the stamp-time dependency-injection pass;
 * :mod:`.costmodel` — topology-aware transfer cost ranking;
 * :mod:`.cache` — the plan-template cache for iterative launches;
 * :mod:`.planner` — the :class:`Planner` facade the driver talks to;
@@ -27,12 +28,10 @@ from .passes import (
     PlanningPass,
     RedundantTransferEliminationPass,
     ReductionPlanningPass,
-    TaskEmissionPass,
     TransferResolutionPass,
     build_fused_recipe,
     build_launch_recipe,
     chain_fusion_prescreen,
-    default_pipeline,
 )
 from .planner import Planner, PreparedLaunch
 from .window import DEFAULT_LOOKAHEAD, LaunchWindow, PendingLaunch
@@ -52,10 +51,8 @@ __all__ = [
     "ReductionPlanningPass",
     "RedundantTransferEliminationPass",
     "CopyCoalescingPass",
-    "TaskEmissionPass",
     "DependencyInjectionPass",
     "build_launch_recipe",
-    "default_pipeline",
     "build_fused_recipe",
     "chain_fusion_prescreen",
     "PreparedLaunch",

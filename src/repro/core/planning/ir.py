@@ -37,8 +37,6 @@ __all__ = [
     "TagRef",
     "ScalarArgsRef",
     "LaunchIdRef",
-    "SCALAR_ARGS",
-    "LAUNCH_ID",
     "TempChunkSpec",
     "ChunkHandle",
     "TransferStep",
@@ -79,30 +77,16 @@ class TagRef:
 
 @dataclass(frozen=True)
 class ScalarArgsRef:
-    """Placeholder for the scalar-argument dict of one fused segment."""
+    """Placeholder for the scalar-argument dict of one launch segment."""
 
     segment: int
 
 
 @dataclass(frozen=True)
 class LaunchIdRef:
-    """Placeholder for the launch id of one fused segment."""
+    """Placeholder for the launch id of one launch segment."""
 
     segment: int
-
-
-class _Sentinel:
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{self._name}>"
-
-
-#: Substituted with the launch's scalar-argument dict at stamp time.
-SCALAR_ARGS = _Sentinel("scalar-args")
-#: Substituted with the launch id at stamp time.
-LAUNCH_ID = _Sentinel("launch-id")
 
 
 @dataclass(frozen=True)
@@ -535,7 +519,7 @@ def _stamp_constant(value: object) -> Tuple[bool, object]:
     are frozen dataclasses and tasks never mutate their field values.
     Returns ``(False, None)`` when the value mentions a per-stamp ref.
     """
-    if isinstance(value, _REF_TYPES) or value is SCALAR_ARGS or value is LAUNCH_ID:
+    if isinstance(value, _REF_TYPES):
         return False, None
     if isinstance(value, ArgBindingProto):
         const, chunk_id = _stamp_constant(value.chunk_ref)
@@ -610,11 +594,9 @@ def stamp_recipe(
     new_chunk_id: Callable[[], ChunkId],
     new_tag: Callable[[], int],
     resolve_conflicts: Callable[[str, ChunkId], List[int]],
-    scalars: Optional[Dict[str, object]] = None,
-    launch_id: Optional[int] = None,
+    scalar_sets: Sequence[Dict[str, object]],
+    launch_ids: Sequence[int],
     cache_status: Optional[str] = None,
-    scalar_sets: Optional[Sequence[Dict[str, object]]] = None,
-    launch_ids: Optional[Sequence[int]] = None,
     prefetch: bool = False,
 ) -> StampedPlan:
     """Materialise ``recipe`` into a concrete :class:`ExecutionPlan`.
@@ -622,10 +604,10 @@ def stamp_recipe(
     Fresh task/chunk/tag identifiers come from the supplied allocators;
     ``resolve_conflicts`` is the dependency-injection hook that maps a
     ``(kind, chunk_id)`` conflict query to the task ids of earlier launches
-    that must complete first.  ``scalar_sets``/``launch_ids`` supply the
-    per-segment substitutions of fused recipes; ``prefetch`` marks the
-    recipe's pre-launch gather transfers as high-priority (the launch
-    window's cross-launch prefetch pass).
+    that must complete first.  ``scalar_sets``/``launch_ids`` hold one
+    substitution per segment (the plan takes the first launch id);
+    ``prefetch`` marks the recipe's pre-launch gather transfers as
+    high-priority (the launch window's cross-launch prefetch pass).
     """
     temp_chunks: List[Optional[ChunkMeta]] = [
         None if spec is None else ChunkMeta(
@@ -642,8 +624,7 @@ def stamp_recipe(
     tags: List[int] = [new_tag() for _ in range(recipe.tag_slots)]
     # One copy of each scalar-argument dict per stamp, shared by the stamped
     # tasks: they only read it.
-    scalar_args = dict(scalars or {})
-    segment_scalars = [dict(segment) for segment in scalar_sets or ()]
+    segment_scalars = [dict(segment) for segment in scalar_sets]
 
     def resolve(value: object) -> object:
         if isinstance(value, TempRef):
@@ -652,14 +633,10 @@ def stamp_recipe(
             return temp_chunks[value.slot]
         if isinstance(value, TagRef):
             return tags[value.slot]
-        if value is SCALAR_ARGS:
-            return scalar_args
-        if value is LAUNCH_ID:
-            return launch_id
         if isinstance(value, ScalarArgsRef):
             return segment_scalars[value.segment]
         if isinstance(value, LaunchIdRef):
-            return (launch_ids or [])[value.segment]
+            return launch_ids[value.segment]
         if isinstance(value, ArgBindingProto):
             return T.ArrayArgBinding(
                 param=value.param,
@@ -680,10 +657,9 @@ def stamp_recipe(
             return tuple(resolve(v) for v in value)
         return value
 
-    description = recipe.description
-    if launch_id is not None:
-        # literal substitution: kernel names may contain arbitrary characters
-        description = description.replace("{launch_id}", str(launch_id))
+    launch_id = launch_ids[0]
+    # literal substitution: kernel names may contain arbitrary characters
+    description = recipe.description.replace("{launch_id}", str(launch_id))
     plan = T.ExecutionPlan(launch_id=launch_id, description=description,
                            cache_status=cache_status)
     task_ids: List[int] = []

@@ -93,12 +93,6 @@ class GroupMemoryPlan:
 
     reserve_specs: List[_ReserveSpec] = field(default_factory=list)
     promote_specs: List[_PromoteSpec] = field(default_factory=list)
-    #: the reserve tasks, submitted *before* the group's plans
-    pre_plan: Optional[T.ExecutionPlan] = None
-    #: chunks scheduled for up-hierarchy promotion
-    promotions: int = 0
-    #: chunks named as pre-eviction working sets (diagnostics/tests)
-    reserved_chunks: int = 0
 
 
 class WindowMemoryPlanner:
@@ -230,7 +224,6 @@ class WindowMemoryPlanner:
             nbytes=target,
             deps=self._conflict_deps(keep),
         ))
-        memory_plan.reserved_chunks += len(keep)
         if ws_total <= capacity:
             return "keep", set(keep)
         return "none", None
@@ -312,7 +305,6 @@ class WindowMemoryPlanner:
                     nbytes=meta.nbytes,
                     unit_index=unit_index,
                 ))
-                memory_plan.promotions += 1
 
     def _stage_from_disk(
         self,
@@ -362,7 +354,6 @@ class WindowMemoryPlanner:
             unit_index=unit_index,
             target="host",
         ))
-        memory_plan.promotions += 1
         self.counters.disk_promotions_staged += 1
         # The host space must make room for the staged bytes ahead of the
         # disk reads: pre-evict host LRU victims other than the group's own
@@ -387,7 +378,6 @@ class WindowMemoryPlanner:
                     nbytes=staged_bytes,
                     deps=self._conflict_deps(staged_ids),
                 ))
-                memory_plan.reserved_chunks += len(chunk_ids)
 
     def _conflict_deps(self, chunk_ids: Sequence[ChunkId], kind: str = "write") -> Tuple[int, ...]:
         """Every earlier task touching ``chunk_ids``, per the conflict tables.
@@ -434,7 +424,6 @@ class WindowMemoryPlanner:
                 chunk_ids=spec.chunk_ids,
                 nbytes=spec.nbytes,
             ))
-        memory_plan.pre_plan = plan
         return plan
 
     def build_promote_plan(

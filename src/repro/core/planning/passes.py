@@ -17,8 +17,13 @@ mutable :class:`LaunchState` IR:
    ``StencilDist``, full replicas of ``ReplicatedDist``).
 5. :class:`CopyCoalescingPass` — merge transfers between the same pair of
    chunks whose regions are adjacent into one larger transfer.
-6. :class:`TaskEmissionPass` — lower the IR to a structural
+6. Task emission (:func:`_emit_launches`) — lower the IR to a structural
    :class:`~.ir.PlanRecipe` (task protos with intra-plan dependencies only).
+
+:func:`build_launch_recipe` plans one launch and :func:`build_fused_recipe`
+a chain of them (the launch window's fusion pass); both run passes 1-5 over
+each launch and then the one emitter, for which a plain launch is a
+one-segment chain.
 
 Cross-launch read/write/write conflict dependencies are *not* part of the
 recipe: they are injected at stamp time by :class:`DependencyInjectionPass`,
@@ -46,12 +51,10 @@ from .costmodel import TransferCostModel
 from .ir import (
     ArgBindingProto,
     ChunkHandle,
-    LAUNCH_ID,
     LaunchIdRef,
     PlanRecipe,
     RecipeBuilder,
     ReduceEpilogueProto,
-    SCALAR_ARGS,
     ScalarArgsRef,
     TempChunkSpec,
     TransferStep,
@@ -66,9 +69,7 @@ __all__ = [
     "ReductionPlanningPass",
     "RedundantTransferEliminationPass",
     "CopyCoalescingPass",
-    "TaskEmissionPass",
     "DependencyInjectionPass",
-    "default_pipeline",
     "build_launch_recipe",
     "chain_fusion_prescreen",
     "build_fused_recipe",
@@ -561,113 +562,155 @@ class CopyCoalescingPass(PlanningPass):
 # --------------------------------------------------------------------------- #
 # 6. task emission: IR -> structural PlanRecipe
 # --------------------------------------------------------------------------- #
-class TaskEmissionPass(PlanningPass):
-    """Lower the resolved IR to task protos (intra-plan dependencies only)."""
+def _emit_param_inputs(
+    builder: RecipeBuilder, pir: ParamIR
+) -> Tuple[List[int], List[Tuple[str, ChunkId]], List[Tuple[ChunkId, int]], List[ChunkId]]:
+    """Emit the pre-launch protos of one parameter.
 
-    name = "task-emission"
+    Returns ``(launch deps, launch conflicts, (chunk, gather-read proto)
+    pairs, directly-read chunk ids)``.
+    """
+    launch_deps: List[int] = []
+    launch_conflicts: List[Tuple[str, ChunkId]] = []
+    gather_reads: List[Tuple[ChunkId, int]] = []
+    direct_reads: List[ChunkId] = []
+    if pir.mode is AccessMode.REDUCE:
+        ready = builder.create_temp(pir.temp_spec, fill_value=pir.identity)
+        launch_deps.append(ready)
+        return launch_deps, launch_conflicts, gather_reads, direct_reads
+    if pir.direct_chunk is not None:
+        chunk_id = pir.direct_chunk.chunk_id
+        builder.note_meta(pir.direct_chunk)
+        if pir.mode.reads:
+            launch_conflicts.append(("read", chunk_id))
+            direct_reads.append(chunk_id)
+        if pir.mode.writes:
+            launch_conflicts.append(("write", chunk_id))
+        return launch_deps, launch_conflicts, gather_reads, direct_reads
+    ready = builder.create_temp(pir.temp_spec)
+    launch_deps.append(ready)
+    for step in pir.gather_steps:
+        src_id = step.src.chunk_id
+        src_read, dst_write = builder.transfer(
+            step, deps=(ready,), conflicts=(("read", src_id),)
+        )
+        gather_reads.append((src_id, src_read))
+        launch_deps.append(dst_write)
+    return launch_deps, launch_conflicts, gather_reads, direct_reads
 
-    def run(self, state: LaunchState) -> None:
-        """Lower the resolved IR to task protos."""
-        launch_proto_of_sb: List[int] = []
 
-        for sbir in state.superblocks:
-            launch_proto_of_sb.append(self._emit_superblock(state, sbir))
+def _emit_param_outputs(builder: RecipeBuilder, pir: ParamIR, launch_idx: int) -> None:
+    """Emit the post-launch write-back / coherence traffic and temp cleanup
+    of one parameter (reduce partials are combined separately)."""
+    if pir.mode is AccessMode.REDUCE:
+        return
+    if not pir.mode.writes:
+        if pir.temp_spec is not None:
+            builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=(launch_idx,))
+        return
+    if pir.direct_chunk is not None:
+        builder.note_write(pir.direct_chunk.chunk_id, launch_idx)
+    last_uses = [launch_idx]
+    for step in pir.writeback_steps:
+        target_id = step.dst.chunk_id
+        src_read, dst_write = builder.transfer(
+            step, deps=(launch_idx,), conflicts=(("write", target_id),)
+        )
+        builder.note_write(target_id, dst_write)
+        last_uses.append(src_read)
+    if pir.temp_spec is not None:
+        builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=last_uses)
 
-        for rir in state.reductions:
-            self._emit_reduction(state, rir, launch_proto_of_sb)
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def emit_param_inputs(
-        builder: RecipeBuilder, pir: ParamIR
-    ) -> Tuple[List[int], List[Tuple[str, ChunkId]], List[Tuple[ChunkId, int]], List[ChunkId]]:
-        """Emit the pre-launch protos of one parameter.
+def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> None:
+    """Lower analysed launches to task protos: one launch task per
+    superblock runs every segment back to back (a plain launch is the
+    one-segment case), with its inputs before it and its write-backs and
+    temp cleanup after it.
 
-        Returns ``(launch deps, launch conflicts, (chunk, gather-read proto)
-        pairs, directly-read chunk ids)``.  Shared by the single-launch and
-        fused emission paths.
-        """
+    Each GPU combines its superblocks' reduce partials in superblock order,
+    which keeps floating-point results bit-identical.  The one branch is
+    where it combines them (``in_task``):
+
+    * a one-segment launch chains one :class:`~repro.core.tasks.ReduceTask`
+      per partial behind the launch tasks (:func:`_emit_reduce_chains`), so
+      a GPU's launch tasks do not wait for one another;
+    * a fused reduction tail combines each partial inside its launch task
+      (``reduce_epilogues``) into per-GPU accumulators created up front, so
+      a GPU's launch tasks chain through its accumulator (``acc_ready``).
+
+    Either way the cross-superblock merge (:func:`_emit_reduction_merge`)
+    follows as separate tasks.
+    """
+    in_task = len(states) > 1
+
+    #: (param, device) -> proto index after which the accumulator is current
+    acc_ready: Dict[Tuple[str, DeviceId], int] = {}
+    if in_task:
+        for state in states:
+            for rir in state.reductions:
+                for device in rir.per_device:
+                    acc_ready[(rir.param, device)] = builder.create_temp(
+                        rir.acc_specs[device], fill_value=rir.identity
+                    )
+
+    launch_of_sb: List[int] = []
+    for s in range(len(states[0].superblocks)):
+        sb = states[0].superblocks[s].sb
         launch_deps: List[int] = []
         launch_conflicts: List[Tuple[str, ChunkId]] = []
         gather_reads: List[Tuple[ChunkId, int]] = []
         direct_reads: List[ChunkId] = []
-        if pir.mode is AccessMode.REDUCE:
-            ready = builder.create_temp(pir.temp_spec, fill_value=pir.identity)
-            launch_deps.append(ready)
-            return launch_deps, launch_conflicts, gather_reads, direct_reads
-        if pir.direct_chunk is not None:
-            chunk_id = pir.direct_chunk.chunk_id
-            builder.note_meta(pir.direct_chunk)
-            if pir.mode.reads:
-                launch_conflicts.append(("read", chunk_id))
-                direct_reads.append(chunk_id)
-            if pir.mode.writes:
-                launch_conflicts.append(("write", chunk_id))
-            return launch_deps, launch_conflicts, gather_reads, direct_reads
-        ready = builder.create_temp(pir.temp_spec)
-        launch_deps.append(ready)
-        for step in pir.gather_steps:
-            src_id = step.src.chunk_id
-            src_read, dst_write = builder.transfer(
-                step, deps=(ready,), conflicts=(("read", src_id),)
-            )
-            gather_reads.append((src_id, src_read))
-            launch_deps.append(dst_write)
-        return launch_deps, launch_conflicts, gather_reads, direct_reads
+        epilogues: List[Tuple[ReduceEpilogueProto, ...]] = []
+        acc_keys: List[Tuple[str, DeviceId]] = []
+        partials: List[ParamIR] = []
+        for state in states:
+            segment_epilogues: List[ReduceEpilogueProto] = []
+            for pir in state.superblocks[s].params:
+                if pir.fused_source is not None:
+                    # Producer emits the binding; the fused task's read of a
+                    # persistent producer chunk still registers as a reader.
+                    source = pir.fused_source
+                    if source.direct_chunk is not None:
+                        direct_reads.append(source.direct_chunk.chunk_id)
+                    continue
+                deps, conflicts, gathers, directs = _emit_param_inputs(builder, pir)
+                launch_deps.extend(deps)
+                launch_conflicts.extend(conflicts)
+                gather_reads.extend(gathers)
+                direct_reads.extend(directs)
+                if in_task and pir.mode is AccessMode.REDUCE:
+                    rir = next(r for r in state.reductions if r.param == pir.param)
+                    acc_spec = rir.acc_specs[sb.device]
+                    itemsize = np.dtype(rir.array.dtype).itemsize
+                    segment_epilogues.append(
+                        ReduceEpilogueProto(
+                            src_ref=pir.binding.ref,
+                            dst_ref=ChunkHandle.of_temp(acc_spec).ref,
+                            region=pir.region,
+                            op=rir.op_name,
+                            nbytes=pir.region.size * itemsize,
+                        )
+                    )
+                    key = (pir.param, sb.device)
+                    launch_deps.append(acc_ready[key])
+                    acc_keys.append(key)
+                    partials.append(pir)
+            epilogues.append(tuple(segment_epilogues))
 
-    @staticmethod
-    def emit_param_outputs(builder: RecipeBuilder, pir: ParamIR, launch_idx: int) -> None:
-        """Emit the post-launch write-back / coherence traffic and temp cleanup
-        of one parameter (shared by the single-launch and fused emission
-        paths; reductions are handled separately)."""
-        if pir.mode is AccessMode.REDUCE:
-            return
-        if not pir.mode.writes:
-            if pir.temp_spec is not None:
-                builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=(launch_idx,))
-            return
-        if pir.direct_chunk is not None:
-            builder.note_write(pir.direct_chunk.chunk_id, launch_idx)
-        last_uses = [launch_idx]
-        for step in pir.writeback_steps:
-            target_id = step.dst.chunk_id
-            src_read, dst_write = builder.transfer(
-                step, deps=(launch_idx,), conflicts=(("write", target_id),)
-            )
-            builder.note_write(target_id, dst_write)
-            last_uses.append(src_read)
-        if pir.temp_spec is not None:
-            builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=last_uses)
-
-    def _emit_superblock(self, state: LaunchState, sbir: SuperblockIR) -> int:
-        builder = state.builder
-        sb = sbir.sb
-        launch_deps: List[int] = []
-        launch_conflicts: List[Tuple[str, ChunkId]] = []
-        gather_reads: List[Tuple[ChunkId, int]] = []  # (chunk, src-read proto)
-        direct_reads: List[ChunkId] = []
-
-        for pir in sbir.params:
-            deps, conflicts, gathers, directs = self.emit_param_inputs(builder, pir)
-            launch_deps.extend(deps)
-            launch_conflicts.extend(conflicts)
-            gather_reads.extend(gathers)
-            direct_reads.extend(directs)
-
-        # A plain launch is a one-segment launch task.
         launch_idx = builder.add(
             T.LaunchTask,
             worker=sb.device.worker,
-            label=f"{state.kernel.name}[{sb.index}]",
+            label=f"{'+'.join(st.kernel.name for st in states)}[{sb.index}]",
             deps=launch_deps,
             conflicts=launch_conflicts,
-            kernel_names=(state.kernel.name,),
+            kernel_names=tuple(st.kernel.name for st in states),
             device=sb.device,
-            superblock=sb,
-            grid_dims_list=(tuple(state.grid),),
-            block_dims_list=(tuple(state.block),),
-            scalar_args_list=(SCALAR_ARGS,),
-            array_args_list=(
+            superblocks_list=tuple(st.superblocks[s].sb for st in states),
+            grid_dims_list=tuple(tuple(st.grid) for st in states),
+            block_dims_list=tuple(tuple(st.block) for st in states),
+            scalar_args_list=tuple(ScalarArgsRef(h) for h in range(len(states))),
+            array_args_list=tuple(
                 tuple(
                     ArgBindingProto(
                         param=pir.param,
@@ -676,112 +719,136 @@ class TaskEmissionPass(PlanningPass):
                         mode=pir.mode.value,
                         reduce_op=pir.reduce_op,
                     )
-                    for pir in sbir.params
-                ),
+                    for pir in st.superblocks[s].params
+                )
+                for st in states
             ),
-            array_shapes_list=({pir.param: pir.array.shape for pir in sbir.params},),
-            launch_id=LAUNCH_ID,
+            array_shapes_list=tuple(
+                {pir.param: pir.array.shape for pir in st.superblocks[s].params}
+                for st in states
+            ),
+            reduce_epilogues=(
+                tuple(epilogues) if any(epilogues) else ()
+            ),
+            launch_id=LaunchIdRef(0),
         )
+        launch_of_sb.append(launch_idx)
+        for key in acc_keys:
+            acc_ready[key] = launch_idx
         for chunk_id, src_read in gather_reads:
             builder.note_read(chunk_id, src_read)
-        for chunk_id in direct_reads:
+        for chunk_id in dict.fromkeys(direct_reads):
             builder.note_read(chunk_id, launch_idx)
+        for state in states:
+            for pir in state.superblocks[s].params:
+                if pir.fused_source is not None:
+                    continue
+                _emit_param_outputs(builder, pir, launch_idx)
+        for pir in partials:
+            # The epilogue inside the fused task was the partial's last use.
+            builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=(launch_idx,))
 
-        # Post-launch write-back / coherence traffic and temp cleanup.
-        for pir in sbir.params:
-            self.emit_param_outputs(builder, pir, launch_idx)
-        return launch_idx
+    for state in states:
+        for rir in state.reductions:
+            if in_task:
+                device_accs = {
+                    device: (
+                        ChunkHandle.of_temp(rir.acc_specs[device]),
+                        acc_ready[(rir.param, device)],
+                    )
+                    for device in rir.per_device
+                }
+            else:
+                device_accs = _emit_reduce_chains(builder, rir, launch_of_sb)
+            _emit_reduction_merge(builder, rir, device_accs)
 
-    # ------------------------------------------------------------------ #
-    def _emit_reduction(
-        self, state: LaunchState, rir: ReductionIR, launch_proto_of_sb: List[int]
-    ) -> None:
-        builder = state.builder
-        array = rir.array
-        itemsize = np.dtype(array.dtype).itemsize
 
-        device_accs: Dict[DeviceId, Tuple[ChunkHandle, int]] = {}
-        for device, jobs in rir.per_device.items():
-            acc_spec = rir.acc_specs[device]
-            acc = ChunkHandle.of_temp(acc_spec)
-            prev = builder.create_temp(acc_spec, fill_value=rir.identity)
-            for job in jobs:
-                launch_idx = launch_proto_of_sb[job.sb_index]
-                reduce_idx = builder.add(
-                    T.ReduceTask,
-                    worker=device.worker,
-                    label=f"reduce {array.name}",
-                    deps=(launch_idx, prev),
-                    src_chunk=job.partial.ref,
-                    dst_chunk=acc.ref,
-                    region=job.region,
-                    op=rir.op_name,
-                    nbytes=job.region.size * itemsize,
-                )
-                prev = reduce_idx
-                builder.delete_chunk(job.partial, job.partial_label, deps=(reduce_idx,))
-            device_accs[device] = (acc, prev)
-
-        self.emit_reduction_merge(builder, rir, device_accs)
-
-    @staticmethod
-    def emit_reduction_merge(
-        builder: RecipeBuilder,
-        rir: ReductionIR,
-        device_accs: Dict[DeviceId, Tuple[ChunkHandle, int]],
-    ) -> None:
-        """Emit the cross-superblock half of a reduction: move every device
-        accumulator to the root device, combine, and scatter into the
-        destination chunks.  ``device_accs`` maps each contributing device to
-        its accumulator handle and the proto index after which the
-        accumulator holds that device's combined partials.  Shared by the
-        single-launch path (accumulators fed by :class:`ReduceTask` protos)
-        and the chain-fusion path (accumulators fed by in-task reduce
-        epilogues of the fused launches)."""
-        array = rir.array
-        itemsize = np.dtype(array.dtype).itemsize
-
-        # Bring every device accumulator to the root device and combine.
-        if rir.root_device in device_accs:
-            root_acc, root_ready = device_accs[rir.root_device]
-        else:
-            root_acc = ChunkHandle.of_temp(rir.root_acc_spec)
-            root_ready = builder.create_temp(rir.root_acc_spec, fill_value=rir.identity)
-        for device, (acc, ready) in device_accs.items():
-            if device == rir.root_device:
-                continue
-            staging_spec = rir.staging_specs[device]
-            staging = ChunkHandle.of_temp(staging_spec)
-            staging_ready = builder.create_temp(staging_spec)
-            src_read, arrived = builder.transfer(
-                rir.move_steps[device], deps=(ready, staging_ready)
-            )
-            combine_idx = builder.add(
+def _emit_reduce_chains(
+    builder: RecipeBuilder, rir: ReductionIR, launch_of_sb: List[int]
+) -> Dict[DeviceId, Tuple[ChunkHandle, int]]:
+    """Combine each superblock partial into its GPU's accumulator with a
+    :class:`~repro.core.tasks.ReduceTask` behind the superblock's launch
+    task (``launch_of_sb``), chained per GPU in superblock order.  Returns
+    each GPU's accumulator and the proto after which it holds every
+    partial."""
+    array = rir.array
+    itemsize = np.dtype(array.dtype).itemsize
+    device_accs: Dict[DeviceId, Tuple[ChunkHandle, int]] = {}
+    for device, jobs in rir.per_device.items():
+        acc_spec = rir.acc_specs[device]
+        acc = ChunkHandle.of_temp(acc_spec)
+        prev = builder.create_temp(acc_spec, fill_value=rir.identity)
+        for job in jobs:
+            prev = builder.add(
                 T.ReduceTask,
-                worker=rir.root_device.worker,
-                label=f"combine {array.name}",
-                deps=(arrived, root_ready),
-                src_chunk=staging.ref,
-                dst_chunk=root_acc.ref,
-                region=rir.total_region,
+                worker=device.worker,
+                label=f"reduce {array.name}",
+                deps=(launch_of_sb[job.sb_index], prev),
+                src_chunk=job.partial.ref,
+                dst_chunk=acc.ref,
+                region=job.region,
                 op=rir.op_name,
-                nbytes=rir.total_region.size * itemsize,
+                nbytes=job.region.size * itemsize,
             )
-            root_ready = combine_idx
-            builder.delete_chunk(acc, rir.acc_specs[device].label, deps=(src_read,))
-            builder.delete_chunk(staging, staging_spec.label, deps=(combine_idx,))
+            builder.delete_chunk(job.partial, job.partial_label, deps=(prev,))
+        device_accs[device] = (acc, prev)
+    return device_accs
 
-        # Write the reduced result into the destination chunks (and replicas).
-        final_uses = [root_ready]
-        for step in rir.scatter_steps:
-            dest_id = step.dst.chunk_id
-            src_read, dst_write = builder.transfer(
-                step, deps=(root_ready,), conflicts=(("write", dest_id),)
-            )
-            builder.note_write(dest_id, dst_write)
-            final_uses.append(src_read)
-        root_spec = rir.root_acc_spec or rir.acc_specs[rir.root_device]
-        builder.delete_chunk(root_acc, root_spec.label, deps=final_uses)
+
+def _emit_reduction_merge(
+    builder: RecipeBuilder,
+    rir: ReductionIR,
+    device_accs: Dict[DeviceId, Tuple[ChunkHandle, int]],
+) -> None:
+    """Emit the cross-superblock half of a reduction: move every device
+    accumulator to the root device, combine, and scatter into the
+    destination chunks.  ``device_accs`` maps each contributing device to
+    its accumulator handle and the proto index after which the accumulator
+    holds that device's combined partials."""
+    array = rir.array
+    itemsize = np.dtype(array.dtype).itemsize
+
+    # Bring every device accumulator to the root device and combine.
+    if rir.root_device in device_accs:
+        root_acc, root_ready = device_accs[rir.root_device]
+    else:
+        root_acc = ChunkHandle.of_temp(rir.root_acc_spec)
+        root_ready = builder.create_temp(rir.root_acc_spec, fill_value=rir.identity)
+    for device, (acc, ready) in device_accs.items():
+        if device == rir.root_device:
+            continue
+        staging_spec = rir.staging_specs[device]
+        staging = ChunkHandle.of_temp(staging_spec)
+        staging_ready = builder.create_temp(staging_spec)
+        src_read, arrived = builder.transfer(
+            rir.move_steps[device], deps=(ready, staging_ready)
+        )
+        combine_idx = builder.add(
+            T.ReduceTask,
+            worker=rir.root_device.worker,
+            label=f"combine {array.name}",
+            deps=(arrived, root_ready),
+            src_chunk=staging.ref,
+            dst_chunk=root_acc.ref,
+            region=rir.total_region,
+            op=rir.op_name,
+            nbytes=rir.total_region.size * itemsize,
+        )
+        root_ready = combine_idx
+        builder.delete_chunk(acc, rir.acc_specs[device].label, deps=(src_read,))
+        builder.delete_chunk(staging, staging_spec.label, deps=(combine_idx,))
+
+    # Write the reduced result into the destination chunks (and replicas).
+    final_uses = [root_ready]
+    for step in rir.scatter_steps:
+        dest_id = step.dst.chunk_id
+        src_read, dst_write = builder.transfer(
+            step, deps=(root_ready,), conflicts=(("write", dest_id),)
+        )
+        builder.note_write(dest_id, dst_write)
+        final_uses.append(src_read)
+    root_spec = rir.root_acc_spec or rir.acc_specs[rir.root_device]
+    builder.delete_chunk(root_acc, root_spec.label, deps=final_uses)
 
 
 # --------------------------------------------------------------------------- #
@@ -1011,9 +1078,9 @@ def build_fused_recipe(
     compatible (:func:`~repro.core.distributions.match_superblocks`), and the
     chain may end in a *reduction tail*: the per-superblock partial combine is
     emitted as an in-task epilogue of the fused launches and only the
-    cross-superblock merge remains as separate tasks.  ``allow_reduce_tail``
-    and ``allow_compatible_dists`` gate the two extensions (the window's
-    pairwise-only fusion mode turns both off).
+    cross-superblock merge remains as separate tasks (:func:`_emit_launches`).
+    ``allow_reduce_tail`` and ``allow_compatible_dists`` gate the two
+    extensions (the window's pairwise-only fusion mode turns both off).
     """
     launches = list(launches)
     if not chain_fusion_prescreen(
@@ -1026,29 +1093,13 @@ def build_fused_recipe(
     cost_model = cost_model or TransferCostModel(cluster)
     names = "+".join(launch.kernel.name for launch in launches)
     builder = RecipeBuilder(description=f"fused launch {names} #{{launch_id}}")
-    states: List[LaunchState] = []
-    analysis = [
-        AccessAnalysisPass(),
-        TransferResolutionPass(),
-        ReductionPlanningPass(),
-        RedundantTransferEliminationPass(),
-        CopyCoalescingPass(),
-    ]
-    for launch in launches:
-        state = LaunchState(
-            cluster=cluster,
-            kernel=launch.kernel,
-            grid=tuple(launch.grid),
-            block=tuple(launch.block),
-            work_dist=launch.work_dist,
-            arrays=dict(launch.arrays),
-            builder=builder,
-            cost_model=cost_model,
-            rotation=rotation,
+    states = [
+        _analyse(
+            cluster, launch.kernel, launch.grid, launch.block, launch.work_dist,
+            launch.arrays, builder, cost_model, rotation,
         )
-        for planning_pass in analysis:
-            planning_pass.run(state)
-        states.append(state)
+        for launch in launches
+    ]
 
     # Align every segment's superblocks with the first segment's split: the
     # per-axis offset/permutation check of `match_superblocks` is what makes
@@ -1102,7 +1153,7 @@ def build_fused_recipe(
                 if pir.mode.writes and pir.mode is not AccessMode.REDUCE:
                     producers[pir.array.array_id] = pir
 
-    _emit_fused_superblocks(states, builder)
+    _emit_launches(states, builder)
     recipe = builder.recipe
     # The member launches' own analysis notes (eliminated_bytes, ...) were
     # already accounted when each launch was prepared cold; only the
@@ -1115,150 +1166,46 @@ def build_fused_recipe(
     return recipe
 
 
-def _emit_fused_superblocks(states: Sequence[LaunchState], builder: RecipeBuilder) -> None:
-    """Joint task emission for a fused chain: one task per superblock.
-
-    Reduction tails: the per-device accumulators are created up front and the
-    per-superblock partial combines become in-task epilogues of the fused
-    launches, chained per device through ``acc_ready`` in superblock order —
-    the same combine order the unfused :class:`~repro.core.tasks.ReduceTask`
-    chain uses, which keeps floating-point results bit-identical.  Only the
-    cross-superblock merge (:meth:`TaskEmissionPass.emit_reduction_merge`) is
-    emitted as separate tasks.
-    """
-    segments = len(states)
-
-    #: (param, device) -> proto index after which the accumulator is current
-    acc_ready: Dict[Tuple[str, DeviceId], int] = {}
-    for state in states:
-        for rir in state.reductions:
-            for device in rir.per_device:
-                acc_ready[(rir.param, device)] = builder.create_temp(
-                    rir.acc_specs[device], fill_value=rir.identity
-                )
-
-    for s in range(len(states[0].superblocks)):
-        sb = states[0].superblocks[s].sb
-        launch_deps: List[int] = []
-        launch_conflicts: List[Tuple[str, ChunkId]] = []
-        gather_reads: List[Tuple[ChunkId, int]] = []
-        direct_reads: List[ChunkId] = []
-        epilogues: List[Tuple[ReduceEpilogueProto, ...]] = []
-        acc_keys: List[Tuple[str, DeviceId]] = []
-        partials: List[ParamIR] = []
-        for state in states:
-            segment_epilogues: List[ReduceEpilogueProto] = []
-            for pir in state.superblocks[s].params:
-                if pir.fused_source is not None:
-                    # Producer emits the binding; the fused task's read of a
-                    # persistent producer chunk still registers as a reader.
-                    source = pir.fused_source
-                    if source.direct_chunk is not None:
-                        direct_reads.append(source.direct_chunk.chunk_id)
-                    continue
-                deps, conflicts, gathers, directs = TaskEmissionPass.emit_param_inputs(
-                    builder, pir
-                )
-                launch_deps.extend(deps)
-                launch_conflicts.extend(conflicts)
-                gather_reads.extend(gathers)
-                direct_reads.extend(directs)
-                if pir.mode is AccessMode.REDUCE:
-                    rir = next(r for r in state.reductions if r.param == pir.param)
-                    acc_spec = rir.acc_specs[sb.device]
-                    itemsize = np.dtype(rir.array.dtype).itemsize
-                    segment_epilogues.append(
-                        ReduceEpilogueProto(
-                            src_ref=pir.binding.ref,
-                            dst_ref=ChunkHandle.of_temp(acc_spec).ref,
-                            region=pir.region,
-                            op=rir.op_name,
-                            nbytes=pir.region.size * itemsize,
-                        )
-                    )
-                    key = (pir.param, sb.device)
-                    launch_deps.append(acc_ready[key])
-                    acc_keys.append(key)
-                    partials.append(pir)
-            epilogues.append(tuple(segment_epilogues))
-
-        launch_idx = builder.add(
-            T.LaunchTask,
-            worker=sb.device.worker,
-            label=f"{'+'.join(st.kernel.name for st in states)}[{sb.index}]",
-            deps=launch_deps,
-            conflicts=launch_conflicts,
-            kernel_names=tuple(st.kernel.name for st in states),
-            device=sb.device,
-            superblock=sb,
-            superblocks_list=tuple(st.superblocks[s].sb for st in states),
-            grid_dims_list=tuple(tuple(st.grid) for st in states),
-            block_dims_list=tuple(tuple(st.block) for st in states),
-            scalar_args_list=tuple(ScalarArgsRef(h) for h in range(segments)),
-            array_args_list=tuple(
-                tuple(
-                    ArgBindingProto(
-                        param=pir.param,
-                        chunk_ref=pir.binding.ref,
-                        access_region=pir.region,
-                        mode=pir.mode.value,
-                        reduce_op=pir.reduce_op,
-                    )
-                    for pir in st.superblocks[s].params
-                )
-                for st in states
-            ),
-            array_shapes_list=tuple(
-                {pir.param: pir.array.shape for pir in st.superblocks[s].params}
-                for st in states
-            ),
-            reduce_epilogues=(
-                tuple(epilogues) if any(epilogues) else ()
-            ),
-            launch_id=LaunchIdRef(0),
-        )
-        for key in acc_keys:
-            acc_ready[key] = launch_idx
-        for chunk_id, src_read in gather_reads:
-            builder.note_read(chunk_id, src_read)
-        for chunk_id in dict.fromkeys(direct_reads):
-            builder.note_read(chunk_id, launch_idx)
-        for state in states:
-            for pir in state.superblocks[s].params:
-                if pir.fused_source is not None:
-                    continue
-                TaskEmissionPass.emit_param_outputs(builder, pir, launch_idx)
-        for pir in partials:
-            # The epilogue inside the fused task was the partial's last use.
-            builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=(launch_idx,))
-
-    # Cross-superblock merge of the reduction tail: device accumulators to the
-    # root, combine, scatter into the destination chunks.
-    for state in states:
-        for rir in state.reductions:
-            device_accs = {
-                device: (
-                    ChunkHandle.of_temp(rir.acc_specs[device]),
-                    acc_ready[(rir.param, device)],
-                )
-                for device in rir.per_device
-            }
-            TaskEmissionPass.emit_reduction_merge(builder, rir, device_accs)
-
-
 # --------------------------------------------------------------------------- #
-# the pipeline
+# recipes: the analysis passes, then task emission
 # --------------------------------------------------------------------------- #
-def default_pipeline() -> List[PlanningPass]:
-    """The standard pass pipeline for planning one launch."""
-    return [
-        AccessAnalysisPass(),
-        TransferResolutionPass(),
-        ReductionPlanningPass(),
-        RedundantTransferEliminationPass(),
-        CopyCoalescingPass(),
-        TaskEmissionPass(),
-    ]
+#: the analysis passes every launch runs, in order, before task emission
+_ANALYSIS: Tuple[PlanningPass, ...] = (
+    AccessAnalysisPass(),
+    TransferResolutionPass(),
+    ReductionPlanningPass(),
+    RedundantTransferEliminationPass(),
+    CopyCoalescingPass(),
+)
+
+
+def _analyse(
+    cluster: Cluster,
+    kernel: CompiledKernel,
+    grid: Tuple[int, ...],
+    block: Tuple[int, ...],
+    work_dist: WorkDistribution,
+    arrays: Dict[str, DistributedArray],
+    builder: RecipeBuilder,
+    cost_model: TransferCostModel,
+    rotation: int,
+) -> LaunchState:
+    """Run the analysis passes over one launch; its temp slots are
+    allocated in ``builder``, the recipe its tasks will be emitted into."""
+    state = LaunchState(
+        cluster=cluster,
+        kernel=kernel,
+        grid=tuple(grid),
+        block=tuple(block),
+        work_dist=work_dist,
+        arrays=dict(arrays),
+        builder=builder,
+        cost_model=cost_model,
+        rotation=rotation,
+    )
+    for planning_pass in _ANALYSIS:
+        planning_pass.run(state)
+    return state
 
 
 def build_launch_recipe(
@@ -1269,24 +1216,16 @@ def build_launch_recipe(
     work_dist: WorkDistribution,
     arrays: Dict[str, DistributedArray],
     cost_model: Optional[TransferCostModel] = None,
-    pipeline: Optional[Sequence[PlanningPass]] = None,
     rotation: int = 0,
 ) -> PlanRecipe:
-    """Run the pass pipeline and return the structural plan recipe."""
-    state = LaunchState(
-        cluster=cluster,
-        kernel=kernel,
-        grid=tuple(grid),
-        block=tuple(block),
-        work_dist=work_dist,
-        arrays=dict(arrays),
-        builder=RecipeBuilder(description=f"launch {kernel.name} #{{launch_id}}"),
-        cost_model=cost_model or TransferCostModel(cluster),
-        rotation=rotation,
+    """The structural plan recipe of one launch: a one-segment chain."""
+    builder = RecipeBuilder(description=f"launch {kernel.name} #{{launch_id}}")
+    state = _analyse(
+        cluster, kernel, grid, block, work_dist, arrays, builder,
+        cost_model or TransferCostModel(cluster), rotation,
     )
-    for planning_pass in (pipeline or default_pipeline()):
-        planning_pass.run(state)
-    recipe = state.builder.recipe
+    _emit_launches([state], builder)
+    recipe = builder.recipe
     recipe.notes.update(state.notes)
     recipe.misaligned_writes = _misaligned_writes(state)
     return recipe

@@ -13,12 +13,13 @@ Since the launch window was introduced, planning a launch is split in two
 driver-side steps:
 
 * :meth:`Planner.prepare_launch` runs at ``Context.launch`` time: it resolves
-  the plan-template cache and — on a miss — runs the analysis passes, so
+  the plan-template cache and — on a miss — builds the recipe, so
   planning errors still surface at the launch call site even though
   submission is deferred;
-* :meth:`Planner.stamp_launch` runs when the window drains: it stamps the
-  prepared recipe with fresh ids and the cross-launch conflict edges that
-  depend on everything stamped before it.
+* :meth:`Planner.stamp_launch` runs when the window drains: it stamps each
+  drain unit's recipe — a prepared launch's or a fused chain's — with fresh
+  ids and the cross-launch conflict edges that depend on everything stamped
+  before it.
 
 Fused recipes (the window's kernel-fusion pass) are cached separately, keyed
 by the *chain* of member cache keys (any length >= 2), with a negative entry
@@ -103,7 +104,6 @@ class Planner:
         #: chunk-level conflict tracking across launches
         self._writers: Dict[int, List[int]] = defaultdict(list)
         self._readers: Dict[int, List[int]] = defaultdict(list)
-        self.launches_planned = 0
         self.cost_model = TransferCostModel(cluster)
         self.cache_enabled = plan_cache
         self.cache = PlanTemplateCache()
@@ -379,7 +379,7 @@ class Planner:
         arrays: Dict[str, DistributedArray],
         rechunk: Callable[[PlanRecipe, Dict[str, DistributedArray]], bool],
     ) -> PreparedLaunch:
-        """Resolve the template cache and (on a miss) run the analysis passes.
+        """Resolve the template cache and (on a miss) build the launch's recipe.
 
         Runs at ``Context.launch`` time, before the launch enters the window:
         planning errors surface at the call site and the cached hot path pays
@@ -433,8 +433,20 @@ class Planner:
             return None
         return key
 
-    def _stamp(self, recipe: PlanRecipe, **kwargs) -> StampedPlan:
-        """Stamp ``recipe``, inject its conflict edges and book its accesses."""
+    def stamp_launch(
+        self,
+        recipe: PlanRecipe,
+        scalar_sets: Sequence[Dict[str, object]],
+        launch_ids: Sequence[int],
+        cache_status: Optional[str],
+        prefetch: bool,
+    ) -> StampedPlan:
+        """Stamp one drain unit's recipe into a concrete plan (window drain
+        time), inject its conflict edges and book its accesses.
+
+        ``scalar_sets`` and ``launch_ids`` hold one entry per segment: one
+        for a plain launch, one per member of a fused chain.
+        """
         started = time.perf_counter()
         stamped = stamp_recipe(
             recipe,
@@ -442,29 +454,15 @@ class Planner:
             new_chunk_id=self._chunk_ids.next_id,
             new_tag=self._next_tag,
             resolve_conflicts=self.dependency_injector.resolve,
-            **kwargs,
+            scalar_sets=scalar_sets,
+            launch_ids=launch_ids,
+            cache_status=cache_status,
+            prefetch=prefetch,
         )
         self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids)
         stamped.plan.tenant = self.tenant
         self.planning_seconds += time.perf_counter() - started
         return stamped
-
-    def stamp_launch(
-        self,
-        prepared: PreparedLaunch,
-        scalars: Dict[str, object],
-        launch_id: int,
-        prefetch: bool = False,
-    ) -> StampedPlan:
-        """Stamp a prepared launch into a concrete plan (window drain time)."""
-        self.launches_planned += 1
-        return self._stamp(
-            prepared.recipe,
-            scalars=scalars,
-            launch_id=launch_id,
-            cache_status=prepared.cache_status,
-            prefetch=prefetch,
-        )
 
     # ------------------------------------------------------------------ #
     # cross-launch kernel fusion (used by the launch window)
@@ -531,24 +529,4 @@ class Planner:
         """
         return self.prepare_fused_chain(
             (a, b), allow_reduce_tail=False, allow_compatible_dists=False
-        )
-
-    def stamp_fused(
-        self,
-        recipe: PlanRecipe,
-        scalar_sets: Sequence[Dict[str, object]],
-        launch_ids: Sequence[int],
-        cache_status: Optional[str] = None,
-        prefetch: bool = False,
-    ) -> StampedPlan:
-        """Stamp a fused recipe (one set of scalars and a launch id per segment)."""
-        self.launches_planned += len(launch_ids)
-        return self._stamp(
-            recipe,
-            scalars=scalar_sets[0] if scalar_sets else None,
-            launch_id=launch_ids[0] if launch_ids else None,
-            cache_status=cache_status,
-            scalar_sets=list(scalar_sets),
-            launch_ids=list(launch_ids),
-            prefetch=prefetch,
         )

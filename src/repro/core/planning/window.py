@@ -90,22 +90,21 @@ class DrainUnit:
 
     The fusion pass produces these; the memory-planning and stamping passes
     consume them (``recipe`` is the template that will be stamped, and
-    ``prefetch`` says whether the PR-3 prefetch stamp applies).
+    ``prefetch`` says whether the cross-launch prefetch stamp applies).
     """
 
     members: Tuple[PendingLaunch, ...]
     recipe: object
     cache_status: Optional[str]
     prefetch: bool
-    fused: bool
 
 
 class LaunchWindow:
     """Bounded lookahead buffer of pending launches with cross-launch passes.
 
-    ``fusion`` selects the fusion pass's mode: ``True`` (or ``"chain"``) runs
-    the greedy chain builder — maximal runs of producer/consumer launches,
-    compatible-distribution segments and reduction tails included — while
+    ``fusion`` selects the fusion pass's mode: ``True`` runs the greedy chain
+    builder — maximal runs of producer/consumer launches, compatible-
+    distribution segments and reduction tails included — while
     ``"pairwise"`` restores the original adjacent-pair-only behaviour
     (identical distributions, no reduction tails; the bench harness uses it as
     the chain-fusion control arm) and ``False`` disables fusion entirely.
@@ -126,14 +125,11 @@ class LaunchWindow:
         #: the owning context's ``RuntimeStats`` counters
         self.counters = counters
         self.depth = max(1, int(depth))
-        if fusion not in (True, False, "chain", "pairwise"):
-            raise ValueError(
-                f"fusion must be True, False, 'chain' or 'pairwise', got {fusion!r}"
-            )
+        if fusion not in (True, False, "pairwise"):
+            raise ValueError(f"fusion must be True, False or 'pairwise', got {fusion!r}")
         self.fusion_enabled = bool(fusion)
         self.fusion_pairwise_only = fusion == "pairwise"
         self.prefetch_enabled = prefetch
-        self.memory_planning_enabled = memory_planning
         self.memplan = WindowMemoryPlanner(runtime, planner, counters) if memory_planning else None
         self._pending: List[PendingLaunch] = []
         self._holding = False
@@ -238,7 +234,8 @@ class LaunchWindow:
         index = 0
         while index < len(group):
             members: List[PendingLaunch] = [group[index]]
-            recipe, status = None, None
+            recipe = group[index].prepared.recipe
+            status = group[index].prepared.cache_status
             if self.fusion_enabled:
                 limit = 2 if self.fusion_pairwise_only else len(group) - index
                 while index + len(members) < len(group) and len(members) < limit:
@@ -255,21 +252,8 @@ class LaunchWindow:
             # drained group: its pre-launch transfers are predictable one
             # launch ahead, so they are stamped with a raised priority.
             prefetch = self.prefetch_enabled and index > 0
-            if recipe is not None:
-                units.append(DrainUnit(
-                    members=tuple(members),
-                    recipe=recipe, cache_status=status,
-                    prefetch=prefetch, fused=True,
-                ))
-            else:
-                pending = group[index]
-                units.append(DrainUnit(
-                    members=(pending,),
-                    recipe=pending.prepared.recipe,
-                    cache_status=pending.prepared.cache_status,
-                    prefetch=prefetch, fused=False,
-                ))
-            index += len(units[-1].members)
+            units.append(DrainUnit(tuple(members), recipe, status, prefetch))
+            index += len(members)
 
         # Whole chains: when the launch that filled the window extends the
         # group's last unit, that unit leads the next drain instead of being
@@ -301,14 +285,14 @@ class LaunchWindow:
                 ))
             else:
                 promote_plans.append(None)
-            if unit.fused:
-                stamped = self.planner.stamp_fused(
-                    unit.recipe,
-                    scalar_sets=[m.scalars for m in unit.members],
-                    launch_ids=[m.launch_id for m in unit.members],
-                    cache_status=unit.cache_status,
-                    prefetch=unit.prefetch,
-                )
+            stamped = self.planner.stamp_launch(
+                unit.recipe,
+                [m.scalars for m in unit.members],
+                [m.launch_id for m in unit.members],
+                unit.cache_status,
+                unit.prefetch,
+            )
+            if len(unit.members) > 1:
                 counters.launches_fused += len(unit.members) - 1
                 if len(unit.members) > 2:
                     # launches that joined a chain longer than a pair — what
@@ -319,14 +303,6 @@ class LaunchWindow:
                 )
                 counters.reductions_fused += int(
                     unit.recipe.notes.get("fused_reductions", 0)
-                )
-            else:
-                pending = unit.members[0]
-                stamped = self.planner.stamp_launch(
-                    pending.prepared,
-                    pending.scalars,
-                    pending.launch_id,
-                    prefetch=unit.prefetch,
                 )
             plan = stamped.plan
             if unit.prefetch:

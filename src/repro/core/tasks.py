@@ -225,15 +225,13 @@ class LaunchTask(Task):
     outputs in place, and pay the fixed launch overhead once.  Parallel
     tuples hold one entry per segment.  ``superblocks_list`` carries each
     segment's own superblock (segments fused across *compatible* work
-    distributions keep their own thread regions); when empty, every segment
-    uses ``superblock``.  ``reduce_epilogues`` holds per-segment in-task
-    partial-reduction combines (a chain's reduction tail); see
-    :class:`ReduceEpilogue`.
+    distributions keep their own thread regions).  ``reduce_epilogues`` is
+    empty or holds per-segment in-task partial-reduction combines (a chain's
+    reduction tail); see :class:`ReduceEpilogue`.
     """
 
     kernel_names: Tuple[str, ...] = ()
     device: DeviceId = None  # type: ignore[assignment]
-    superblock: Superblock = None  # type: ignore[assignment]
     superblocks_list: Tuple[Superblock, ...] = ()
     grid_dims_list: Tuple[Tuple[int, ...], ...] = ()
     block_dims_list: Tuple[Tuple[int, ...], ...] = ()
@@ -248,12 +246,6 @@ class LaunchTask(Task):
     def segment_count(self) -> int:
         """Number of launch segments (1 for a plain launch)."""
         return len(self.kernel_names)
-
-    def segment_superblock(self, segment: int) -> Superblock:
-        """The superblock segment ``segment`` executes (its own thread region)."""
-        if self.superblocks_list:
-            return self.superblocks_list[segment]
-        return self.superblock
 
     def chunk_requirements(self):
         """Every segment's bound and epilogue chunks (deduplicated), on the GPU."""
@@ -295,7 +287,7 @@ class LaunchTask(Task):
                     writable=binding.writes,
                     name=binding.param,
                 )
-            superblock = self.segment_superblock(segment)
+            superblock = self.superblocks_list[segment]
             launch_ctx = LaunchContext(
                 grid_dims=self.grid_dims_list[segment],
                 block_dims=self.block_dims_list[segment],

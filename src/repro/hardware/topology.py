@@ -161,11 +161,6 @@ class Cluster:
         """True once ``mark_failed`` has been called for this device."""
         return device_id in self._failed
 
-    @property
-    def failed_devices(self) -> frozenset:
-        """The set of permanently failed device ids."""
-        return frozenset(self._failed)
-
     # ------------------------------------------------------------------ #
     # lookups
     # ------------------------------------------------------------------ #

@@ -49,7 +49,6 @@ class TaskExecutor:
         self.functional = functional
         self.memory = memory
         self.kernel_launches = 0
-        self.kernel_seconds = 0.0
         #: task-kind -> bound handler, filled on first dispatch of each kind
         #: (one getattr per kind instead of an f-string + getattr per task)
         self._dispatch: Dict[str, Callable] = {}
@@ -127,7 +126,7 @@ class TaskExecutor:
             zip(task.kernel_names, task.scalar_args_list)
         ):
             kernel = self.kernel_registry[name]
-            threads = task.segment_superblock(segment).thread_count
+            threads = task.superblocks_list[segment].thread_count
             duration += kernel_time(device_spec, kernel.cost, threads, scalars)
         # Reduction-tail epilogues combine the superblock partial into the
         # device accumulator inside the task: bandwidth-bound like a
@@ -136,7 +135,6 @@ class TaskExecutor:
             for epilogue in epilogues:
                 duration += epilogue.nbytes / device_spec.mem_bandwidth / 0.8
         self.kernel_launches += task.segment_count
-        self.kernel_seconds += duration
 
         def payload() -> None:
             if self.functional:

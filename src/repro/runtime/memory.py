@@ -95,7 +95,6 @@ class _ChunkState:
     meta: ChunkMeta
     space: Optional[MemorySpace] = None
     pins: int = 0
-    last_use: int = 0
     #: True while the chunk is resident above the disk tier and the disk
     #: still holds a clean copy of its contents (bytes kept in the disk pool)
     disk_copy: bool = False
@@ -151,7 +150,6 @@ class MemoryManager:
         self._chunks: Dict[ChunkId, _ChunkState] = {}
         self._staged: Dict[int, List[ChunkId]] = {}
         self._pending: List[_PendingStage] = []
-        self._use_counter = 0
         self.stats = MemoryStats()
         #: chunks a window memory plan promoted; consumed (once) by the
         #: stall-avoidance accounting in :meth:`_try_stage`
@@ -677,8 +675,6 @@ class MemoryManager:
                 transfers.extend(self._move(state, target))
             # inline _touch + _pin (residency may have changed in _move, so
             # state.space is re-read after the move branch)
-            self._use_counter += 1
-            state.last_use = self._use_counter
             space = state.space
             if space is not None:
                 lru[space].move_to_end(state.meta.chunk_id)
@@ -735,8 +731,6 @@ class MemoryManager:
         return None
 
     def _touch(self, state: _ChunkState) -> None:
-        self._use_counter += 1
-        state.last_use = self._use_counter
         if state.space is not None:
             self._lru[state.space].move_to_end(state.meta.chunk_id)
 

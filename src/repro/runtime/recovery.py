@@ -82,7 +82,6 @@ class LineageTracker:
         #: send tag -> (src chunk, version read) for recv matching; sends
         #: always precede their recv in task-id order in this codebase
         self._send_by_tag: Dict[int, Tuple[ChunkId, int]] = {}
-        self.records_observed = 0
         #: (chunk id, version) -> zero-argument loader returning the chunk's
         #: bytes from durable storage.  ``Context.checkpoint`` registers one
         #: per captured chunk: a checkpointed version is a replay *leaf* —
@@ -127,7 +126,6 @@ class LineageTracker:
             self._meta[chunk.chunk_id] = chunk
             self._producer[(chunk.chunk_id, 0)] = record
             self._live.add(chunk.chunk_id)
-            self.records_observed += 1
             return
         if kind == "deletechunk":
             # Keep meta/versions: deleted chunks can still be replay
@@ -201,10 +199,6 @@ class LineageTracker:
         elif kind == "reduce":
             read(task.src_chunk)
             write(task.dst_chunk, full=False)
-        else:
-            return
-        if record.writes or record.reads:
-            self.records_observed += 1
 
     # ------------------------------------------------------------------ #
     # replay

@@ -82,10 +82,6 @@ class Resource:
         """Consume ``amount`` of the resource, then invoke the callback."""
         raise NotImplementedError
 
-    def _record(self, label: str, start: float, end: float) -> None:
-        if self.trace is not None:
-            self.trace.record(self.name, label, start, end)
-
 
 class _QueuedWork:
     """One channel work item, recycled through the owning resource's slab.
@@ -158,16 +154,6 @@ class ChannelResource(Resource):
         self._busy = 0
         #: slab of recycled work records (bounded by peak queue + busy depth)
         self._free: List[_QueuedWork] = []
-
-    @property
-    def queue_length(self) -> int:
-        """Requests waiting for a free server."""
-        return len(self._queue)
-
-    @property
-    def busy_servers(self) -> int:
-        """Servers currently occupied."""
-        return self._busy
 
     def request(self, amount: float, callback: Callback, label: str = "") -> None:
         """Occupy one server for ``amount`` seconds, then invoke the callback."""
@@ -276,11 +262,6 @@ class BandwidthResource(Resource):
         #: Wake-ups that were armed but superseded before firing (never
         #: processed as spurious no-op events, see the module docstring).
         self.wakeups_cancelled = 0
-
-    @property
-    def active_transfers(self) -> int:
-        """Transfers currently sharing the link."""
-        return len(self._finish_heap)
 
     @property
     def queued_transfers(self) -> int:

@@ -98,10 +98,6 @@ class Trace:
         busy.append(busy[-3] + (end - merged))
         self._raw.append((resource, label, start, end))
 
-    def for_resource(self, resource: str) -> List[TraceInterval]:
-        """All recorded intervals of one resource."""
-        return [TraceInterval(*raw) for raw in self._raw if raw[0] == resource]
-
     def busy_time(self, resource: str) -> float:
         """Total busy time of ``resource`` (intervals may overlap for shared resources)."""
         busy = self._busy.get(resource)

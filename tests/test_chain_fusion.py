@@ -227,6 +227,39 @@ def test_chain_fuses_into_one_task_per_superblock():
     assert len(fused) == 4  # one per superblock, instead of 12 launch tasks
 
 
+def test_every_launch_task_has_one_entry_per_segment():
+    """Plain launches, fused chains and reduction tails are all emitted by one
+    emitter: every per-segment field of every launch task has one entry per
+    segment, and the reduce epilogues are either absent or per segment."""
+    ctx = make_ctx(fusion=True, record_plans=True)
+    kernels = build_kernels(ctx)
+    a = ctx.from_numpy(np.arange(N, dtype=np.float32), BlockDist(64), name="a")
+    b, c, d, e = (ctx.zeros(N, BlockDist(64), name=name) for name in "bcde")
+    total = ctx.zeros(TOTAL_SHAPE, ReplicatedDist(), name="total")
+    work = BlockWorkDist(64)
+    kernels["point"].launch(N, 32, work, (N, b, a))  # chain: point, point
+    kernels["point"].launch(N, 32, work, (N, c, b))
+    kernels["stencil"].launch(N, 32, work, (N, d, c))  # plain: halo consumer
+    kernels["reduce"].launch(N, 32, work, (N, a, total))  # plain reduction
+    kernels["point"].launch(N, 32, work, (N, e, d))  # reduction tail
+    kernels["reduce"].launch(N, 32, work, (N, e, total))
+    ctx.synchronize()
+    tasks = [t for p in ctx.recorded_plans for t in p.all_tasks()]
+    launches = [t for t in tasks if isinstance(t, T.LaunchTask)]
+    assert {(t.segment_count, bool(t.reduce_epilogues)) for t in launches} == {
+        (1, False), (2, False), (2, True)
+    }
+    assert any(isinstance(t, T.ReduceTask) and t.label == "reduce total" for t in tasks)
+    for t in launches:
+        lengths = {
+            len(t.kernel_names), len(t.superblocks_list), len(t.grid_dims_list),
+            len(t.block_dims_list), len(t.scalar_args_list), len(t.array_args_list),
+            len(t.array_shapes_list),
+        }
+        assert lengths == {t.segment_count}, t.label
+        assert len(t.reduce_epilogues) in (0, t.segment_count), t.label
+
+
 def test_chain_breaks_at_halo_consumer():
     """A halo consumer inside a longer run: the chain absorbs the pointwise
     prefix and stops exactly at the stencil."""

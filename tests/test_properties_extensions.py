@@ -113,7 +113,6 @@ def test_policies_always_return_valid_index(seed, size, policy_name):
             worker=0,
             kernel_names=("k",),
             device=None,
-            superblock=None,
             array_args_list=((
                 T.ArrayArgBinding("a", chunk_id=int(rng.integers(1, 50)),
                                   access_region=Region.from_shape((4,)), mode="read"),

@@ -78,7 +78,6 @@ def _launch(task_id, chunk_id, launch_id=0, worker=0):
         worker=worker,
         kernel_names=("k",),
         device=None,
-        superblock=None,
         array_args_list=((binding,),),
         launch_id=launch_id,
     )
