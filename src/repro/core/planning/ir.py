@@ -309,7 +309,7 @@ class PlanRecipe:
             elif proto.factory is T.ReduceTask:
                 note(proto.fields.get("src_chunk"), prefetch=False)
                 note(proto.fields.get("dst_chunk"), prefetch=False)
-            # Send/Recv/Fill/Download stage "host"/"any": no GPU footprint.
+            # Send/Recv/Download stage "any": no GPU footprint.
         for spec in self.temps:
             if spec is None:
                 continue
@@ -378,27 +378,20 @@ class RecipeBuilder:
     def create_temp(
         self,
         spec: TempChunkSpec,
-        fill_value: Optional[float] = None,
-        deps: Sequence[int] = (),
+        value: Optional[np.generic] = None,
     ) -> int:
-        """Create (and optionally identity-fill) a temp chunk; returns ready idx."""
-        create = self.add(
+        """Create a temp chunk, holding ``value`` in every element when given
+        (a reduction temp's identity); returns the create's proto index.
+
+        The chunk is allocated where its first stager needs it: a reduction
+        temp straight on its GPU, with nothing to upload.
+        """
+        return self.add(
             T.CreateChunkTask,
             worker=spec.worker,
             label=f"create {spec.label}",
-            deps=deps,
             chunk=TempMetaRef(spec.slot),
-        )
-        if fill_value is None:
-            return create
-        return self.add(
-            T.FillTask,
-            worker=spec.worker,
-            label=f"fill {spec.label}",
-            deps=(create,),
-            chunk_id=TempRef(spec.slot),
-            value=float(fill_value),
-            nbytes=spec.nbytes,
+            value=value,
         )
 
     def delete_chunk(self, handle: ChunkHandle, label: str, deps: Sequence[int]) -> int:

@@ -98,7 +98,9 @@ class ParamIR:
     #: temporary chunk blueprint (assembled input / scratch output / partial)
     temp_spec: Optional[TempChunkSpec] = None
     binding: Optional[ChunkHandle] = None
-    identity: Optional[float] = None  # reduce identity for partial fills
+    #: the reduce operator's identity in the array's dtype (what the
+    #: superblock partial is created holding)
+    identity: Optional[np.generic] = None
     gather_steps: List[TransferStep] = field(default_factory=list)
     writeback_steps: List[TransferStep] = field(default_factory=list)
     #: producer ParamIR this consumer param was rebound to by the fusion pass
@@ -131,7 +133,9 @@ class ReductionIR:
     param: str
     array: DistributedArray
     op_name: str
-    identity: float
+    #: the operator's identity in the array's dtype, exact (what every
+    #: accumulator is created holding)
+    identity: np.generic
     total_region: Region
     #: insertion-ordered groups of jobs per device
     per_device: Dict[DeviceId, List[ReduceJobIR]] = field(default_factory=dict)
@@ -246,7 +250,7 @@ class TransferResolutionPass(PlanningPass):
 
         if pir.mode is AccessMode.REDUCE:
             op = get_reduce_op(pir.reduce_op)
-            pir.identity = float(op.identity(array.dtype))
+            pir.identity = op.identity(array.dtype)
             pir.temp_spec = builder.temp(
                 region, array.dtype, sb.device, label=f"partial {pir.param} sb{sb.index}"
             )
@@ -358,7 +362,7 @@ class ReductionPlanningPass(PlanningPass):
         array = state.arrays[param]
         access = state.kernel.annotation.access_for(param)
         op = get_reduce_op(access.reduce_op)
-        identity = float(op.identity(array.dtype))
+        identity = op.identity(array.dtype)
         total_region = bounding_region([job.region for job in jobs])
 
         rir = ReductionIR(
@@ -575,7 +579,7 @@ def _emit_param_inputs(
     gather_reads: List[Tuple[ChunkId, int]] = []
     direct_reads: List[ChunkId] = []
     if pir.mode is AccessMode.REDUCE:
-        ready = builder.create_temp(pir.temp_spec, fill_value=pir.identity)
+        ready = builder.create_temp(pir.temp_spec, pir.identity)
         launch_deps.append(ready)
         return launch_deps, launch_conflicts, gather_reads, direct_reads
     if pir.direct_chunk is not None:
@@ -632,17 +636,22 @@ def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> Non
     which keeps floating-point results bit-identical.  The one branch is
     where it combines them (``in_task``):
 
-    * a one-segment launch chains one :class:`~repro.core.tasks.ReduceTask`
-      per partial behind the launch tasks (:func:`_emit_reduce_chains`), so
-      a GPU's launch tasks do not wait for one another;
-    * a fused reduction tail combines each partial inside its launch task
-      (``reduce_epilogues``) into per-GPU accumulators created up front, so
-      a GPU's launch tasks chain through its accumulator (``acc_ready``).
+    * by default one :class:`~repro.core.tasks.ReduceTask` per partial
+      chains behind the launch tasks (:func:`_emit_reduce_chains`), so a
+      GPU's launch tasks do not wait for one another;
+    * a fused reduction tail in which no GPU runs more than one superblock
+      combines each partial inside its launch task (``reduce_epilogues``)
+      into its GPU's accumulator, created up front, saving a task per
+      superblock.  On a GPU that ran several superblocks, epilogues would
+      chain its launch tasks through the accumulator (``acc_ready``), one
+      after another, so such tails take the default.
 
     Either way the cross-superblock merge (:func:`_emit_reduction_merge`)
     follows as separate tasks.
     """
-    in_task = len(states) > 1
+    superblocks = states[0].superblocks
+    devices = {sbir.sb.device for sbir in superblocks}
+    in_task = len(states) > 1 and len(devices) == len(superblocks)
 
     #: (param, device) -> proto index after which the accumulator is current
     acc_ready: Dict[Tuple[str, DeviceId], int] = {}
@@ -651,12 +660,12 @@ def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> Non
             for rir in state.reductions:
                 for device in rir.per_device:
                     acc_ready[(rir.param, device)] = builder.create_temp(
-                        rir.acc_specs[device], fill_value=rir.identity
+                        rir.acc_specs[device], rir.identity
                     )
 
     launch_of_sb: List[int] = []
-    for s in range(len(states[0].superblocks)):
-        sb = states[0].superblocks[s].sb
+    for s in range(len(superblocks)):
+        sb = superblocks[s].sb
         launch_deps: List[int] = []
         launch_conflicts: List[Tuple[str, ChunkId]] = []
         gather_reads: List[Tuple[ChunkId, int]] = []
@@ -777,7 +786,7 @@ def _emit_reduce_chains(
     for device, jobs in rir.per_device.items():
         acc_spec = rir.acc_specs[device]
         acc = ChunkHandle.of_temp(acc_spec)
-        prev = builder.create_temp(acc_spec, fill_value=rir.identity)
+        prev = builder.create_temp(acc_spec, rir.identity)
         for job in jobs:
             prev = builder.add(
                 T.ReduceTask,
@@ -813,7 +822,7 @@ def _emit_reduction_merge(
         root_acc, root_ready = device_accs[rir.root_device]
     else:
         root_acc = ChunkHandle.of_temp(rir.root_acc_spec)
-        root_ready = builder.create_temp(rir.root_acc_spec, fill_value=rir.identity)
+        root_ready = builder.create_temp(rir.root_acc_spec, rir.identity)
     for device, (acc, ready) in device_accs.items():
         if device == rir.root_device:
             continue
@@ -1076,9 +1085,9 @@ def build_fused_recipe(
     ``None`` when fusion is not legal.  Any chain length >= 2 is accepted;
     segments may use *different* work distributions whose superblock maps are
     compatible (:func:`~repro.core.distributions.match_superblocks`), and the
-    chain may end in a *reduction tail*: the per-superblock partial combine is
-    emitted as an in-task epilogue of the fused launches and only the
-    cross-superblock merge remains as separate tasks (:func:`_emit_launches`).
+    chain may end in a *reduction tail*, whose per-superblock partial
+    combines :func:`_emit_launches` places (in-task epilogues where no GPU
+    runs more than one superblock, reduce tasks elsewhere).
     ``allow_reduce_tail`` and ``allow_compatible_dists`` gate the two
     extensions (the window's pairwise-only fusion mode turns both off).
     """

@@ -23,8 +23,8 @@ class ReduceOp:
     name: str
     combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def identity(self, dtype: np.dtype) -> np.ndarray:
-        """The operator's identity element for ``dtype``."""
+    def identity(self, dtype: np.dtype) -> np.generic:
+        """The operator's identity element, exact, as a ``dtype`` scalar."""
         dtype = np.dtype(dtype)
         if self.name == "+":
             value = 0
@@ -36,7 +36,7 @@ class ReduceOp:
             value = -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
         else:  # pragma: no cover - REDUCE_OPS is closed
             raise ValueError(f"unknown reduction {self.name!r}")
-        return np.asarray(value, dtype=dtype)
+        return dtype.type(value)
 
     def __str__(self) -> str:
         return self.name

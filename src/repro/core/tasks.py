@@ -134,15 +134,22 @@ class Task:
 
 @dataclass
 class CreateChunkTask(Task):
-    """Register (and in functional mode allocate) a chunk on its home worker."""
+    """Register (and in functional mode allocate) a chunk on its home worker.
+
+    ``value`` (when given) is the constant every element starts as: the
+    planner creates reduction temporaries holding their operator's identity,
+    exact in the chunk's dtype.  It stands for a device memset, which, like
+    the allocation itself, the model charges nothing.
+    """
 
     bookkeeping: ClassVar[bool] = True
     chunk: ChunkMeta = None  # type: ignore[assignment]
+    value: Optional[np.generic] = None
 
     def apply(self, storage, kernels) -> None:
-        """Register the chunk (zero-filled when storage holds buffers)."""
-        if self.chunk.chunk_id not in storage:
-            storage.create(self.chunk)
+        """Register the chunk, holding ``value`` (zeros without one) when
+        storage holds buffers."""
+        storage.create(self.chunk, self.value)
 
 
 @dataclass

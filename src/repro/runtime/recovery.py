@@ -70,7 +70,7 @@ class LineageTracker:
     """Records chunk version history and replays lost chunks' producers."""
 
     def __init__(self) -> None:
-        #: current version of every chunk ever created (0 = fresh zeros)
+        #: current version of every chunk ever created (0 = as created)
         self._version: Dict[ChunkId, int] = {}
         #: metadata of every chunk ever created (kept past deletion so old
         #: versions can still be replayed as intermediates)
@@ -294,9 +294,12 @@ class LineageTracker:
         for record in sorted(records.values(), key=lambda r: r.task_id):
             for chunk_id, version in record.reads:
                 ensure(chunk_id, version)
-            for chunk_id in record.writes:
-                if chunk_id not in scratch:
-                    scratch.create(self._meta[chunk_id])
+            if record.task.kind != "createchunk":
+                # A create is version 0 of its chunk: its own apply allocates
+                # it, holding the value it was created with.
+                for chunk_id in record.writes:
+                    if chunk_id not in scratch:
+                        scratch.create(self._meta[chunk_id])
             record.task.apply(scratch, kernel_registry)
             for chunk_id, version in record.writes.items():
                 scratch_version[chunk_id] = version

@@ -30,13 +30,17 @@ class ChunkStorage:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def create(self, chunk: ChunkMeta) -> None:
-        """Allocate (functional mode) and register a chunk's buffer."""
+    def create(self, chunk: ChunkMeta, value: Optional[np.generic] = None) -> None:
+        """Allocate (functional mode) and register a chunk's buffer, holding
+        ``value`` in every element (zeros when ``value`` is ``None``)."""
         if chunk.chunk_id in self._meta:
             raise ValueError(f"chunk {chunk.chunk_id} already exists on this worker")
         self._meta[chunk.chunk_id] = chunk
         if self.materialize:
-            self._buffers[chunk.chunk_id] = np.zeros(chunk.shape, dtype=chunk.dtype)
+            self._buffers[chunk.chunk_id] = (
+                np.zeros(chunk.shape, dtype=chunk.dtype) if value is None
+                else np.full(chunk.shape, value, dtype=chunk.dtype)
+            )
 
     def delete(self, chunk_id: ChunkId) -> None:
         """Drop a chunk's buffer and metadata."""

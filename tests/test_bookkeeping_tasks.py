@@ -94,12 +94,15 @@ def test_a_delete_takes_effect_the_instant_its_last_reader_finishes():
 
 
 #: functional runs: (n, nodes, gpus), then the task, launch, network-byte and
-#: plan-cache counts and the virtual time the runtime reached when every
-#: bookkeeping task still passed through the scheduler and CPU channels
+#: plan-cache counts, and the virtual time the runtime reached when every
+#: bookkeeping task still passed through the scheduler and CPU channels.
+#: The task counts are those of plans whose reduction temporaries are
+#: created holding their identity (no fill task follows their creates):
+#: 20 fewer for kmeans2 and 6 fewer for cgc than in the plans of that time.
 PARENT = {
     "hotspot3": ((128 * 128, 2, 2), (30, 30, 0, 8, 2), 0.0025599303834038037),
-    "kmeans2": ((40_960, 1, 4), (173, 15, 0, 8, 2), 0.011402892313754178),
-    "cgc": ((64 * 64, 2, 2), (131, 8, 40192, 0, 5), 0.005977219895360479),
+    "kmeans2": ((40_960, 1, 4), (153, 15, 0, 8, 2), 0.011402892313754178),
+    "cgc": ((64 * 64, 2, 2), (125, 8, 40192, 0, 5), 0.005977219895360479),
 }
 
 

@@ -230,8 +230,9 @@ def test_chain_fuses_into_one_task_per_superblock():
 def test_every_launch_task_has_one_entry_per_segment():
     """Plain launches, fused chains and reduction tails are all emitted by one
     emitter: every per-segment field of every launch task has one entry per
-    segment, and the reduce epilogues are either absent or per segment."""
-    ctx = make_ctx(fusion=True, record_plans=True)
+    segment, and the reduce epilogues are either absent or per segment (on
+    four GPUs each GPU runs one superblock, so the tail keeps epilogues)."""
+    ctx = make_ctx(gpus=4, fusion=True, record_plans=True)
     kernels = build_kernels(ctx)
     a = ctx.from_numpy(np.arange(N, dtype=np.float32), BlockDist(64), name="a")
     b, c, d, e = (ctx.zeros(N, BlockDist(64), name=name) for name in "bcde")
@@ -338,11 +339,12 @@ def test_reduction_tail_fuses_and_matches_unfused_bit_for_bit():
 
 
 def test_reduction_tail_epilogues_replace_per_superblock_reduces():
-    """The per-superblock combine runs inside the fused launch task; only the
+    """Where each GPU runs one superblock of a reduction tail, the
+    per-superblock combine runs inside the fused launch task; only the
     cross-superblock merge remains as separate ReduceTasks."""
     counts = {}
     for fusion in (True, False):
-        ctx = make_ctx(fusion=fusion, record_plans=True)
+        ctx = make_ctx(gpus=4, fusion=fusion, record_plans=True)
         kernels = build_kernels(ctx)
         a = ctx.from_numpy(np.arange(N, dtype=np.float32), BlockDist(64), name="a")
         b = ctx.zeros(N, BlockDist(64), name="b")
@@ -361,6 +363,38 @@ def test_reduction_tail_epilogues_replace_per_superblock_reduces():
     assert fused_tasks
     epilogues = [e for t in fused_tasks for seg in t.reduce_epilogues for e in seg]
     assert len(epilogues) == len(fused_tasks)  # one combine per superblock
+
+
+def test_reduction_tail_on_gpus_running_several_superblocks_keeps_reduce_tasks():
+    """Where a GPU runs more than one superblock of a reduction tail, in-task
+    epilogues would chain its fused launch tasks through its accumulator:
+    the tail combines its partials with ReduceTasks instead, as an unfused
+    reduction does, so its launch tasks wait for none of each other, and
+    the result is bit-identical to the unfused run's."""
+    results, tasks = {}, {}
+    for fusion in (True, False):
+        ctx = make_ctx(gpus=2, fusion=fusion, record_plans=True)
+        kernels = build_kernels(ctx)
+        a = ctx.from_numpy(np.arange(N, dtype=np.float32), BlockDist(64), name="a")
+        b = ctx.zeros(N, BlockDist(64), name="b")
+        total = ctx.zeros(TOTAL_SHAPE, ReplicatedDist(), name="total")
+        kernels["point"].launch(N, 32, BlockWorkDist(64), (N, b, a))
+        kernels["reduce"].launch(N, 32, BlockWorkDist(64), (N, b, total))
+        ctx.synchronize()
+        assert ctx.stats().reductions_fused == int(fusion)
+        results[fusion] = ctx.gather(total)
+        tasks[fusion] = [t for p in ctx.recorded_plans for t in p.all_tasks()]
+    fused = [t for t in tasks[True] if isinstance(t, T.LaunchTask) and t.segment_count > 1]
+    assert len(fused) == 4 and len({t.device for t in fused}) == 2
+    assert not any(t.reduce_epilogues for t in fused)
+    fused_ids = {t.task_id for t in fused}
+    assert not any(fused_ids & set(t.deps) for t in fused)
+    reduces = {
+        fusion: sum(1 for t in tasks[fusion] if isinstance(t, T.ReduceTask))
+        for fusion in (True, False)
+    }
+    assert reduces[True] == reduces[False] > len(fused)
+    np.testing.assert_array_equal(results[True], results[False])
 
 
 def test_mid_chain_reduction_rejected():

@@ -146,6 +146,9 @@ def test_stats_snapshot_stays_fixed_while_the_run_goes_on():
     ctx.synchronize()
     snapshot = ctx.stats()
     frozen = snapshot.to_dict()
+    # The second pass reads newly created points, which move onto the GPUs.
+    work.points = ctx.zeros(work.points.shape, work.points.distribution,
+                            dtype="float32", name="kmeans_points_2")
     work.submit()
     ctx.synchronize()
     assert snapshot.to_dict() == frozen
