@@ -594,20 +594,18 @@ def plan_cache(base):
 HOTPATH_ARMS = {
     "default": {},
     "no_fusion": {"fusion": False},
-    "no_prefetch": {"prefetch": False},
     "eager": {"lookahead": 1},
     "no_window_memory": {"window_memory": False},
     "chain": {"lookahead": 6},
     "pairwise": {"lookahead": 6, "fusion": "pairwise"},
     "unfused": {"lookahead": 6, "fusion": False},
 }
-WINDOW_ARMS = ("default", "no_fusion", "no_prefetch", "eager")
+WINDOW_ARMS = ("default", "no_fusion", "eager")
 CHAIN_ARMS = ("chain", "pairwise", "unfused")
 HOTPATH_COUNTERS = ("events_processed", "events_cancelled", "launches_fused",
                     "launches_fused_chain", "fused_chain_max_len", "reductions_fused",
-                    "transfers_prefetched", "window_flushes", "network_bytes",
-                    "chunks_preevicted", "prefetch_promotions", "staging_stalls",
-                    "staging_stalls_avoided")
+                    "window_flushes", "network_bytes", "chunks_preevicted",
+                    "prefetch_promotions", "staging_stalls", "staging_stalls_avoided")
 
 #: K-Means forced to spill: every GPU pool capped well below its ~4.3 GB
 #: working set but above one 400 MB chunk, so the eviction path runs

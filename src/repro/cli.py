@@ -236,13 +236,6 @@ def _add_window_args(parser: argparse.ArgumentParser) -> None:
              "(default: on)",
     )
     parser.add_argument(
-        "--prefetch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="prioritise the next windowed launch's halo-exchange transfers "
-             "(default: on)",
-    )
-    parser.add_argument(
         "--window-memory",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -263,7 +256,6 @@ def _add_window_args(parser: argparse.ArgumentParser) -> None:
 def _window_kwargs(args: argparse.Namespace) -> dict:
     kwargs = {
         "fusion": args.fusion,
-        "prefetch": args.prefetch,
         "window_memory": args.window_memory,
         "lazy": args.lazy,
     }

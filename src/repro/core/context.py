@@ -19,7 +19,7 @@ Everything is asynchronous until :meth:`Context.synchronize` (or a gather)
 drives the simulated runtime to completion.  Launches are additionally
 *windowed*: they are analysed eagerly but stamped and submitted in bounded
 groups (see :mod:`repro.core.planning.window`), which is where the
-cross-launch kernel-fusion and halo-prefetch passes run.  ``with
+cross-launch kernel-fusion and memory-planning passes run.  ``with
 Context(...) as ctx:`` synchronises on exit, so scripts never leave work
 pending in the window.
 """
@@ -70,7 +70,6 @@ class Context:
         plan_cache: bool = True,
         lookahead: int = DEFAULT_LOOKAHEAD,
         fusion: object = True,
-        prefetch: bool = True,
         window_memory: bool = True,
         faults: object = None,
         fault_seed: int = 0,
@@ -83,13 +82,29 @@ class Context:
     ):
         if runtime is not None:
             # Multi-tenant serving: attach to an existing runtime instead of
-            # building one.  Faults and the disk tier are runtime-wide, so
-            # they are configured where the shared runtime is built.
-            if faults is not None or disk:
+            # building one.  The options the runtime is built from are
+            # runtime-wide, so they are configured where the shared runtime
+            # is built.  ``mode`` is not checked: its default cannot be told
+            # apart from an explicit value.
+            set_away = {
+                "cluster": cluster is not None,
+                "stage_threshold": stage_threshold != DEFAULT_STAGE_THRESHOLD,
+                "enable_trace": not enable_trace,
+                "memory_capacities": memory_capacities is not None,
+                "scheduler_policy": scheduler_policy is not None,
+                "record_plans": record_plans,
+                "faults": faults is not None,
+                "fault_seed": fault_seed != 0,
+                "disk": disk,
+                "disk_seed": disk_seed != 0,
+            }
+            rejected = [name for name, changed in set_away.items() if changed]
+            if rejected:
                 raise ArgumentValueError(
-                    "faults and the disk tier are runtime-wide: configure them "
-                    "with ServingSystem(faults=..., disk=...), not on a tenant "
-                    "context attached to a shared runtime"
+                    f"runtime-wide option{'s' if len(rejected) > 1 else ''} "
+                    f"{', '.join(rejected)} must be configured with "
+                    f"ServingSystem(faults=..., disk=..., ...), not on a tenant "
+                    f"context attached to a shared runtime"
                 )
             self.runtime = runtime
             self.mode = runtime.mode
@@ -143,14 +158,13 @@ class Context:
         #: and expression engine increment (``RuntimeStats``' per-context ones)
         self.counters = RuntimeStats()
         #: bounded lookahead over pending launches: deferred submission with
-        #: cross-launch kernel fusion and halo-prefetch passes at drain time
+        #: cross-launch kernel fusion and memory planning at drain time
         self.window = LaunchWindow(
             self.runtime,
             self.planner,
             self.counters,
             depth=lookahead,
             fusion=fusion,
-            prefetch=prefetch,
             memory_planning=window_memory,
         )
         self.wrappers = WrapperCache()
@@ -601,8 +615,8 @@ class Context:
         The launch is *analysed* now (planning errors surface here, and the
         plan-template cache is consulted) but stamped and submitted only when
         the window drains — at a barrier, or when the lookahead depth is
-        reached — so the window's fusion and prefetch passes can look across
-        consecutive launches.
+        reached — so the window's fusion and memory-planning passes can look
+        across consecutive launches.
         """
         grid_dims = _normalize_dims(grid)
         block_dims = _normalize_dims(block)

@@ -11,7 +11,7 @@ The package splits the old monolithic planner into
 * :mod:`.cache` — the plan-template cache for iterative launches;
 * :mod:`.planner` — the :class:`Planner` facade the driver talks to;
 * :mod:`.window` — the launch window: deferred submission with cross-launch
-  kernel fusion and halo-prefetch passes over a bounded lookahead group;
+  kernel fusion over a bounded lookahead group;
 * :mod:`.memplan` — window-aware memory planning: planned pre-eviction and
   hierarchy-aware prefetch promotion for the drained group.
 """

@@ -208,7 +208,7 @@ class TaskProto:
     deps: Tuple[int, ...] = ()
     conflicts: Tuple[Tuple[str, ChunkId], ...] = ()
     #: transfer purpose ('gather' | 'writeback' | 'scatter' | 'move-acc') for
-    #: copy/send/recv protos; lets the prefetch pass pick pre-launch transfers
+    #: copy/send/recv protos; gather copies' sources are prefetch candidates
     category: str = ""
     #: stamp-time memo: ``(static_fields, dynamic_items)`` where static fields
     #: resolve to the same value on every stamp (precomputed once) and only
@@ -492,12 +492,7 @@ class StampedPlan:
     plan: T.ExecutionPlan
     #: concrete task id of every proto, by recipe index
     task_ids: List[int]
-    #: number of transfer tasks marked as prefetchable by this stamp
-    prefetched: int = 0
 
-
-#: transfer factories the prefetch pass may raise the priority of
-_TRANSFER_FACTORIES = (T.CopyTask, T.SendTask, T.RecvTask)
 
 #: symbolic references that force per-stamp resolution
 _REF_TYPES = (TempRef, TempMetaRef, TagRef, ScalarArgsRef, LaunchIdRef)
@@ -590,7 +585,6 @@ def stamp_recipe(
     scalar_sets: Sequence[Dict[str, object]],
     launch_ids: Sequence[int],
     cache_status: Optional[str] = None,
-    prefetch: bool = False,
 ) -> StampedPlan:
     """Materialise ``recipe`` into a concrete :class:`ExecutionPlan`.
 
@@ -598,9 +592,7 @@ def stamp_recipe(
     ``resolve_conflicts`` is the dependency-injection hook that maps a
     ``(kind, chunk_id)`` conflict query to the task ids of earlier launches
     that must complete first.  ``scalar_sets``/``launch_ids`` hold one
-    substitution per segment (the plan takes the first launch id);
-    ``prefetch`` marks the recipe's pre-launch gather transfers as
-    high-priority (the launch window's cross-launch prefetch pass).
+    substitution per segment (the plan takes the first launch id).
     """
     temp_chunks: List[Optional[ChunkMeta]] = [
         None if spec is None else ChunkMeta(
@@ -656,7 +648,6 @@ def stamp_recipe(
     plan = T.ExecutionPlan(launch_id=launch_id, description=description,
                            cache_status=cache_status)
     task_ids: List[int] = []
-    prefetched = 0
     for proto in recipe.protos:
         deps: List[int] = [task_ids[i] for i in proto.deps]
         for kind, chunk_id in proto.conflicts:
@@ -687,22 +678,13 @@ def stamp_recipe(
                 fields[name] = _stamp(compiled, resolve)
         else:
             fields = static
-        priority = 0
-        if (
-            prefetch
-            and proto.category == "gather"
-            and proto.factory in _TRANSFER_FACTORIES
-        ):
-            priority = 1
-            prefetched += 1
         task = proto.factory(
             task_id=new_task_id(),
             worker=proto.worker,
             deps=tuple(deps),
             label=proto.label,
-            priority=priority,
             **fields,
         )
         plan.add(task)
         task_ids.append(task.task_id)
-    return StampedPlan(plan=plan, task_ids=task_ids, prefetched=prefetched)
+    return StampedPlan(plan=plan, task_ids=task_ids)

@@ -1,10 +1,10 @@
-"""Window-aware memory planning: the launch window's third drain pass.
+"""Window-aware memory planning: the launch window's memory drain pass.
 
-The launch window (PR 3) gave the planner lookahead over a *group* of
-launches; until this pass, memory stayed reactive — spilling fired
-chunk-by-chunk inside staging transactions, and the prefetch pass could only
-reorder staging priority, never pull a spilled chunk back up the hierarchy.
-This module closes both gaps at drain time:
+The launch window gives the planner lookahead over a *group* of launches;
+without this pass, memory stays reactive — spilling fires chunk-by-chunk
+inside staging transactions, and nothing pulls a spilled chunk back up the
+hierarchy before its consumer stages it.  This module closes both gaps at
+drain time:
 
 * **Planned pre-eviction** — the drained group's combined per-space working
   set is assembled from the plan templates' cached access summaries
@@ -20,13 +20,13 @@ This module closes both gaps at drain time:
   the room another tenant's stagings needed while that tenant's reserve held
   the room this group's stagings needed, and neither group could finish.
 
-* **Hierarchy-aware prefetch** — for every prefetch-eligible launch of the
-  group (the same launches whose gathers the PR-3 pass priority-stamps), the
-  summary's prefetch candidates whose source chunk is currently *spilled*
-  (host or disk) get a :class:`~repro.core.tasks.PromoteChunkTask`: a
-  priority-stamped staging of the chunk back to its home GPU, throttled by
-  the same per-device staging budget as all other staging, anchored so the
-  promotion transfers overlap the preceding launch's compute.
+* **Hierarchy-aware prefetch** — for every drain unit after the group's
+  first, the summary's prefetch candidates whose source chunk is currently
+  *spilled* (host or disk) get a :class:`~repro.core.tasks.PromoteChunkTask`:
+  a staging of the chunk back to its home GPU, throttled by the same
+  per-device staging budget as all other staging (the worker's scheduler
+  stages a backlogged promotion first), anchored so the promotion transfers
+  overlap the preceding launch's compute.
 
 Both mechanisms are pure residency/performance planning: chunk contents are
 untouched and task dependencies are only ever *added* (reserve tasks wait for
@@ -151,10 +151,9 @@ class WindowMemoryPlanner:
         the pass then costs nothing).
 
         ``units`` are the window's drain units: each exposes ``recipe`` (the
-        plan template that will be stamped) and ``prefetch`` (whether the
-        PR-3 prefetch pass applies to it, i.e. it is not the group's first
-        launch).  Must run *before* the group is stamped, while the planner's
-        conflict tables still describe only pre-group work.
+        plan template that will be stamped).  Must run *before* the group is
+        stamped, while the planner's conflict tables still describe only
+        pre-group work.
         """
         chunks_by_space, chunk_bytes, temp_bytes = self._combine(units)
         memory_plan = GroupMemoryPlan()
@@ -237,6 +236,9 @@ class WindowMemoryPlanner:
     ) -> None:
         """Emit promotion tasks for spilled prefetch candidates of the group.
 
+        The group's first unit gets none: no earlier unit of the group
+        computes while its promotions would move.
+
         Promotion is deliberately conservative: in a space whose working set
         fits (``"keep"`` regime) only keep-set members are promoted — they
         are the chunks planned pre-eviction just made room for; in a space
@@ -262,9 +264,7 @@ class WindowMemoryPlanner:
         #: [(chunk id, bytes)] staged up from disk
         host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], list]] = {}
         seen: set = set()
-        for unit_index, unit in enumerate(units):
-            if not unit.prefetch:
-                continue
+        for unit_index, unit in enumerate(units[1:], start=1):
             summary = unit.recipe.access_summary()
             for cid in summary.prefetch_chunks:
                 if cid in seen:
@@ -470,7 +470,6 @@ class WindowMemoryPlanner:
                 deps=tuple(dict.fromkeys(conflict_deps + anchor_ids)),
                 label=f"promote {spec.chunk_id}"
                       + (" (to host)" if spec.target == "host" else ""),
-                priority=1,
                 chunk_id=spec.chunk_id,
                 device=spec.device,
                 nbytes=spec.nbytes,

@@ -439,7 +439,6 @@ class Planner:
         scalar_sets: Sequence[Dict[str, object]],
         launch_ids: Sequence[int],
         cache_status: Optional[str],
-        prefetch: bool,
     ) -> StampedPlan:
         """Stamp one drain unit's recipe into a concrete plan (window drain
         time), inject its conflict edges and book its accesses.
@@ -457,7 +456,6 @@ class Planner:
             scalar_sets=scalar_sets,
             launch_ids=launch_ids,
             cache_status=cache_status,
-            prefetch=prefetch,
         )
         self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids)
         stamped.plan.tenant = self.tenant

@@ -30,17 +30,12 @@ the per-launch stamping:
    window extends the group's last unit, that unit stays pending and leads
    the next drain, so chains are not cut at the window boundary.
 
-3. **Cross-launch prefetch** — every launch after the first in the drained
-   group has its pre-launch gather/halo transfers stamped with a raised
-   priority, so a worker's staging throttle starts the *next* launch's
-   predictable halo exchange while the current launch computes.
-
-4. **Window-aware memory planning** (see :mod:`.memplan`) — the group's
+3. **Window-aware memory planning** (see :mod:`.memplan`) — the group's
    combined per-space working set is computed from the plan templates'
    access summaries; spaces the group will overflow get planned
    pre-eviction (spill victims chosen up front, write-backs overlapped with
-   compute) and spilled prefetch candidates get up-hierarchy promotion
-   transfers ahead of their use.
+   compute) and the spilled prefetch candidates of every unit after the
+   group's first get up-hierarchy promotion transfers ahead of their use.
 
 Everything the window does is a driver-side reordering of plan construction:
 plans are stamped in program order, so results are exactly those of eager
@@ -89,14 +84,12 @@ class DrainUnit:
     """One stamping unit of a drained group: a single launch or a fused chain.
 
     The fusion pass produces these; the memory-planning and stamping passes
-    consume them (``recipe`` is the template that will be stamped, and
-    ``prefetch`` says whether the cross-launch prefetch stamp applies).
+    consume them (``recipe`` is the template that will be stamped).
     """
 
     members: Tuple[PendingLaunch, ...]
     recipe: object
     cache_status: Optional[str]
-    prefetch: bool
 
 
 class LaunchWindow:
@@ -117,7 +110,6 @@ class LaunchWindow:
         counters: "object",
         depth: int = DEFAULT_LOOKAHEAD,
         fusion: object = True,
-        prefetch: bool = True,
         memory_planning: bool = True,
     ):
         self.runtime = runtime
@@ -129,7 +121,6 @@ class LaunchWindow:
             raise ValueError(f"fusion must be True, False or 'pairwise', got {fusion!r}")
         self.fusion_enabled = bool(fusion)
         self.fusion_pairwise_only = fusion == "pairwise"
-        self.prefetch_enabled = prefetch
         self.memplan = WindowMemoryPlanner(runtime, planner, counters) if memory_planning else None
         self._pending: List[PendingLaunch] = []
         self._holding = False
@@ -170,7 +161,7 @@ class LaunchWindow:
 
         Expression lowering submits a whole DAG's worth of launches at once;
         holding the window open until the batch is complete lets the drain
-        passes (chain fusion, prefetch, memory planning) see the DAG as one
+        passes (chain fusion, memory planning) see the DAG as one
         group instead of depth-sized shards.  Barrier-triggered flushes are
         unaffected, and the deferred depth drain runs on exit.  Re-entrant
         holds nest as a no-op.
@@ -211,7 +202,7 @@ class LaunchWindow:
     def flush(
         self, reason: str = "explicit", incoming: Optional[PendingLaunch] = None
     ) -> None:
-        """Stamp and submit every pending launch, fusing/prefetching first.
+        """Stamp and submit every pending launch, fusing and memory-planning first.
 
         A *depth drain* (``"window-full"`` at depth > 1) keeps the group's
         last unit pending when ``incoming``, the launch that filled the
@@ -248,11 +239,7 @@ class LaunchWindow:
                         break
                     members.append(candidate[-1])
                     recipe, status = ext, ext_status
-            # The prefetch pass applies to every launch after the first of the
-            # drained group: its pre-launch transfers are predictable one
-            # launch ahead, so they are stamped with a raised priority.
-            prefetch = self.prefetch_enabled and index > 0
-            units.append(DrainUnit(tuple(members), recipe, status, prefetch))
+            units.append(DrainUnit(tuple(members), recipe, status))
             index += len(members)
 
         # Whole chains: when the launch that filled the window extends the
@@ -285,13 +272,12 @@ class LaunchWindow:
                 ))
             else:
                 promote_plans.append(None)
-            stamped = self.planner.stamp_launch(
+            plan = self.planner.stamp_launch(
                 unit.recipe,
                 [m.scalars for m in unit.members],
                 [m.launch_id for m in unit.members],
                 unit.cache_status,
-                unit.prefetch,
-            )
+            ).plan
             if len(unit.members) > 1:
                 counters.launches_fused += len(unit.members) - 1
                 if len(unit.members) > 2:
@@ -304,9 +290,6 @@ class LaunchWindow:
                 counters.reductions_fused += int(
                     unit.recipe.notes.get("fused_reductions", 0)
                 )
-            plan = stamped.plan
-            if unit.prefetch:
-                counters.transfers_prefetched += stamped.prefetched
             # Only the memory planner consumes launch-id anchors; skip the
             # per-task scan entirely when the pass is disabled.
             if self.memplan is not None:

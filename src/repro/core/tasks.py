@@ -81,12 +81,6 @@ class Task:
     worker: WorkerId
     deps: Tuple[TaskId, ...] = ()
     label: str = ""
-    #: Scheduling hint: tasks with a higher priority are staged before other
-    #: backlogged tasks when the staging throttle has to pick.  The launch
-    #: window's prefetch pass raises the priority of the next launch's
-    #: gather/halo transfers so they can start while the current launch
-    #: computes; priorities never affect correctness, only staging order.
-    priority: int = 0
 
     #: Lower-case task-kind name (``"launch"``, ``"copy"``, ...).  Computed
     #: once per class in ``__init_subclass__`` — the scheduler interpolates it
@@ -431,12 +425,14 @@ class MemoryReserveTask(Task):
 class PromoteChunkTask(Task):
     """Pull one spilled chunk back up the memory hierarchy ahead of its use.
 
-    Emitted by the window's hierarchy-aware prefetch pass for a
-    priority-stamped gather (or a later launch's direct binding) whose source
-    chunk currently lives in host or disk memory: staging the chunk to its
-    home GPU through the normal staging machinery issues the up-hierarchy
+    Emitted by the window's hierarchy-aware prefetch pass for a later
+    launch's same-worker gather source or direct binding whose chunk
+    currently lives in host or disk memory: staging the chunk to its home
+    GPU through the normal staging machinery starts the up-hierarchy
     transfers early, overlapped with the current launch's compute, and is
     throttled by the same per-device staging budget as every other task.
+    When that budget is full, the worker's scheduler stages a backlogged
+    promotion before the policy's pick.
     """
 
     chunk_id: ChunkId = 0

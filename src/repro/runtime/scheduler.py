@@ -15,7 +15,9 @@ nothing (combine), and reports its completion at the same virtual instant.
 The scheduler throttles how many bytes may be staged per executor at once
 (default 2 GB, as in the paper): too few concurrently staged tasks prevents
 overlapping transfers with execution, too many causes contention because
-chunks are staged too far ahead of time.
+chunks are staged too far ahead of time.  When the throttle frees room, a
+backlogged promotion (:class:`~repro.core.tasks.PromoteChunkTask`) stages
+before the scheduling policy's pick.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ class Scheduler:
 
         self._staged_bytes: Dict[object, int] = {}
         self._throttled: Dict[object, List[T.Task]] = {}
-        #: per-throttle-key count of backlogged tasks per non-zero priority,
-        #: so ``_drain_throttled`` finds the top priority without scanning
-        #: the whole backlog on every completion
-        self._throttled_priorities: Dict[object, Dict[int, int]] = {}
+        #: per-throttle-key count of backlogged promotions, so
+        #: ``_drain_throttled`` scans the backlog for one only when it holds one
+        self._throttled_promotions: Dict[object, int] = {}
         #: task_id -> (requirements, footprint) memo for backlogged tasks, so
         #: every failed drain attempt does not recompute the task's chunk
         #: requirements and re-sum its footprint (both are static per task)
@@ -165,9 +166,8 @@ class Scheduler:
         if requirements and staged > 0 and staged + footprint > self.stage_threshold:
             self._throttled.setdefault(key, []).append(task)
             self._throttled_info[task.task_id] = (requirements, footprint)
-            if task.priority > 0:
-                counts = self._throttled_priorities.setdefault(key, {})
-                counts[task.priority] = counts.get(task.priority, 0) + 1
+            if isinstance(task, T.PromoteChunkTask):
+                self._throttled_promotions[key] = self._throttled_promotions.get(key, 0) + 1
             return
         self._stage_now(task, key, footprint, requirements)
 
@@ -205,23 +205,22 @@ class Scheduler:
         backlog = self._throttled.get(key)
         if not backlog:
             return
-        priority_counts = self._throttled_priorities.get(key)
+        promotions = self._throttled_promotions
         while backlog:
-            # Prefetch-marked transfers (the launch window raises the priority
-            # of the next launch's halo exchange) jump the backlog so data for
-            # launch i+1 moves while launch i computes; among equal priorities
-            # the scheduling policy picks which backlogged task to stage next
-            # (the paper picks arbitrarily; locality/priority policies are the
-            # future work of Sec. 3.3).  A prefetch too large for the staging
+            # A backlogged promotion (the window's staging of a spilled chunk
+            # back to its GPU ahead of its use) jumps the backlog so its data
+            # moves while earlier work computes; otherwise the scheduling
+            # policy picks which backlogged task to stage next (the paper
+            # picks arbitrarily; locality/priority policies are the future
+            # work of Sec. 3.3).  A promotion too large for the staging
             # throttle must not block the policy's own pick, so both
             # candidates are tried; when neither fits we stop draining until
-            # more work unstages.  The top backlog priority comes from the
-            # maintained per-priority counts, not a scan of the backlog.
+            # more work unstages.  The maintained promotion count saves a
+            # backlog scan on every completion when there is none.
             candidates = [self.policy.select(backlog, self)]
-            top = max(priority_counts) if priority_counts else 0
-            if top > 0:
+            if promotions.get(key):
                 preferred = next(
-                    i for i, task in enumerate(backlog) if task.priority == top
+                    i for i, task in enumerate(backlog) if isinstance(task, T.PromoteChunkTask)
                 )
                 if preferred != candidates[0]:
                     candidates.insert(0, preferred)
@@ -233,12 +232,8 @@ class Scheduler:
                     continue
                 backlog.pop(index)
                 del self._throttled_info[task.task_id]
-                if task.priority > 0 and priority_counts:
-                    remaining = priority_counts.get(task.priority, 0) - 1
-                    if remaining > 0:
-                        priority_counts[task.priority] = remaining
-                    else:
-                        priority_counts.pop(task.priority, None)
+                if isinstance(task, T.PromoteChunkTask):
+                    promotions[key] -= 1
                 self._stage_now(task, key, footprint, requirements)
                 break
             else:

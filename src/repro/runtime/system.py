@@ -78,8 +78,8 @@ class RuntimeStats:
     plan_cache_misses: int = 0
     #: cache entries evicted by targeted invalidation (redistribute)
     plan_cache_invalidations: int = 0
-    #: launch-window activity: drains, launches merged away by the fusion
-    #: pass, and next-launch transfers stamped with prefetch priority
+    #: launch-window activity: drains and launches merged away by the
+    #: fusion pass
     window_flushes: int = _per_context()
     launches_fused: int = _per_context()
     #: launches that joined a fused *chain* of more than two segments (what
@@ -88,7 +88,6 @@ class RuntimeStats:
     launches_fused_chain: int = _per_context()
     fused_chain_max_len: int = _per_context(max)
     reductions_fused: int = _per_context()
-    transfers_prefetched: int = _per_context()
     #: drain units kept pending to lead the next drain, so fused chains stay
     #: whole at depth drains
     units_carried: int = _per_context()

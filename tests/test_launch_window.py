@@ -1,6 +1,6 @@
 """Tests for the launch window: deferred submission, barrier-driven drains,
-the cross-launch kernel-fusion and prefetch passes, the context-manager
-protocol and idempotent kernel compilation."""
+the cross-launch kernel-fusion pass, the context-manager protocol and
+idempotent kernel compilation."""
 
 import numpy as np
 import pytest
@@ -330,7 +330,7 @@ def test_plan_cache_hit_rate_stays_high_with_window():
 
 
 # --------------------------------------------------------------------------- #
-# cross-launch prefetch
+# misaligned launches
 # --------------------------------------------------------------------------- #
 def _misaligned_launches(ctx, kernel, n=600, launches=3):
     a = ctx.ones(n, BlockDist(300), name="a")
@@ -340,45 +340,18 @@ def _misaligned_launches(ctx, kernel, n=600, launches=3):
     return a, b
 
 
-def test_prefetch_marks_later_launch_gathers():
-    ctx = make_ctx(record_plans=True, fusion=False, prefetch=True)
-    kernel = scale_kernel(ctx)
-    _, b = _misaligned_launches(ctx, kernel)
-    ctx.synchronize()
-    stats = ctx.stats()
-    assert stats.transfers_prefetched > 0
-    marked = [
-        t for p in ctx.recorded_plans for t in p.all_tasks() if t.priority > 0
-    ]
-    assert len(marked) == stats.transfers_prefetched
-    # only gather-side transfers of non-first windowed launches are marked
-    assert all(t.kind in ("copy", "send", "recv") for t in marked)
-    assert all(t.label.startswith("gather") for t in marked)
-    first_launch_plan = next(p for p in ctx.recorded_plans if p.launch_id == 1)
-    assert all(t.priority == 0 for t in first_launch_plan.all_tasks())
-    assert np.allclose(ctx.gather(b), 2.0)
-
-
-def test_prefetch_flag_disables_marking():
-    ctx = make_ctx(record_plans=True, fusion=False, prefetch=False)
-    kernel = scale_kernel(ctx)
-    _, b = _misaligned_launches(ctx, kernel)
-    ctx.synchronize()
-    assert ctx.stats().transfers_prefetched == 0
-    assert all(
-        t.priority == 0 for p in ctx.recorded_plans for t in p.all_tasks()
-    )
-    assert np.allclose(ctx.gather(b), 2.0)
-
-
-def test_prefetch_does_not_change_results():
+def test_windowed_misaligned_launches_match_eager():
+    """Launches whose superblocks straddle chunk boundaries gather their
+    inputs across GPUs; drained from a window they must give the eager
+    (``lookahead=1``) result."""
     gathered = {}
-    for prefetch in (True, False):
-        ctx = make_ctx(prefetch=prefetch, fusion=False)
+    for lookahead in (4, 1):
+        ctx = make_ctx(lookahead=lookahead, fusion=False)
         kernel = scale_kernel(ctx)
         _, b = _misaligned_launches(ctx, kernel, launches=4)
-        gathered[prefetch] = ctx.gather(b)
-    assert np.array_equal(gathered[True], gathered[False])
+        gathered[lookahead] = ctx.gather(b)
+    assert np.allclose(gathered[4], 2.0)
+    assert np.array_equal(gathered[4], gathered[1])
 
 
 # --------------------------------------------------------------------------- #
@@ -416,6 +389,6 @@ def test_cli_window_flags(capsys):
     from repro.cli import main
 
     assert main(["run", "kmeans", "--n", "1e6", "--no-fusion"]) == 0
-    assert main(["run", "kmeans", "--n", "1e6", "--no-prefetch", "--lookahead", "8"]) == 0
+    assert main(["run", "kmeans", "--n", "1e6", "--lookahead", "8"]) == 0
     assert main(["run", "kmeans", "--n", "1e6", "--lookahead", "1"]) == 0
     assert "kmeans" in capsys.readouterr().out

@@ -1,4 +1,7 @@
-"""Tests for the pluggable scheduling policies (Sec. 3.3 future work)."""
+"""Tests for the pluggable scheduling policies (Sec. 3.3 future work) and
+the staging throttle's precedence for window promotions."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from repro import BlockDist, Context, ExecutionMode, azure_nc24rsv2
 from repro.core import tasks as T
 from repro.core.geometry import Region
+from repro.hardware import DeviceId
 from repro.kernels import create_workload
 from repro.runtime import (
     FifoPolicy,
@@ -16,6 +20,9 @@ from repro.runtime import (
     get_policy,
 )
 from repro.runtime.policies import POLICIES
+from repro.runtime.scheduler import Scheduler
+
+GPU0 = DeviceId(0, 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -66,7 +73,7 @@ class _FakeScheduler:
         self.memory = memory
 
 
-def _launch(task_id, chunk_id, launch_id=0, worker=0):
+def _launch(task_id, chunk_id, launch_id=0, worker=0, device=None):
     binding = T.ArrayArgBinding(
         param="a",
         chunk_id=chunk_id,
@@ -77,7 +84,7 @@ def _launch(task_id, chunk_id, launch_id=0, worker=0):
         task_id=task_id,
         worker=worker,
         kernel_names=("k",),
-        device=None,
+        device=device,
         array_args_list=((binding,),),
         launch_id=launch_id,
     )
@@ -130,6 +137,81 @@ def test_priority_policy_prefers_communication_within_same_launch():
     copy.launch_id = 4  # planner tags tasks of one distributed launch
     scheduler = _FakeScheduler(_FakeMemory({10: 0, 11: 0, 12: 0}))
     assert PriorityPolicy().select([launch, copy], scheduler) == 1
+
+
+# --------------------------------------------------------------------------- #
+# staging throttle: backlogged promotions go first (real Scheduler, stubs)
+# --------------------------------------------------------------------------- #
+class _StagingMemory:
+    """Memory stub: fixed chunk sizes; every staging is granted at once and
+    recorded in order."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+        self.staged = []
+
+    def announce(self, task_id, requirements):
+        pass
+
+    def footprint(self, requirements):
+        return sum(self.sizes[chunk_id] for chunk_id, _ in requirements)
+
+    def stage(self, task_id, requirements, callback, background, writes):
+        self.staged.append(task_id)
+        callback()
+
+    def unstage(self, task_id):
+        pass
+
+
+class _HeldExecutor:
+    """Executor stub that runs a staged task until the test finishes it."""
+
+    def __init__(self):
+        self.running = {}
+
+    def execute(self, task, done):
+        self.running[task.task_id] = done
+
+    def finish(self, task_id):
+        self.running.pop(task_id)()
+
+
+def _throttled_scheduler(sizes, threshold=100):
+    """A FIFO-policy ``Scheduler`` whose control path and staging act at once."""
+    memory = _StagingMemory(sizes)
+    executor = _HeldExecutor()
+    runtime = SimpleNamespace(_waiters={}, notify_completion=lambda task_id: None)
+    control = SimpleNamespace(request=lambda duration, callback, label="": callback())
+    scheduler = Scheduler(runtime, 0, SimpleNamespace(scheduler=control), memory,
+                          executor, stage_threshold=threshold)
+    return scheduler, memory, executor
+
+
+def _promote(task_id, chunk_id, nbytes):
+    return T.PromoteChunkTask(task_id=task_id, worker=0, chunk_id=chunk_id,
+                              device=GPU0, nbytes=nbytes)
+
+
+def test_backlogged_promotion_stages_before_an_earlier_launch():
+    scheduler, memory, executor = _throttled_scheduler({10: 80, 11: 50, 12: 50})
+    scheduler.submit([_launch(1, 10, device=GPU0), _launch(2, 11, device=GPU0),
+                      _promote(3, 12, 50)])
+    assert memory.staged == [1]  # the full throttle backlogs launch 2, then the promotion
+    executor.finish(1)
+    assert memory.staged == [1, 3, 2]  # FIFO alone would stage launch 2 first
+
+
+def test_promotion_too_large_for_the_throttle_does_not_hold_back_the_policy_pick():
+    scheduler, memory, executor = _throttled_scheduler({10: 50, 11: 40, 12: 30, 13: 90})
+    scheduler.submit([_launch(1, 10, device=GPU0), _launch(2, 11, device=GPU0),
+                      _launch(3, 12, device=GPU0), _promote(4, 13, 90)])
+    assert memory.staged == [1, 2]  # 90 of 100 bytes staged: launch 3 and the promotion wait
+    executor.finish(1)  # 40 bytes staged: the promotion does not fit, launch 3 does
+    assert memory.staged == [1, 2, 3]
+    executor.finish(2)
+    executor.finish(3)
+    assert memory.staged == [1, 2, 3, 4]
 
 
 # --------------------------------------------------------------------------- #

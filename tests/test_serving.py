@@ -260,6 +260,29 @@ def test_serving_rejects_unknown_tenant_and_tenant_faults():
         Context(runtime=serving.runtime, tenant=1, faults="transfer=0.01")
 
 
+@pytest.mark.parametrize("option, value", [
+    ("cluster", azure_nc24rsv2(nodes=1, gpus_per_node=1)),
+    ("stage_threshold", 1024),
+    ("enable_trace", False),
+    ("memory_capacities", {DeviceId(0, 0).memory_space: 1024 ** 2}),
+    ("scheduler_policy", "smallest"),
+    ("record_plans", True),
+    ("faults", "transfer=0.01"),
+    ("fault_seed", 3),
+    ("disk", True),
+    ("disk_seed", 3),
+])
+def test_tenant_rejects_runtime_wide_options(option, value):
+    """A tenant context attaches to the shared runtime, so an option the
+    runtime is built from must fail loudly there instead of being ignored."""
+    serving = small_serving()
+    with pytest.raises(ArgumentValueError,
+                       match=rf"option {option} must be configured with ServingSystem\("):
+        serving.add_tenant("a", **{option: value})
+    assert serving.contexts == []
+    assert serving.add_tenant("a", weight=2.0, memory_fraction=0.5).tenant == 0
+
+
 def test_tenant_memory_quota_validation_and_accounting():
     serving = small_serving(nodes=1, gpus=2)
     ctx = serving.add_tenant("a", memory_fraction=0.5)

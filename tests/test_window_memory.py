@@ -173,7 +173,7 @@ def test_streaming_results_match_reference():
         assert np.array_equal(results[j], ref)
 
 
-def test_promotions_are_priority_stamped_and_recorded():
+def test_promotions_are_stamped_and_recorded():
     caps = {DeviceId(0, i).memory_space: 48 * MB for i in range(2)}
     ctx = Context(azure_nc24rsv2(nodes=1, gpus_per_node=2), mode="functional",
                   memory_capacities=caps, record_plans=True, window_memory=True)
@@ -201,7 +201,6 @@ def test_promotions_are_priority_stamped_and_recorded():
     promotes = [t for p in ctx.recorded_plans for t in p.all_tasks()
                 if isinstance(t, T.PromoteChunkTask)]
     assert promotes, "the spilled streaming run must schedule promotions"
-    assert all(t.priority == 1 for t in promotes)
     reserves = [t for p in ctx.recorded_plans for t in p.all_tasks()
                 if isinstance(t, T.MemoryReserveTask)]
     assert reserves, "pressured spaces must get reserve tasks"
@@ -285,7 +284,7 @@ def run_hotspot3(window_memory, gpu_capacity=None):
 def test_fused_chains_at_their_real_peak_plan_no_memory():
     """A fused chain reads its producers' outputs in place, so the consumers'
     input temporaries are never created; the planner must not count them.
-    Capped at the uncapped run's real GPU peak (100,352 B per GPU), the run
+    Capped at the uncapped run's real GPU peak (83,968 B per GPU), the run
     fits, so the pass must emit nothing and the run must equal the unplanned
     one event for event."""
     uncapped, _ = run_hotspot3(True)
