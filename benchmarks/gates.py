@@ -490,6 +490,9 @@ SERVING_TRACE = dict(seed=124, njobs=20, rate=600.0, tenants=4, mix=[
 SERVING_ARMS = {"concurrent": {}, "serialized": {"max_active": 1}}
 SERVING_FIELDS = ("jobs_completed", "makespan", "virtual_time", "throughput", "latency_p50",
                   "latency_p99", "tenant_counters")
+#: runtime-wide plan-cache counters each arm also records: a tenant's later
+#: jobs restamp the plans its earlier jobs built, and these pin that reuse
+SERVING_CACHE_FIELDS = ("plan_cache_hits", "plan_cache_misses")
 
 
 def serving(base):
@@ -508,6 +511,8 @@ def serving(base):
         report = system.run()
         report_dict = report.to_dict()
         record = {field: report_dict[field] for field in SERVING_FIELDS}
+        stats = system.runtime.stats()
+        record.update((field, getattr(stats, field)) for field in SERVING_CACHE_FIELDS)
         records[arm] = {config: record}
         where = f"serving/{arm}/{config}"
         if not all(job.workload.verify() for job in report.jobs):

@@ -21,7 +21,7 @@ from .chunk import ChunkMeta
 from .distributions import DataDistribution
 from .geometry import Region
 
-__all__ = ["DistributedArray", "ArrayIdAllocator"]
+__all__ = ["DistributedArray", "ArrayIdAllocator", "LayoutSignature"]
 
 
 class ArrayIdAllocator:
@@ -33,6 +33,31 @@ class ArrayIdAllocator:
     def next_id(self) -> int:
         """A fresh, never-reused array id."""
         return next(self._counter)
+
+
+class LayoutSignature:
+    """What a launch plan depends on of one array: its name, dtype, shape and
+    chunk layout (each chunk's region and home).
+
+    Hashed once, so a plan-cache key holding one signature per array costs
+    O(arrays) to hash however many chunks each has.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, LayoutSignature)
+            and self._hash == other._hash
+            and self.value == other.value
+        )
 
 
 class DistributedArray:
@@ -59,8 +84,8 @@ class DistributedArray:
         self.name = name or f"array{array_id}"
         self.deleted = False
         #: bumped whenever the chunk layout changes (an in-place
-        #: :meth:`redistribute` or a re-chunk), invalidating cached plan
-        #: templates keyed on it
+        #: :meth:`redistribute`, a re-chunk or device recovery), which
+        #: refreshes :meth:`layout_signature`
         self.layout_epoch = 0
         #: True once a launch that only writes the array re-chunked it to its
         #: superblock write regions (``Context.launch``; at most once, until
@@ -69,6 +94,8 @@ class DistributedArray:
         #: lazily built axis-0 interval index over ``chunks`` (see
         #: :meth:`_chunk_interval_index`); invalidated by identity/epoch checks
         self._chunk_index: Optional[tuple] = None
+        #: memo of :meth:`layout_signature`: (layout epoch, signature)
+        self._signature: Optional[Tuple[int, LayoutSignature]] = None
 
     # ------------------------------------------------------------------ #
     # metadata
@@ -102,6 +129,15 @@ class DistributedArray:
     def chunk_count(self) -> int:
         """Number of chunks the distribution produced."""
         return len(self.chunks)
+
+    def layout_signature(self) -> LayoutSignature:
+        """This array's :class:`LayoutSignature`, memoised per layout epoch."""
+        memo = self._signature
+        if memo is None or memo[0] != self.layout_epoch:
+            layout = tuple((chunk.region, chunk.home) for chunk in self.chunks)
+            signature = LayoutSignature((self.name, self.dtype.str, self.shape, layout))
+            memo = self._signature = (self.layout_epoch, signature)
+        return memo[1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -336,8 +372,7 @@ class DistributedArray:
         """Re-chunk this array in place via a planned all-to-all.
 
         The contents are preserved (gather before == gather after); the chunk
-        layout, the distribution and ``layout_epoch`` change, so cached plan
-        templates referencing the old layout are invalidated and the next
-        launch on this array is planned cold.
+        layout, the distribution and ``layout_epoch`` change, so the next
+        launch on this array looks up the plans of the new layout.
         """
         return self.context.redistribute(self, new_distribution)

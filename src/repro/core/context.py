@@ -324,10 +324,10 @@ class Context:
 
         Plans an all-to-all: the new chunks are created and filled from the
         cheapest old sources, then the old chunks are deleted (after their
-        last use).  The array's ``layout_epoch`` is bumped so the next launch
-        on it misses the plan-template cache, and stale cache entries keyed on
-        the old epoch are evicted outright.  Asynchronous like any other plan;
-        returns the same (mutated) array handle.
+        last use).  The array's ``layout_epoch`` is bumped, so the next launch
+        on it looks up the plan-template cache under the new layout; entries
+        of the old layout stay, for any array in that layout.  Asynchronous
+        like any other plan; returns the same (mutated) array handle.
         """
         if array.deleted:
             raise ArgumentValueError(f"array {array.name} has been deleted")
@@ -356,8 +356,8 @@ class Context:
 
         The new chunks are tagged with this context's tenant and, with
         ``copy``, filled from the old ones; the old chunks are deleted after
-        their last use.  The layout epoch is bumped and cached recipes on the
-        array are evicted, so the next launch on it is planned cold.
+        their last use.  The layout epoch is bumped, which refreshes the
+        array's layout signature in plan-cache keys.
         """
         if self.window.references(array.array_id):
             # Pending launches were prepared against the old chunk layout.
@@ -378,14 +378,14 @@ class Context:
         self.runtime.submit_plan(self.planner.plan_redistribute(array, new_chunks, copy))
         array.chunks = new_chunks
         array.layout_epoch += 1
-        self.planner.invalidate_array(array.array_id)
 
     def _rechunk_written(self, recipe, arrays: Dict[str, DistributedArray]) -> bool:
-        """Re-chunk the arrays a freshly planned launch only writes.
+        """Re-chunk the arrays a launch only writes.
 
-        :meth:`~.planning.planner.Planner.prepare_launch` calls this between
-        building a cold recipe and storing it.  An array qualifies when the
-        launch binds it to one plain ``write`` parameter
+        :meth:`~.planning.planner.Planner.prepare_launch` calls this for
+        every recipe, cached or planned cold, that names misaligned writes,
+        and looks the launch up again when it returns True.  An array
+        qualifies when the launch binds it to one plain ``write`` parameter
         (:attr:`~.planning.ir.PlanRecipe.misaligned_writes`: some superblock
         writes it through a temporary) and the superblock write regions are
         disjoint and cover it, so the launch overwrites every element: its
@@ -635,7 +635,10 @@ class Context:
         self.expr.force_before_launch(kernel, arrays)
         self._launch_counter += 1
         array_bindings = {name: arr for name, arr in arrays.items()}
-        # Only a launch planned cold can re-chunk: cached launches pay nothing.
+        # Plans are cached by kernel, dimensions and the arrays' names and
+        # chunk layouts, so a launch on new arrays of a known layout (a
+        # served tenant's next job) restamps a cached plan.  Any plan naming
+        # misaligned writes offers the re-chunk step, cached or not.
         prepared = self.planner.prepare_launch(
             kernel, grid_dims, block_dims, work_dist, array_bindings,
             rechunk=self._rechunk_written,

@@ -1,30 +1,40 @@
-"""The plan-template cache: reuse launch plans across iterations.
+"""The plan-template cache: reuse launch plans across iterations and jobs.
 
 Iterative applications (K-Means, HotSpot, the CGC co-clustering app) replay
-the *same* kernel launch hundreds of times.  The structural part of such a
-launch's plan — superblocks, access regions, transfers, reductions — depends
-only on the kernel, the grid/block dimensions, the work distribution and the
-argument arrays' chunk layouts, none of which change between iterations.
-Only task ids, temporary chunk ids, send/recv tags, scalar arguments and
-cross-launch conflict dependencies differ, and those are exactly what
-re-stamping a cached :class:`~.ir.PlanRecipe` regenerates.
+the *same* kernel launch hundreds of times, and a served tenant's jobs replay
+the launches of its earlier jobs on fresh arrays of the same shapes.  The
+structural part of such a launch's plan — superblocks, access regions,
+transfers, reductions — depends only on the kernel, the grid/block
+dimensions, the work distribution, the planner's device rotation and the
+bound arrays' names, dtypes, shapes and chunk layouts.  Task ids, temporary
+chunk ids, send/recv tags, scalar arguments and cross-launch conflict
+dependencies differ per launch, and those are exactly what re-stamping a
+cached :class:`~.ir.PlanRecipe` regenerates.
 
-The cache key is ``(kernel name, grid, block, work distribution, per-array
-(array id, layout epoch))``.  Scalar arguments are deliberately *not* part of
-the key: access regions are functions of the superblock and the array shape
-only, so scalars are pure payload stamped into the cached skeleton.  The
-layout epoch guards against in-place redistribution
-(:meth:`~repro.core.array.DistributedArray.redistribute`): re-chunking bumps
-the epoch so the next launch on the array misses, and
-:meth:`PlanTemplateCache.invalidate_array` evicts the old-epoch entries
-outright instead of leaving them to age out of the LRU.  Array ids are never
-reused, so deleted arrays cannot alias a stale entry.
+The cache key is ``(kernel name, grid, block, work distribution, rotation,
+parameter slots, per-array layout signature)``: the parameter slots
+(:func:`~.ir.array_slots`) say which parameters share one array, and each
+array's :class:`~repro.core.array.LayoutSignature` holds its name (task and
+temporary labels embed it; unnamed arrays are ``array{id}``), dtype, shape
+and every chunk's region and home.  Scalar arguments are deliberately *not*
+part of the key: access regions are functions of the superblock and the
+array shape only, so scalars are pure payload stamped into the cached
+skeleton.
+
+A recipe names persistent chunks symbolically, as (array slot, chunk index)
+:class:`~.ir.ChunkRef` pairs, so one entry serves every set of arrays of its
+layout: :meth:`~.ir.PlanRecipe.bind` substitutes their chunk ids and keeps
+the result for as long as the entry serves those arrays.  An in-place
+redistribution changes an array's layout and so its key; the entry of the
+old layout stays valid for any array in that layout, and the LRU bound is
+what retires it.  Keys do not name the surviving devices, so a device
+failure drops every entry (:meth:`~.planner.Planner.invalidate_all`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 from ..array import DistributedArray
 from ..distributions import WorkDistribution
@@ -40,9 +50,11 @@ class PlanTemplateCache:
     def __init__(self, maxsize: int = 256):
         self.maxsize = maxsize
         self._entries: "OrderedDict[Hashable, PlanRecipe]" = OrderedDict()
+        #: launches served without planning anything cold / planned cold
+        #: (:meth:`record`)
         self.hits = 0
         self.misses = 0
-        #: entries removed by targeted invalidation (redistribute)
+        #: entries dropped by :meth:`~.planner.Planner.invalidate_all`
         self.invalidations = 0
 
     # ------------------------------------------------------------------ #
@@ -54,26 +66,23 @@ class PlanTemplateCache:
         grid: Tuple[int, ...],
         block: Tuple[int, ...],
         work_dist: WorkDistribution,
-        arrays: Dict[str, DistributedArray],
+        rotation: int,
+        arrays: Sequence[DistributedArray],
+        pattern: Tuple[int, ...],
     ) -> Hashable:
-        """Cache key for one launch (see module docstring for the rationale)."""
-        layout = tuple(
-            (name, array.array_id, array.layout_epoch)
-            for name, array in sorted(arrays.items())
-        )
-        return (kernel.name, tuple(grid), tuple(block), work_dist, layout)
+        """Cache key for one launch whose ``arrays`` (in slot order) and
+        parameter ``pattern`` come from :func:`~.ir.array_slots`."""
+        layouts = tuple(array.layout_signature() for array in arrays)
+        return (kernel.name, tuple(grid), tuple(block), work_dist, rotation, pattern, layouts)
 
     # ------------------------------------------------------------------ #
     # lookup / store
     # ------------------------------------------------------------------ #
     def lookup(self, key: Hashable) -> Optional[PlanRecipe]:
-        """The cached recipe for ``key``, or ``None`` (counts hits/misses)."""
+        """The cached recipe for ``key``, or ``None``."""
         recipe = self._entries.get(key)
-        if recipe is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if recipe is not None:
+            self._entries.move_to_end(key)
         return recipe
 
     def store(self, key: Hashable, recipe: PlanRecipe) -> None:
@@ -83,31 +92,12 @@ class PlanTemplateCache:
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
-    # ------------------------------------------------------------------ #
-    # targeted invalidation
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def key_mentions_array(key: Hashable, array_id: int) -> bool:
-        """True when a cache key references ``array_id`` (at any epoch)."""
-        if not isinstance(key, tuple) or len(key) != 5:
-            return False
-        layout = key[4]
-        return any(entry[1] == array_id for entry in layout)
-
-    def invalidate_array(self, array_id: int) -> int:
-        """Evict every entry keyed on ``array_id``; returns the eviction count.
-
-        After an in-place redistribution the array's layout epoch is bumped:
-        keys carrying the old epoch can never match again, so they are evicted
-        outright rather than left to age out of the LRU.
-        """
-        stale = [
-            key for key in self._entries if self.key_mentions_array(key, array_id)
-        ]
-        for key in stale:
-            del self._entries[key]
-        self.invalidations += len(stale)
-        return len(stale)
+    def record(self, hit: bool) -> None:
+        """Count one launch: a hit when no recipe was planned cold for it."""
+        if hit:
+            self.hits += 1
+        else:
+            self.misses += 1
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -121,7 +111,7 @@ class PlanTemplateCache:
 
     @property
     def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 when never consulted)."""
+        """Hits over counted launches (0.0 when never consulted)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 

@@ -12,7 +12,10 @@ the consuming GPU would be.  The ranking is a lexicographic pair:
    local candidates the faster link wins.
 
 Ties are broken by chunk size (smaller first, so halo replicas do not pull in
-a full replica) and chunk id (determinism).
+a full replica).  Callers sort candidates in their array's chunk order and
+sorts are stable, so the remaining ties keep that order: a plan depends on
+the chunk layout, never on chunk ids (what lets the plan-template cache
+serve one recipe to every array of a layout).
 """
 
 from __future__ import annotations
@@ -62,11 +65,11 @@ class TransferCostModel:
 
     def rank_key(
         self, candidate: ChunkMeta, dst_device: DeviceId, nbytes: int
-    ) -> Tuple[int, float, int, int]:
-        """Sort key: cheaper sources sort first, deterministically."""
+    ) -> Tuple[int, float, int]:
+        """Sort key: cheaper sources sort first (a stable sort keeps ties in
+        chunk order)."""
         return (
             self.locality(candidate.home, dst_device),
             self.estimate_seconds(candidate.home, dst_device, nbytes),
             candidate.size,
-            candidate.chunk_id,
         )

@@ -6,12 +6,18 @@ Planning a kernel launch is split into two halves:
   access regions, resolves transfers, plans reductions and optimises the
   result.  Everything it produces is *structural*: a :class:`PlanRecipe` holds
   an ordered list of :class:`TaskProto` records whose dependencies are indices
-  into the same list, temporary chunks are symbolic :class:`TempRef` slots and
-  send/recv tags are symbolic :class:`TagRef` slots.  A recipe contains no
-  task ids, no chunk ids and no cross-launch dependencies, which is what makes
-  it reusable across launches (the plan-template cache stores recipes).
+  into the same list, temporary chunks are symbolic :class:`TempRef` slots,
+  send/recv tags are symbolic :class:`TagRef` slots and the launch's array
+  chunks are symbolic :class:`ChunkRef` (array slot, chunk index) pairs.  A
+  recipe contains no task ids, no chunk ids and no cross-launch
+  dependencies, which is what makes it reusable across launches, and across
+  arrays of the same chunk layout (the plan-template cache stores recipes).
 
-* **Stamping** — :func:`stamp_recipe` turns a recipe into a concrete
+* **Binding** — :meth:`PlanRecipe.bind` substitutes the chunk ids of one set
+  of arrays for the recipe's :class:`ChunkRef` names, and keeps the result
+  for as long as the recipe serves those arrays.
+
+* **Stamping** — :func:`stamp_recipe` turns a bound recipe into a concrete
   :class:`~repro.core.tasks.ExecutionPlan`: it allocates fresh task ids, chunk
   ids and tags, substitutes the launch's scalar arguments, and injects
   cross-launch conflict dependencies by querying the planner's reader/writer
@@ -21,8 +27,10 @@ Planning a kernel launch is split into two halves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, field, fields
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type,
+)
 
 import numpy as np
 
@@ -31,7 +39,12 @@ from ..chunk import ChunkId, ChunkMeta
 from ..geometry import Region
 from .. import tasks as T
 
+if TYPE_CHECKING:
+    from ..array import DistributedArray
+
 __all__ = [
+    "ChunkRef",
+    "array_slots",
     "TempRef",
     "TempMetaRef",
     "TagRef",
@@ -49,6 +62,45 @@ __all__ = [
     "StampedPlan",
     "stamp_recipe",
 ]
+
+
+# --------------------------------------------------------------------------- #
+# symbolic references resolved at bind time
+# --------------------------------------------------------------------------- #
+class ChunkRef(NamedTuple):
+    """Placeholder for the *chunk id* of a persistent chunk: chunk ``index``
+    of the recipe's array ``slot`` (see :func:`array_slots`).
+
+    A named tuple, so the passes hash and compare it as cheaply as the
+    chunk id it stands for.
+    """
+
+    slot: int
+    index: int
+
+
+def array_slots(
+    bindings: Sequence[Dict[str, "DistributedArray"]],
+) -> Tuple[List["DistributedArray"], Tuple[int, ...]]:
+    """Number the distinct arrays of one or more launches' bindings.
+
+    Walks each launch's parameters sorted by name, giving an array the next
+    slot the first time it appears.  Returns the arrays in slot order and
+    every parameter's slot in walk order; the second says which parameters
+    share one array.
+    """
+    arrays: List["DistributedArray"] = []
+    slot_of: Dict[int, int] = {}
+    pattern: List[int] = []
+    for binding in bindings:
+        for name in sorted(binding):
+            array = binding[name]
+            slot = slot_of.get(array.array_id)
+            if slot is None:
+                slot = slot_of[array.array_id] = len(arrays)
+                arrays.append(array)
+            pattern.append(slot)
+    return arrays, tuple(pattern)
 
 
 # --------------------------------------------------------------------------- #
@@ -114,7 +166,7 @@ class TempChunkSpec:
 class ChunkHandle:
     """Uniform view of a transfer endpoint: a persistent chunk or a temp slot.
 
-    ``ref`` is either a concrete chunk id (persistent array chunk) or a
+    ``ref`` is a :class:`ChunkRef` (persistent array chunk) or a
     :class:`TempRef`.  ``meta`` is set for persistent chunks only.
     """
 
@@ -124,9 +176,9 @@ class ChunkHandle:
     meta: Optional[ChunkMeta] = None
 
     @classmethod
-    def of_chunk(cls, chunk: ChunkMeta) -> "ChunkHandle":
-        """Handle for a persistent array chunk."""
-        return cls(ref=chunk.chunk_id, home=chunk.home, dtype=chunk.dtype, meta=chunk)
+    def of_chunk(cls, chunk: ChunkMeta, ref: ChunkRef) -> "ChunkHandle":
+        """Handle for a persistent array chunk, named ``ref`` in the recipe."""
+        return cls(ref=ref, home=chunk.home, dtype=chunk.dtype, meta=chunk)
 
     @classmethod
     def of_temp(cls, spec: TempChunkSpec) -> "ChunkHandle":
@@ -137,16 +189,6 @@ class ChunkHandle:
     def worker(self) -> WorkerId:
         """Worker owning the endpoint's home device."""
         return self.home.worker
-
-    @property
-    def is_temp(self) -> bool:
-        """True when the handle names a temp slot, not a persistent chunk."""
-        return isinstance(self.ref, TempRef)
-
-    @property
-    def chunk_id(self) -> Optional[ChunkId]:
-        """The persistent chunk id, or ``None`` for temp slots."""
-        return None if self.is_temp else self.ref
 
 
 @dataclass
@@ -197,7 +239,7 @@ class TaskProto:
     """One task of the recipe: a task class plus its structural fields.
 
     ``deps`` are indices of earlier protos in the recipe.  ``conflicts`` are
-    ``(kind, chunk_id)`` queries against the planner's cross-launch conflict
+    ``(kind, chunk)`` queries against the planner's cross-launch conflict
     tables, resolved at stamp time (``kind`` is ``"read"`` or ``"write"``).
     """
 
@@ -206,10 +248,10 @@ class TaskProto:
     label: str
     fields: Dict[str, object]
     deps: Tuple[int, ...] = ()
-    conflicts: Tuple[Tuple[str, ChunkId], ...] = ()
-    #: transfer purpose ('gather' | 'writeback' | 'scatter' | 'move-acc') for
-    #: copy/send/recv protos; gather copies' sources are prefetch candidates
-    category: str = ""
+    conflicts: Tuple[Tuple[str, object], ...] = ()
+    #: True for a copy that gathers a persistent chunk into a temporary on
+    #: the same worker: its source is a hierarchy-prefetch candidate
+    gather: bool = False
     #: stamp-time memo: ``(static_fields, dynamic_items)`` where static fields
     #: resolve to the same value on every stamp (precomputed once) and only
     #: the dynamic items are re-resolved per stamp.  Built lazily by
@@ -246,7 +288,12 @@ class AccessSummary:
 
 @dataclass
 class PlanRecipe:
-    """A reusable structural execution-plan template for one driver operation."""
+    """A reusable structural execution-plan template for one driver operation.
+
+    As the passes build it, a recipe names persistent chunks by
+    :class:`ChunkRef`; :meth:`bind` gives the recipe that names one set of
+    arrays' chunk ids instead, which is the one stamped.
+    """
 
     description: str = ""
     protos: List[TaskProto] = field(default_factory=list)
@@ -254,14 +301,14 @@ class PlanRecipe:
     #: emission (a fused consumer's elided input), which no task creates
     temps: List[Optional[TempChunkSpec]] = field(default_factory=list)
     tag_slots: int = 0
-    #: conflict-table bookkeeping applied after stamping: (chunk_id, proto idx)
-    reads: List[Tuple[ChunkId, int]] = field(default_factory=list)
-    writes: List[Tuple[ChunkId, int]] = field(default_factory=list)
+    #: conflict-table bookkeeping applied after stamping: (chunk, proto idx)
+    reads: List[Tuple[object, int]] = field(default_factory=list)
+    writes: List[Tuple[object, int]] = field(default_factory=list)
     #: optimisation-pass statistics recorded while this recipe was built
     notes: Dict[str, float] = field(default_factory=dict)
     #: metadata of every persistent chunk the recipe references (collected by
     #: the builder; what lets :meth:`access_summary` size working sets)
-    chunk_metas: Dict[ChunkId, ChunkMeta] = field(default_factory=dict)
+    chunk_metas: Dict[object, ChunkMeta] = field(default_factory=dict)
     #: write-only parameters (bound to no other parameter) that some
     #: superblock writes through a temporary -> every superblock's write
     #: region and GPU, in superblock order (what a re-chunk of the array
@@ -270,11 +317,71 @@ class PlanRecipe:
         default_factory=dict
     )
     _summary: Optional[AccessSummary] = field(default=None, repr=False)
+    #: bind memo: the (array id, layout epoch) pairs last bound, and the
+    #: recipe bound to them
+    _bound: Optional[Tuple[List[Tuple[int, int]], "PlanRecipe"]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def task_count(self) -> int:
         """Number of task protos in the recipe."""
         return len(self.protos)
+
+    def bind(self, arrays: Sequence["DistributedArray"]) -> "PlanRecipe":
+        """This recipe for ``arrays``, in slot order: every :class:`ChunkRef`
+        replaced by the id of the chunk it names.
+
+        The result is kept until the recipe is bound to other arrays or to
+        another layout of these, so binding the arrays it last served costs
+        one comparison.  Protos that name no persistent chunk are shared with
+        this recipe, stamp-time memo included.
+        """
+        served = [(array.array_id, array.layout_epoch) for array in arrays]
+        memo = self._bound
+        if memo is None or memo[0] != served:
+            memo = self._bound = (served, self._substitute([a.chunks for a in arrays]))
+        return memo[1]
+
+    def _substitute(self, chunks: List[List[ChunkMeta]]) -> "PlanRecipe":
+        protos: List[TaskProto] = []
+        for proto in self.protos:
+            values = proto.fields
+            for name, value in proto.fields.items():
+                bound = _bind_value(value, chunks)
+                if bound is not value:
+                    if values is proto.fields:
+                        values = dict(values)
+                    values[name] = bound
+            conflicts = _bind_value(proto.conflicts, chunks)
+            if values is proto.fields and conflicts is proto.conflicts:
+                protos.append(proto)
+                continue
+            protos.append(TaskProto(
+                factory=proto.factory,
+                worker=proto.worker,
+                label=proto.label,
+                fields=values,
+                deps=proto.deps,
+                conflicts=conflicts,
+                gather=proto.gather,
+                _split=proto._split if values is proto.fields else None,
+            ))
+
+        def chunk_of(ref: ChunkRef) -> ChunkMeta:
+            return chunks[ref.slot][ref.index]
+
+        return PlanRecipe(
+            description=self.description,
+            protos=protos,
+            temps=self.temps,
+            tag_slots=self.tag_slots,
+            reads=[(chunk_of(ref).chunk_id, index) for ref, index in self.reads],
+            writes=[(chunk_of(ref).chunk_id, index) for ref, index in self.writes],
+            notes=self.notes,
+            chunk_metas={meta.chunk_id: meta for meta in map(chunk_of, self.chunk_metas)},
+            misaligned_writes=self.misaligned_writes,
+        )
 
     def access_summary(self) -> AccessSummary:
         """The recipe's per-space working set (memoised on first call)."""
@@ -304,7 +411,7 @@ class PlanRecipe:
             elif proto.factory is T.CopyTask:
                 # Copies stage both endpoints in GPU memory; same-worker
                 # gather sources are the hierarchy-prefetch candidates.
-                note(proto.fields.get("src_chunk"), prefetch=proto.category == "gather")
+                note(proto.fields.get("src_chunk"), prefetch=proto.gather)
                 note(proto.fields.get("dst_chunk"), prefetch=False)
             elif proto.factory is T.ReduceTask:
                 note(proto.fields.get("src_chunk"), prefetch=False)
@@ -320,15 +427,70 @@ class PlanRecipe:
         return summary
 
 
-class RecipeBuilder:
-    """Incrementally assembles a :class:`PlanRecipe` (used by the passes)."""
+#: the fields of the protos that can name a persistent chunk
+_PROTO_FIELDS = {
+    cls: tuple(spec.name for spec in fields(cls))
+    for cls in (ArgBindingProto, ReduceEpilogueProto)
+}
 
-    def __init__(self, description: str = "") -> None:
+
+def _bind_value(value: object, chunks: List[List[ChunkMeta]]) -> object:
+    """``value`` with every :class:`ChunkRef` in it replaced by the id of
+    the chunk it names; ``value`` itself when it names none.
+
+    Found by value type, never by field name: a :class:`ChunkRef` is a leaf,
+    tuples and the binding/epilogue protos are walked, and nothing else can
+    hold one.
+    """
+    kind = type(value)
+    if kind is ChunkRef:
+        return chunks[value.slot][value.index].chunk_id
+    if kind is tuple:
+        items = [_bind_value(item, chunks) for item in value]
+        for new, old in zip(items, value):
+            if new is not old:
+                return tuple(items)
+        return value
+    names = _PROTO_FIELDS.get(kind)
+    if names is None:
+        return value
+    state = value.__dict__
+    changed = None
+    for name in names:
+        old = state[name]
+        new = _bind_value(old, chunks)
+        if new is not old:
+            if changed is None:
+                # A frozen dataclass: copy the instance dict rather than
+                # re-run ``__init__`` over every field (``replace``).
+                changed = object.__new__(kind)
+                changed.__dict__.update(state)
+            changed.__dict__[name] = new
+    return value if changed is None else changed
+
+
+class RecipeBuilder:
+    """Incrementally assembles a :class:`PlanRecipe` (used by the passes).
+
+    ``arrays`` are the launches' arrays in slot order (:func:`array_slots`):
+    the recipe names their chunks by :class:`ChunkRef`.
+    """
+
+    def __init__(self, description: str = "", arrays: Sequence["DistributedArray"] = ()) -> None:
         self.recipe = PlanRecipe(description=description)
+        self._refs: Dict[ChunkId, ChunkRef] = {
+            chunk.chunk_id: ChunkRef(slot, index)
+            for slot, array in enumerate(arrays)
+            for index, chunk in enumerate(array.chunks)
+        }
 
     # ------------------------------------------------------------------ #
     # symbolic allocation
     # ------------------------------------------------------------------ #
+    def handle(self, chunk: ChunkMeta) -> ChunkHandle:
+        """The handle naming one of the launches' array chunks."""
+        return ChunkHandle.of_chunk(chunk, self._refs[chunk.chunk_id])
+
     def temp(self, region: Region, dtype, home: DeviceId, label: str) -> TempChunkSpec:
         """Allocate a symbolic temp-chunk slot (blueprint only)."""
         spec = TempChunkSpec(
@@ -356,8 +518,8 @@ class RecipeBuilder:
         worker: WorkerId,
         label: str = "",
         deps: Sequence[int] = (),
-        conflicts: Sequence[Tuple[str, ChunkId]] = (),
-        category: str = "",
+        conflicts: Sequence[Tuple[str, object]] = (),
+        gather: bool = False,
         **fields,
     ) -> int:
         """Append a task proto; returns its index in the recipe."""
@@ -370,7 +532,7 @@ class RecipeBuilder:
                 fields=fields,
                 deps=tuple(deps),
                 conflicts=tuple(conflicts),
-                category=category,
+                gather=gather,
             )
         )
         return index
@@ -408,7 +570,7 @@ class RecipeBuilder:
         self,
         step: TransferStep,
         deps: Sequence[int],
-        conflicts: Sequence[Tuple[str, ChunkId]] = (),
+        conflicts: Sequence[Tuple[str, object]] = (),
     ) -> Tuple[int, int]:
         """Lower one :class:`TransferStep` to copy or send+recv protos.
 
@@ -419,7 +581,7 @@ class RecipeBuilder:
         src, dst, region = step.src, step.dst, step.region
         for handle in (src, dst):
             if handle.meta is not None:
-                self.recipe.chunk_metas[handle.meta.chunk_id] = handle.meta
+                self.note_meta(handle)
         nbytes = step.nbytes
         if src.worker == dst.worker:
             copy = self.add(
@@ -428,7 +590,7 @@ class RecipeBuilder:
                 label=step.label or f"copy {step.purpose}",
                 deps=deps,
                 conflicts=conflicts,
-                category=step.purpose,
+                gather=step.purpose == "gather",
                 src_chunk=src.ref,
                 dst_chunk=dst.ref,
                 region=region,
@@ -444,7 +606,6 @@ class RecipeBuilder:
             label=step.label or f"send {step.purpose}",
             deps=deps,
             conflicts=conflicts,
-            category=step.purpose,
             chunk_id=src.ref,
             region=region,
             dst_worker=dst.worker,
@@ -457,7 +618,6 @@ class RecipeBuilder:
             label=step.label or f"recv {step.purpose}",
             deps=tuple(deps) + (send,),
             conflicts=conflicts,
-            category=step.purpose,
             chunk_id=dst.ref,
             region=region,
             src_worker=src.worker,
@@ -466,20 +626,20 @@ class RecipeBuilder:
         )
         return send, recv
 
-    def note_meta(self, meta: ChunkMeta) -> None:
+    def note_meta(self, handle: ChunkHandle) -> None:
         """Record a persistent chunk's metadata for the access summary."""
-        self.recipe.chunk_metas[meta.chunk_id] = meta
+        self.recipe.chunk_metas[handle.ref] = handle.meta
 
     # ------------------------------------------------------------------ #
     # conflict bookkeeping
     # ------------------------------------------------------------------ #
-    def note_read(self, chunk_id: ChunkId, proto_index: int) -> None:
-        """Record that ``proto_index`` reads ``chunk_id`` (conflict bookkeeping)."""
-        self.recipe.reads.append((chunk_id, proto_index))
+    def note_read(self, chunk: ChunkRef, proto_index: int) -> None:
+        """Record that ``proto_index`` reads ``chunk`` (conflict bookkeeping)."""
+        self.recipe.reads.append((chunk, proto_index))
 
-    def note_write(self, chunk_id: ChunkId, proto_index: int) -> None:
-        """Record that ``proto_index`` writes ``chunk_id`` (conflict bookkeeping)."""
-        self.recipe.writes.append((chunk_id, proto_index))
+    def note_write(self, chunk: ChunkRef, proto_index: int) -> None:
+        """Record that ``proto_index`` writes ``chunk`` (conflict bookkeeping)."""
+        self.recipe.writes.append((chunk, proto_index))
 
 
 # --------------------------------------------------------------------------- #

@@ -51,6 +51,7 @@ from .costmodel import TransferCostModel
 from .ir import (
     ArgBindingProto,
     ChunkHandle,
+    ChunkRef,
     LaunchIdRef,
     PlanRecipe,
     RecipeBuilder,
@@ -58,6 +59,7 @@ from .ir import (
     ScalarArgsRef,
     TempChunkSpec,
     TransferStep,
+    array_slots,
 )
 
 __all__ = [
@@ -261,9 +263,8 @@ class TransferResolutionPass(PlanningPass):
         if chunk is not None and chunk.home == sb.device:
             # Common case: an enclosing chunk already lives on the right GPU.
             pir.direct_chunk = chunk
-            pir.binding = ChunkHandle.of_chunk(chunk)
+            pir.binding = builder.handle(chunk)
             if pir.mode.writes:
-                source = ChunkHandle.of_chunk(chunk)
                 for target in array.chunks_overlapping(region):
                     if target.chunk_id == chunk.chunk_id:
                         continue
@@ -272,8 +273,8 @@ class TransferResolutionPass(PlanningPass):
                         continue
                     pir.writeback_steps.append(
                         TransferStep(
-                            src=source,
-                            dst=ChunkHandle.of_chunk(target),
+                            src=pir.binding,
+                            dst=builder.handle(target),
                             region=overlap,
                             purpose="writeback",
                             label=f"writeback {pir.param}",
@@ -308,7 +309,7 @@ class TransferResolutionPass(PlanningPass):
                     continue
                 pir.gather_steps.append(
                     TransferStep(
-                        src=ChunkHandle.of_chunk(src),
+                        src=builder.handle(src),
                         dst=temp,
                         region=piece,
                         purpose="gather",
@@ -323,7 +324,7 @@ class TransferResolutionPass(PlanningPass):
                 pir.writeback_steps.append(
                     TransferStep(
                         src=temp,
-                        dst=ChunkHandle.of_chunk(target),
+                        dst=builder.handle(target),
                         region=overlap,
                         purpose="writeback",
                         label=f"writeback {pir.param}",
@@ -419,7 +420,7 @@ class ReductionPlanningPass(PlanningPass):
             rir.scatter_steps.append(
                 TransferStep(
                     src=root_acc,
-                    dst=ChunkHandle.of_chunk(dest),
+                    dst=builder.handle(dest),
                     region=overlap,
                     purpose="scatter",
                     label=f"scatter {array.name}",
@@ -568,37 +569,37 @@ class CopyCoalescingPass(PlanningPass):
 # --------------------------------------------------------------------------- #
 def _emit_param_inputs(
     builder: RecipeBuilder, pir: ParamIR
-) -> Tuple[List[int], List[Tuple[str, ChunkId]], List[Tuple[ChunkId, int]], List[ChunkId]]:
+) -> Tuple[List[int], List[Tuple[str, ChunkRef]], List[Tuple[ChunkRef, int]], List[ChunkRef]]:
     """Emit the pre-launch protos of one parameter.
 
     Returns ``(launch deps, launch conflicts, (chunk, gather-read proto)
-    pairs, directly-read chunk ids)``.
+    pairs, directly-read chunks)``.
     """
     launch_deps: List[int] = []
-    launch_conflicts: List[Tuple[str, ChunkId]] = []
-    gather_reads: List[Tuple[ChunkId, int]] = []
-    direct_reads: List[ChunkId] = []
+    launch_conflicts: List[Tuple[str, ChunkRef]] = []
+    gather_reads: List[Tuple[ChunkRef, int]] = []
+    direct_reads: List[ChunkRef] = []
     if pir.mode is AccessMode.REDUCE:
         ready = builder.create_temp(pir.temp_spec, pir.identity)
         launch_deps.append(ready)
         return launch_deps, launch_conflicts, gather_reads, direct_reads
     if pir.direct_chunk is not None:
-        chunk_id = pir.direct_chunk.chunk_id
-        builder.note_meta(pir.direct_chunk)
+        chunk = pir.binding.ref
+        builder.note_meta(pir.binding)
         if pir.mode.reads:
-            launch_conflicts.append(("read", chunk_id))
-            direct_reads.append(chunk_id)
+            launch_conflicts.append(("read", chunk))
+            direct_reads.append(chunk)
         if pir.mode.writes:
-            launch_conflicts.append(("write", chunk_id))
+            launch_conflicts.append(("write", chunk))
         return launch_deps, launch_conflicts, gather_reads, direct_reads
     ready = builder.create_temp(pir.temp_spec)
     launch_deps.append(ready)
     for step in pir.gather_steps:
-        src_id = step.src.chunk_id
+        source = step.src.ref
         src_read, dst_write = builder.transfer(
-            step, deps=(ready,), conflicts=(("read", src_id),)
+            step, deps=(ready,), conflicts=(("read", source),)
         )
-        gather_reads.append((src_id, src_read))
+        gather_reads.append((source, src_read))
         launch_deps.append(dst_write)
     return launch_deps, launch_conflicts, gather_reads, direct_reads
 
@@ -613,14 +614,14 @@ def _emit_param_outputs(builder: RecipeBuilder, pir: ParamIR, launch_idx: int) -
             builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=(launch_idx,))
         return
     if pir.direct_chunk is not None:
-        builder.note_write(pir.direct_chunk.chunk_id, launch_idx)
+        builder.note_write(pir.binding.ref, launch_idx)
     last_uses = [launch_idx]
     for step in pir.writeback_steps:
-        target_id = step.dst.chunk_id
+        target = step.dst.ref
         src_read, dst_write = builder.transfer(
-            step, deps=(launch_idx,), conflicts=(("write", target_id),)
+            step, deps=(launch_idx,), conflicts=(("write", target),)
         )
-        builder.note_write(target_id, dst_write)
+        builder.note_write(target, dst_write)
         last_uses.append(src_read)
     if pir.temp_spec is not None:
         builder.delete_chunk(pir.binding, pir.temp_spec.label, deps=last_uses)
@@ -667,9 +668,9 @@ def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> Non
     for s in range(len(superblocks)):
         sb = superblocks[s].sb
         launch_deps: List[int] = []
-        launch_conflicts: List[Tuple[str, ChunkId]] = []
-        gather_reads: List[Tuple[ChunkId, int]] = []
-        direct_reads: List[ChunkId] = []
+        launch_conflicts: List[Tuple[str, ChunkRef]] = []
+        gather_reads: List[Tuple[ChunkRef, int]] = []
+        direct_reads: List[ChunkRef] = []
         epilogues: List[Tuple[ReduceEpilogueProto, ...]] = []
         acc_keys: List[Tuple[str, DeviceId]] = []
         partials: List[ParamIR] = []
@@ -681,7 +682,7 @@ def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> Non
                     # persistent producer chunk still registers as a reader.
                     source = pir.fused_source
                     if source.direct_chunk is not None:
-                        direct_reads.append(source.direct_chunk.chunk_id)
+                        direct_reads.append(source.binding.ref)
                     continue
                 deps, conflicts, gathers, directs = _emit_param_inputs(builder, pir)
                 launch_deps.extend(deps)
@@ -744,10 +745,10 @@ def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> Non
         launch_of_sb.append(launch_idx)
         for key in acc_keys:
             acc_ready[key] = launch_idx
-        for chunk_id, src_read in gather_reads:
-            builder.note_read(chunk_id, src_read)
-        for chunk_id in dict.fromkeys(direct_reads):
-            builder.note_read(chunk_id, launch_idx)
+        for chunk, src_read in gather_reads:
+            builder.note_read(chunk, src_read)
+        for chunk in dict.fromkeys(direct_reads):
+            builder.note_read(chunk, launch_idx)
         for state in states:
             for pir in state.superblocks[s].params:
                 if pir.fused_source is not None:
@@ -850,11 +851,11 @@ def _emit_reduction_merge(
     # Write the reduced result into the destination chunks (and replicas).
     final_uses = [root_ready]
     for step in rir.scatter_steps:
-        dest_id = step.dst.chunk_id
+        dest = step.dst.ref
         src_read, dst_write = builder.transfer(
-            step, deps=(root_ready,), conflicts=(("write", dest_id),)
+            step, deps=(root_ready,), conflicts=(("write", dest),)
         )
-        builder.note_write(dest_id, dst_write)
+        builder.note_write(dest, dst_write)
         final_uses.append(src_read)
     root_spec = rir.root_acc_spec or rir.acc_specs[rir.root_device]
     builder.delete_chunk(root_acc, root_spec.label, deps=final_uses)
@@ -1101,7 +1102,10 @@ def build_fused_recipe(
 
     cost_model = cost_model or TransferCostModel(cluster)
     names = "+".join(launch.kernel.name for launch in launches)
-    builder = RecipeBuilder(description=f"fused launch {names} #{{launch_id}}")
+    builder = RecipeBuilder(
+        description=f"fused launch {names} #{{launch_id}}",
+        arrays=array_slots([launch.arrays for launch in launches])[0],
+    )
     states = [
         _analyse(
             cluster, launch.kernel, launch.grid, launch.block, launch.work_dist,
@@ -1228,7 +1232,10 @@ def build_launch_recipe(
     rotation: int = 0,
 ) -> PlanRecipe:
     """The structural plan recipe of one launch: a one-segment chain."""
-    builder = RecipeBuilder(description=f"launch {kernel.name} #{{launch_id}}")
+    builder = RecipeBuilder(
+        description=f"launch {kernel.name} #{{launch_id}}",
+        arrays=array_slots([arrays])[0],
+    )
     state = _analyse(
         cluster, kernel, grid, block, work_dist, arrays, builder,
         cost_model or TransferCostModel(cluster), rotation,

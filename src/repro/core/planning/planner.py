@@ -15,18 +15,20 @@ driver-side steps:
 * :meth:`Planner.prepare_launch` runs at ``Context.launch`` time: it resolves
   the plan-template cache and — on a miss — builds the recipe, so
   planning errors still surface at the launch call site even though
-  submission is deferred;
+  submission is deferred; either way the recipe is bound to the launch's
+  arrays (:meth:`~.ir.PlanRecipe.bind`);
 * :meth:`Planner.stamp_launch` runs when the window drains: it stamps each
   drain unit's recipe — a prepared launch's or a fused chain's — with fresh
   ids and the cross-launch conflict edges that depend on everything stamped
   before it.
 
 Fused recipes (the window's kernel-fusion pass) are cached separately, keyed
-by the *chain* of member cache keys (any length >= 2), with a negative entry
-for chains that failed the legality checks so the expensive region analysis
-runs once per chain shape, not once per drain.  The window's greedy chain
-builder extends chains one launch at a time, so successful prefixes and
-failing extensions each get their own entry (prefix reuse).
+by the *chain* of member cache keys (any length >= 2) plus which member
+parameters share an array, with a negative entry for chains that failed the
+legality checks so the expensive region analysis runs once per chain shape,
+not once per drain.  The window's greedy chain builder extends chains one
+launch at a time, so successful prefixes and failing extensions each get
+their own entry (prefix reuse).
 
 The planner is purely driver-side: it never touches data, only metadata.
 """
@@ -49,7 +51,7 @@ from ..kernel import CompiledKernel
 from .. import tasks as T
 from .cache import PlanTemplateCache
 from .costmodel import TransferCostModel
-from .ir import PlanRecipe, StampedPlan, stamp_recipe
+from .ir import PlanRecipe, StampedPlan, array_slots, stamp_recipe
 from .passes import (
     DependencyInjectionPass,
     PlanningError,
@@ -107,8 +109,9 @@ class Planner:
         self.cost_model = TransferCostModel(cluster)
         self.cache_enabled = plan_cache
         self.cache = PlanTemplateCache()
-        #: fused-recipe LRU cache: (flags..., key_0, ..., key_n) chain keys ->
-        #: PlanRecipe | _NO_FUSION (negative entries memoise failed chains)
+        #: fused-recipe LRU cache: (flags..., parameter slots, key_0, ...,
+        #: key_n) chain keys -> PlanRecipe | _NO_FUSION (negative entries
+        #: memoise failed chains)
         self._fusion_cache: "OrderedDict[Hashable, object]" = OrderedDict()
         self.dependency_injector = DependencyInjectionPass(self._writers, self._readers)
         #: wall-clock seconds spent planning kernel launches (driver hot path)
@@ -330,29 +333,6 @@ class Planner:
             self._readers.pop(old.chunk_id, None)
         return plan
 
-    def invalidate_array(self, array_id: int) -> int:
-        """Evict every cached recipe (plain or fused) keyed on ``array_id``.
-
-        Called after an in-place redistribution: the array's layout epoch has
-        been bumped, so entries keyed on the old epoch can never hit again and
-        would otherwise sit in the LRU as garbage until pushed out.  Fused
-        *chain* entries are evicted when **any** member launch of the chain
-        mentions the array — a chain's recipe embeds the bindings of every
-        member, so one redistributed member stales the whole chain.
-        """
-        evicted = self.cache.invalidate_array(array_id)
-        stale = [
-            chain_key
-            for chain_key in self._fusion_cache
-            if any(
-                PlanTemplateCache.key_mentions_array(member, array_id)
-                for member in chain_key
-            )
-        ]
-        for chain_key in stale:
-            del self._fusion_cache[chain_key]
-        return evicted + len(stale)
-
     def invalidate_all(self) -> int:
         """Evict *every* cached recipe, plain and fused.
 
@@ -383,55 +363,61 @@ class Planner:
 
         Runs at ``Context.launch`` time, before the launch enters the window:
         planning errors surface at the call site and the cached hot path pays
-        nothing at drain time but the re-stamp.  A cold recipe goes to
-        ``rechunk(recipe, arrays)`` (the context's re-chunk step) before it is
-        stored; when that changes a layout, only the replanned recipe is kept.
+        nothing at drain time but the re-stamp.  A recipe that names
+        misaligned writes, cached or cold, goes to ``rechunk(recipe, arrays)``
+        (the context's re-chunk step); when that changes a layout, the launch
+        is looked up again under the new one.  The launch is a hit when no
+        recipe was planned cold for it.
         """
         started = time.perf_counter()
+        recipe, key, cold = self._recipe_for(kernel, grid, block, work_dist, arrays)
+        if recipe.misaligned_writes:
+            paused = time.perf_counter()  # a relayout is not launch planning
+            changed = rechunk(recipe, arrays)
+            started += time.perf_counter() - paused
+            if changed:
+                recipe, key, replanned = self._recipe_for(
+                    kernel, grid, block, work_dist, arrays
+                )
+                cold = cold or replanned
         cache_status: Optional[str] = None
-        recipe = None
-        key = self._cache_key(kernel, grid, block, work_dist, arrays)
         if key is not None:
-            recipe = self.cache.lookup(key)
-            cache_status = "hit" if recipe is not None else "miss"
-        if recipe is None:
+            self.cache.record(hit=not cold)
+            cache_status = "miss" if cold else "hit"
+        self.planning_seconds += time.perf_counter() - started
+        return PreparedLaunch(recipe=recipe, key=key, cache_status=cache_status)
+
+    def _recipe_for(
+        self, kernel, grid, block, work_dist, arrays
+    ) -> Tuple[PlanRecipe, Optional[Hashable], bool]:
+        """The launch's recipe bound to its arrays, its cache key (``None``
+        when it has none) and whether the recipe was planned cold."""
+        slots, pattern = array_slots([arrays])
+        key = recipe = None
+        if self.cache_enabled:
+            key = self.cache.key_for(
+                kernel, grid, block, work_dist, self.device_rotation, slots, pattern
+            )
+            try:
+                recipe = self.cache.lookup(key)
+            except TypeError:
+                # User-defined work distributions are not required to be
+                # hashable; such launches are simply planned cold every time.
+                key = None
+        cold = recipe is None
+        if cold:
             recipe = build_launch_recipe(
                 self.cluster, kernel, grid, block, work_dist, arrays,
                 cost_model=self.cost_model, rotation=self.device_rotation,
             )
-            paused = time.perf_counter()  # a relayout is not launch planning
-            changed = rechunk(recipe, arrays)
-            started += time.perf_counter() - paused
-            if changed:  # under the new layout epochs, so a new key
-                recipe = build_launch_recipe(
-                    self.cluster, kernel, grid, block, work_dist, arrays,
-                    cost_model=self.cost_model, rotation=self.device_rotation,
-                )
-                key = self._cache_key(kernel, grid, block, work_dist, arrays)
-            for note, value in recipe.notes.items():
-                self.pass_stats[note] = self.pass_stats.get(note, 0) + value
+            self._note_pass_stats(recipe)
             if key is not None:
                 self.cache.store(key, recipe)
-        self.planning_seconds += time.perf_counter() - started
-        return PreparedLaunch(recipe=recipe, key=key, cache_status=cache_status)
+        return recipe.bind(slots), key, cold
 
-    def _cache_key(self, kernel, grid, block, work_dist, arrays) -> Optional[Hashable]:
-        """The launch's plan-cache key; ``None`` when there is none to use."""
-        if not self.cache_enabled:
-            return None
-        try:
-            key = self.cache.key_for(kernel, grid, block, work_dist, arrays)
-            if self.device_rotation:
-                # A plan cache shared across tenants must not alias plans
-                # built under different work-placement rotations.  Rotation
-                # 0 keeps the seed cache keys bit-identical.
-                key = ("rotation", self.device_rotation, key)
-            hash(key)
-        except TypeError:
-            # User-defined work distributions are not required to be
-            # hashable; such launches are simply planned cold every time.
-            return None
-        return key
+    def _note_pass_stats(self, recipe: PlanRecipe) -> None:
+        for note, value in recipe.notes.items():
+            self.pass_stats[note] = self.pass_stats.get(note, 0) + value
 
     def stamp_launch(
         self,
@@ -471,7 +457,8 @@ class Planner:
         allow_reduce_tail: bool = True,
         allow_compatible_dists: bool = True,
     ) -> Tuple[Optional[PlanRecipe], Optional[str]]:
-        """Fused recipe for a chain of back-to-back launches.
+        """Fused recipe for a chain of back-to-back launches, bound to their
+        arrays.
 
         ``members`` are the window's ``PendingLaunch`` records, in program
         order.  Returns ``(recipe, cache status)`` — ``(None, None)`` when the
@@ -479,19 +466,21 @@ class Planner:
         ``"hit"`` only when the fused recipe was served memoised, ``"miss"``
         when it was built cold this drain (even if every member hit the
         per-launch template cache).  Decisions are memoised by the tuple of
-        member cache keys — including a *negative* entry when the chain is not
-        fusable — with natural prefix reuse: the window's greedy builder
-        extends a chain one launch at a time, so every successful prefix of a
-        chain has its own (positive) entry and the failing extension its own
-        negative one, and iterative applications pay the legality analysis
-        once per chain shape.
+        member cache keys plus which member parameters share an array —
+        including a *negative* entry when the chain is not fusable — with
+        natural prefix reuse: the window's greedy builder extends a chain one
+        launch at a time, so every successful prefix of a chain has its own
+        (positive) entry and the failing extension its own negative one, and
+        iterative applications pay the legality analysis once per chain
+        shape.
         """
+        slots, pattern = array_slots([m.arrays for m in members])
         chain_key = None
         if self.cache_enabled and all(m.prepared.key is not None for m in members):
             # The legality flags join the key so pairwise-mode and chain-mode
             # decisions can never alias (a reduce-tail pair fuses under chain
             # rules but not under pairwise rules).
-            chain_key = (allow_reduce_tail, allow_compatible_dists) + tuple(
+            chain_key = (allow_reduce_tail, allow_compatible_dists, pattern) + tuple(
                 m.prepared.key for m in members
             )
             cached = self._fusion_cache.get(chain_key)
@@ -499,7 +488,7 @@ class Planner:
                 self._fusion_cache.move_to_end(chain_key)
                 if cached is _NO_FUSION:
                     return None, None
-                return cached, "hit"  # type: ignore[return-value]
+                return cached.bind(slots), "hit"  # type: ignore[union-attr]
         started = time.perf_counter()
         recipe = build_fused_recipe(
             self.cluster,
@@ -511,15 +500,14 @@ class Planner:
         )
         self.planning_seconds += time.perf_counter() - started
         if recipe is not None:
-            for note, value in recipe.notes.items():
-                self.pass_stats[note] = self.pass_stats.get(note, 0) + value
+            self._note_pass_stats(recipe)
         if chain_key is not None:
             self._fusion_cache[chain_key] = recipe if recipe is not None else _NO_FUSION
             while len(self._fusion_cache) > _FUSION_CACHE_MAX:
                 self._fusion_cache.popitem(last=False)
         if recipe is None:
             return None, None
-        return recipe, "miss" if chain_key is not None else None
+        return recipe.bind(slots), "miss" if chain_key is not None else None
 
     def prepare_fused(self, a, b) -> Tuple[Optional[PlanRecipe], Optional[str]]:
         """Strict pairwise fusion (the window's ``fusion="pairwise"`` mode):

@@ -278,6 +278,10 @@ class LaunchWindow:
                 [m.launch_id for m in unit.members],
                 unit.cache_status,
             ).plan
+            if unit.cache_status == "hit":
+                counters.plan_cache_hits += 1
+            elif unit.cache_status == "miss":
+                counters.plan_cache_misses += 1
             if len(unit.members) > 1:
                 counters.launches_fused += len(unit.members) - 1
                 if len(unit.members) > 2:

@@ -70,13 +70,13 @@ class RuntimeStats:
     control_messages: int = 0
     network_bytes: float = 0.0
     network_messages: int = 0
-    #: launch *plans* re-stamped from a cached template / planned cold.  A
-    #: fused plan covers two launches but counts once (its status reflects
-    #: the fusion cache); per-launch lookup counts live on
-    #: ``Planner.cache.hits/misses``.
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    #: cache entries evicted by targeted invalidation (redistribute)
+    #: launch *plans* re-stamped from a cached template / planned cold,
+    #: counted by the context whose window submits them.  A fused plan
+    #: covers two launches but counts once (its status reflects the fusion
+    #: cache); per-launch counts live on ``Planner.cache.hits/misses``.
+    plan_cache_hits: int = _per_context()
+    plan_cache_misses: int = _per_context()
+    #: cache entries dropped after a device failure (``Planner.invalidate_all``)
     plan_cache_invalidations: int = 0
     #: launch-window activity: drains and launches merged away by the
     #: fusion pass
@@ -263,8 +263,8 @@ class RuntimeSystem:
         self._waiters: Dict[TaskId, Optional[list]] = {}
         self._outstanding = 0
         self.plans_submitted = 0
-        #: the runtime's own counters: plan-cache hits and misses of submitted
-        #: plans, device recovery (:func:`recover_device`) and checkpoints
+        #: the runtime's own counters: device recovery
+        #: (:func:`recover_device`) and checkpoints
         self.counters = RuntimeStats()
         #: When ``record_plans`` is set, every submitted plan is kept here so
         #: ``repro.analysis`` can rebuild the full task DAG (Fig. 4) afterwards.
@@ -357,10 +357,6 @@ class RuntimeSystem:
         if self.lineage is not None:
             self.lineage.observe_plan(plan)
         self.plans_submitted += 1
-        if plan.cache_status == "hit":
-            self.counters.plan_cache_hits += 1
-        elif plan.cache_status == "miss":
-            self.counters.plan_cache_misses += 1
         if self.record_plans:
             self.recorded_plans.append(plan)
         self._outstanding += plan.task_count

@@ -18,7 +18,7 @@ from repro import (
 from repro.core.distributions import ChunkPlacement, CustomDist
 from repro.core.geometry import Region
 from repro.core.planning import CopyCoalescingPass, PlanTemplateCache
-from repro.core.planning.ir import ChunkHandle, TransferStep
+from repro.core.planning.ir import ChunkHandle, ChunkRef, TransferStep
 from repro.core.chunk import ChunkMeta
 from repro.hardware.topology import DeviceId
 from repro.kernels import create_workload
@@ -181,7 +181,9 @@ def test_cached_plans_charge_less_driver_planning_time():
     assert 0.0 < busy_on < busy_off
 
 
-def test_layout_epoch_invalidates_cached_templates():
+def test_plan_keys_follow_the_chunk_layout_not_the_epoch():
+    """A key names each array's chunk layout, memoised per layout epoch: an
+    epoch bump with the same chunks still hits, a new layout misses."""
     ctx = make_ctx(nodes=1, gpus=2)
     n = 256
     a = ctx.ones(n, BlockDist(64), name="a")
@@ -190,10 +192,14 @@ def test_layout_epoch_invalidates_cached_templates():
     kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
     kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
     assert ctx.planner.cache.hits == 1
-    a.layout_epoch += 1  # simulate a future in-place redistribution
+    a.layout_epoch += 1  # the signature is recomputed: the same layout
     kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
-    assert ctx.planner.cache.hits == 1
+    assert ctx.planner.cache.hits == 2
+    a.redistribute(BlockDist(32))
+    kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
+    assert ctx.planner.cache.hits == 2
     assert ctx.planner.cache.misses == 2
+    assert np.allclose(ctx.gather(b), 2.0)
 
 
 def test_cached_reduction_relaunch_keeps_overwrite_semantics():
@@ -340,7 +346,7 @@ def test_overlapping_sources_are_trimmed_to_disjoint_pieces():
 def _handle(chunk_id, lo, hi, device=DeviceId(0, 0)):
     meta = ChunkMeta(chunk_id=chunk_id, region=Region((lo,), (hi,)),
                      dtype=np.float32, home=device)
-    return ChunkHandle.of_chunk(meta)
+    return ChunkHandle.of_chunk(meta, ChunkRef(0, chunk_id))
 
 
 def test_copy_coalescing_merges_adjacent_regions_only():

@@ -1,6 +1,6 @@
 """Tests for re-chunking write-only arrays (``Context.launch``).
 
-A launch planned cold re-chunks an array it binds to one plain ``write``
+A launch re-chunks an array it binds to one plain ``write``
 parameter to its superblock write regions, each on its superblock's GPU,
 when some superblock would otherwise write it through a temporary and the
 regions are disjoint and cover the whole array.  The new chunks start
@@ -146,9 +146,9 @@ def test_checkpoint_restore_of_rechunked_intermediates(tmp_path):
 
 
 def test_a_rechunking_launch_is_planned_and_counted_once():
-    # hotspot3's five distinct launches, two of which re-chunk: only the
-    # recipe of the new layout is built for the cache, so each launch misses
-    # once and no recipe of the old layout is stored to be invalidated.
+    # hotspot3's five distinct launches, two of which re-chunk: each is
+    # planned under the declared layout, then under the new one, and counts
+    # one miss; nothing is invalidated.
     def run(plan_cache):
         ctx = Context(azure_nc24rsv2(nodes=1, gpus_per_node=2), mode="simulate",
                       plan_cache=plan_cache, record_plans=True)

@@ -1,5 +1,6 @@
 """Tests for in-place redistribution (`DistributedArray.redistribute`) and
-the targeted plan-template-cache invalidation it triggers."""
+the plan-template cache across it: keys name chunk layouts, so a
+redistribute evicts nothing."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro import (
     azure_nc24rsv2,
 )
 from repro.core.planning import PlanTemplateCache
+from repro.core.planning.ir import array_slots
 
 
 def make_ctx(nodes=1, gpus=2, **kw):
@@ -127,9 +129,12 @@ def test_redistribute_drains_pending_launches_on_the_array():
 
 
 # --------------------------------------------------------------------------- #
-# plan-template cache invalidation
+# the plan-template cache across a redistribute: keys name layouts, so
+# nothing is evicted and the old layout's entries stay valid
 # --------------------------------------------------------------------------- #
 def test_redistribute_invalidates_cached_templates():
+    """A redistribute moves the array's launches to the new layout's key:
+    the next launch misses, and the old layout's entry stays cached."""
     ctx = make_ctx()
     kernel = scale_kernel(ctx)
     n = 256
@@ -143,15 +148,15 @@ def test_redistribute_invalidates_cached_templates():
     assert len(cache) == 1
 
     a.redistribute(BlockDist(32))
-    # the old-epoch entry is evicted, not just orphaned
-    assert len(cache) == 0
-    assert cache.invalidations == 1
-    assert ctx.stats().plan_cache_invalidations == 1
+    assert len(cache) == 1  # nothing is evicted
+    assert cache.invalidations == 0
+    assert ctx.stats().plan_cache_invalidations == 0
 
-    # the next launch on the array is a cache miss (new epoch in the key)
+    # the next launch on the array is a cache miss (a new layout in the key)
     kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
     ctx.synchronize()
     assert cache.misses == 2 and cache.hits == 1
+    assert len(cache) == 2
     assert np.allclose(ctx.gather(b), 2.0)
 
 
@@ -170,54 +175,70 @@ def test_invalidation_spares_unrelated_entries():
     cache = ctx.planner.cache
     assert len(cache) == 2
     a.redistribute(BlockDist(32))
-    assert len(cache) == 1  # only the entry keyed on `a` was evicted
+    assert len(cache) == 2  # a redistribute evicts nothing
     other_kernel.launch(n, 8, BlockWorkDist(64), (n, d, c))
     ctx.synchronize()
     assert cache.hits == 1  # the unrelated entry still hits
+    assert np.allclose(ctx.gather(d), 2.0)
 
 
-def test_manual_epoch_bump_misses_but_leaves_entry_until_invalidated():
-    """The unit-level contract: a stale-epoch entry never hits again, and
-    ``invalidate_array`` is what actually removes it."""
+def test_a_new_layout_misses_and_keeps_the_old_entry_until_invalidate_all():
+    """The unit-level contract: a key names the chunk layout, so a new layout
+    misses while the old layout's entry stays resident; only a device
+    failure's ``invalidate_all`` (or the LRU bound) removes it."""
+    ctx = make_ctx()
+    kernel = scale_kernel(ctx)
+    n = 256
+    a = ctx.ones(n, BlockDist(64), name="a")
+    b = ctx.zeros(n, BlockDist(64), name="b")
+
+    def key():
+        slots, pattern = array_slots([{"out": b, "inp": a}])
+        return PlanTemplateCache.key_for(
+            kernel, (n,), (8,), BlockWorkDist(64), 0, slots, pattern
+        )
+
+    old = key()
     cache = PlanTemplateCache()
-    key_old = ("k", (8,), (2,), "wd", (("x", 7, 0),))
-    key_new = ("k", (8,), (2,), "wd", (("x", 7, 1),))
-    cache.store(key_old, object())
-    assert cache.lookup(key_new) is None  # epoch bump -> miss
-    assert len(cache) == 1  # ...but the stale entry is still resident
-    assert cache.key_mentions_array(key_old, 7)
-    assert not cache.key_mentions_array(key_old, 8)
-    assert cache.invalidate_array(7) == 1
-    assert len(cache) == 0 and cache.invalidations == 1
+    cache.store(old, "recipe of the old layout")
+    a.redistribute(BlockDist(32))
+    new = key()
+    assert new != old
+    assert cache.lookup(new) is None
+    assert cache.lookup(old) == "recipe of the old layout"
+    assert len(cache) == 1
+
+    kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
+    a.redistribute(BlockDist(64))
+    kernel.launch(n, 8, BlockWorkDist(64), (n, b, a))
+    ctx.synchronize()
+    assert len(ctx.planner.cache) == 2
+    assert ctx.planner.invalidate_all() == 2
+    assert len(ctx.planner.cache) == 0
+    assert ctx.stats().plan_cache_invalidations == 2
 
 
-def test_redistribute_evicts_expression_recipes():
+def test_redistribute_replans_expression_recipes_and_keeps_old_entries():
     """Lowered expression launches go through the same template cache as
-    hand-written kernels; redistributing an input must evict their entries
-    and the re-chunked re-evaluation must re-plan correctly."""
+    hand-written kernels; redistributing an input evicts nothing, and the
+    re-chunked re-evaluation plans against the new layout correctly."""
     ctx = make_ctx()
     n = 256
     a = ctx.ones(n, BlockDist(64), name="a")
     b = ctx.full(n, 3.0, BlockDist(64), name="b")
     first = ctx.gather(a + b * 2.0)
     cache = ctx.planner.cache
-    assert len(cache) >= 1 and cache.misses >= 1
-    assert any(
-        PlanTemplateCache.key_mentions_array(key, a.array_id)
-        for key in cache._entries
-    )
+    entries = len(cache)
+    assert entries >= 1 and cache.misses >= 1
 
     a.redistribute(BlockDist(32))
-    assert not any(
-        PlanTemplateCache.key_mentions_array(key, a.array_id)
-        for key in cache._entries
-    )
-    assert cache.invalidations >= 1
-    assert ctx.stats().plan_cache_invalidations >= 1
+    assert len(cache) == entries
+    assert ctx.stats().plan_cache_invalidations == 0
 
     # the recipe re-plans against the new chunking and stays correct
     second = ctx.gather(a + b * 2.0)
     assert np.array_equal(first, second)
+    assert len(cache) > entries
 
 
 def test_redistribute_forces_pending_expressions_first():
@@ -235,6 +256,10 @@ def test_redistribute_forces_pending_expressions_first():
 
 
 def test_redistribute_invalidates_fusion_cache_entries():
+    """Fused chains are keyed on every member's layout: redistributing the
+    intermediate evicts nothing, and the re-chunk that its next writer makes
+    (back to the superblock regions, the layout it started in) lets the
+    chain hit its old entry, bound to the new chunks."""
     ctx = make_ctx(fusion=True)
     kernel = scale_kernel(ctx)
     n = 512
@@ -247,19 +272,22 @@ def test_redistribute_invalidates_fusion_cache_entries():
     ctx.synchronize()
     # one positive pair entry plus the chain builder's negative extension probe
     assert len(ctx.planner._fusion_cache) == 2
+    misses = ctx.stats().plan_cache_misses
     b.redistribute(BlockDist(64))
-    assert len(ctx.planner._fusion_cache) == 0
-    # re-chunked intermediate: fusion re-evaluates and results stay right
+    assert len(ctx.planner._fusion_cache) == 2
     kernel.launch(n, 32, BlockWorkDist(128), (n, b, a))
     kernel.launch(n, 32, BlockWorkDist(128), (n, c, b))
     assert np.allclose(ctx.gather(c), 4.0)
+    assert b.rechunked
+    assert ctx.stats().plan_cache_misses == misses
+    assert len(ctx.planner._fusion_cache) == 2
 
 
 def test_redistribute_invalidates_three_launch_chain_entries():
     """Chain entries are keyed on *every* member: redistributing any array a
-    chain member binds — here the middle link — must evict the whole chain."""
-    from repro.core.planning import PlanTemplateCache
-
+    chain member binds — here the middle link, to halo chunks its writer
+    writes in place — sends the chain to a new entry, and the old ones
+    stay."""
     ctx = make_ctx(fusion=True)
     kernel = scale_kernel(ctx)
     n = 512
@@ -274,23 +302,17 @@ def test_redistribute_invalidates_three_launch_chain_entries():
     ctx.synchronize()
     stats = ctx.stats()
     assert stats.fused_chain_max_len == 3 and stats.launches_fused_chain > 0
+    entries = len(ctx.planner._fusion_cache)
 
-    def entries_mentioning(array_id):
-        return [
-            key
-            for key in ctx.planner._fusion_cache
-            if any(PlanTemplateCache.key_mentions_array(m, array_id) for m in key)
-        ]
-
-    # the 3-chain (and every probed prefix/extension) mentions c
-    assert entries_mentioning(c.array_id)
-    c.redistribute(BlockDist(64))
-    assert not entries_mentioning(c.array_id)
+    c.redistribute(StencilDist(128, halo=1))
+    assert len(ctx.planner._fusion_cache) == entries
     # re-chunked middle link: the chain re-fuses against the new layout and
     # results stay right
     kernel.launch(n, 32, BlockWorkDist(128), (n, b, a))
     kernel.launch(n, 32, BlockWorkDist(128), (n, c, b))
     kernel.launch(n, 32, BlockWorkDist(128), (n, d, c))
     ctx.synchronize()
-    assert ctx.stats().fused_chain_max_len == 3
+    assert ctx.stats().launches_fused_chain == stats.launches_fused_chain + 3
+    assert not c.rechunked
+    assert len(ctx.planner._fusion_cache) > entries
     assert np.allclose(ctx.gather(d), 8.0)
