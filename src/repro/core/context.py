@@ -69,7 +69,7 @@ class Context:
         record_plans: bool = False,
         plan_cache: bool = True,
         lookahead: int = DEFAULT_LOOKAHEAD,
-        fusion: object = True,
+        fusion: bool = True,
         window_memory: bool = True,
         faults: object = None,
         fault_seed: int = 0,

@@ -23,8 +23,8 @@ skeleton.
 
 A recipe names persistent chunks symbolically, as (array slot, chunk index)
 :class:`~.ir.ChunkRef` pairs, so one entry serves every set of arrays of its
-layout: :meth:`~.ir.PlanRecipe.bind` substitutes their chunk ids and keeps
-the result for as long as the entry serves those arrays.  An in-place
+layout: :func:`~.ir.stamp_recipe` resolves the names through the chunks of
+the launch it stamps.  An in-place
 redistribution changes an array's layout and so its key; the entry of the
 old layout stays valid for any array in that layout, and the LRU bound is
 what retires it.  Keys do not name the surviving devices, so a device

@@ -13,21 +13,22 @@ Planning a kernel launch is split into two halves:
   dependencies, which is what makes it reusable across launches, and across
   arrays of the same chunk layout (the plan-template cache stores recipes).
 
-* **Binding** — :meth:`PlanRecipe.bind` substitutes the chunk ids of one set
-  of arrays for the recipe's :class:`ChunkRef` names, and keeps the result
-  for as long as the recipe serves those arrays.
-
-* **Stamping** — :func:`stamp_recipe` turns a bound recipe into a concrete
-  :class:`~repro.core.tasks.ExecutionPlan`: it allocates fresh task ids, chunk
-  ids and tags, substitutes the launch's scalar arguments, and injects
-  cross-launch conflict dependencies by querying the planner's reader/writer
-  tables (the dependency-injection pass).  Stamping is a cheap linear walk, so
-  cached re-launches skip all of the analysis work.
+* **Stamping** — :func:`stamp_recipe` turns a recipe into a concrete
+  :class:`~repro.core.tasks.ExecutionPlan` for one launch's chunks
+  (:class:`SlotChunks`): it resolves every :class:`ChunkRef` to the id of
+  the chunk it names, allocates fresh task ids, chunk ids and tags,
+  substitutes the launch's scalar arguments, and injects cross-launch
+  conflict dependencies by querying the planner's reader/writer tables (the
+  dependency-injection pass).  Stamping is a cheap linear walk, so cached
+  re-launches skip all of the analysis work: what a proto resolves to on
+  every stamp for one set of arrays, chunk ids included, is folded once
+  (the proto's *stamp split*) and compiled again only when the recipe
+  stamps for other arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type,
 )
@@ -44,6 +45,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ChunkRef",
+    "SlotChunks",
     "array_slots",
     "TempRef",
     "TempMetaRef",
@@ -65,7 +67,8 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# symbolic references resolved at bind time
+# persistent chunks: named by slot in the recipe, resolved through the
+# launch's chunks at stamp time
 # --------------------------------------------------------------------------- #
 class ChunkRef(NamedTuple):
     """Placeholder for the *chunk id* of a persistent chunk: chunk ``index``
@@ -101,6 +104,28 @@ def array_slots(
                 arrays.append(array)
             pattern.append(slot)
     return arrays, tuple(pattern)
+
+
+class SlotChunks(NamedTuple):
+    """What a recipe's :class:`ChunkRef` names resolve to for one launch or
+    fused chain: each array's chunk list, in slot order, and which arrays
+    those are, as ``(array id, layout epoch)`` pairs.  A redistribution
+    bumps the epoch, so the pairs change whenever the chunk ids can."""
+
+    arrays: Tuple[Tuple[int, int], ...]
+    chunks: Tuple[Sequence[ChunkMeta], ...]
+
+    @classmethod
+    def of(cls, arrays: Sequence["DistributedArray"]) -> "SlotChunks":
+        """The chunks ``arrays`` (in slot order) hold now."""
+        return cls(
+            tuple([(array.array_id, array.layout_epoch) for array in arrays]),
+            tuple([array.chunks for array in arrays]),
+        )
+
+    def meta(self, ref: ChunkRef) -> ChunkMeta:
+        """The chunk ``ref`` names."""
+        return self.chunks[ref.slot][ref.index]
 
 
 # --------------------------------------------------------------------------- #
@@ -212,7 +237,7 @@ class ArgBindingProto:
     """Structural form of one :class:`~repro.core.tasks.ArrayArgBinding`."""
 
     param: str
-    chunk_ref: object  # ChunkId or TempRef
+    chunk_ref: object  # ChunkRef or TempRef
     access_region: Region
     mode: str
     reduce_op: Optional[str] = None
@@ -222,9 +247,9 @@ class ArgBindingProto:
 class ReduceEpilogueProto:
     """Structural form of one :class:`~repro.core.tasks.ReduceEpilogue`.
 
-    ``src_ref``/``dst_ref`` are chunk ids or :class:`TempRef` slots (the
-    chain-fusion pass combines a superblock partial temp into a per-device
-    accumulator temp); both resolve at stamp time.
+    ``src_ref``/``dst_ref`` are :class:`ChunkRef` or :class:`TempRef` names
+    (the chain-fusion pass combines a superblock partial temp into a
+    per-device accumulator temp); both resolve at stamp time.
     """
 
     src_ref: object
@@ -248,15 +273,15 @@ class TaskProto:
     label: str
     fields: Dict[str, object]
     deps: Tuple[int, ...] = ()
-    conflicts: Tuple[Tuple[str, object], ...] = ()
+    conflicts: Tuple[Tuple[str, ChunkRef], ...] = ()
     #: True for a copy that gathers a persistent chunk into a temporary on
     #: the same worker: its source is a hierarchy-prefetch candidate
     gather: bool = False
-    #: stamp-time memo: ``(static_fields, dynamic_items)`` where static fields
-    #: resolve to the same value on every stamp (precomputed once) and only
-    #: the dynamic items are re-resolved per stamp.  Built lazily by
-    #: :func:`stamp_recipe`; recipes are immutable once cached, so the split
-    #: never goes stale.
+    #: stamp-time memo (:func:`_compile_split`) for the arrays the recipe
+    #: last stamped: the fields and conflict queries that resolve to the same
+    #: value on every stamp for them, resolved once, and the items resolved
+    #: per stamp.  Built lazily by :func:`stamp_recipe`, which drops it when
+    #: the recipe stamps for other arrays if it folded any chunk id.
     _split: object = field(default=None, repr=False, compare=False)
 
 
@@ -268,13 +293,16 @@ class AccessSummary:
     Computed once per recipe by :meth:`PlanRecipe.access_summary` and cached
     with the template, so the launch window's memory-planning drain pass can
     combine the summaries of a whole drained group without re-walking any
-    protos on the hot path.
+    protos on the hot path.  It names persistent chunks by
+    :class:`ChunkRef`, like the recipe; the pass maps them through each
+    drain unit's own :class:`SlotChunks`.
     """
 
-    #: persistent chunks each GPU space must hold, in first-use (proto) order
-    chunks_by_space: Dict[MemorySpace, List[ChunkId]] = field(default_factory=dict)
-    #: size of every chunk mentioned in ``chunks_by_space``
-    chunk_bytes: Dict[ChunkId, int] = field(default_factory=dict)
+    #: persistent chunks each GPU space must hold, in first-use (proto)
+    #: order, with their sizes in bytes
+    chunks_by_space: Dict[MemorySpace, List[Tuple[ChunkRef, int]]] = field(
+        default_factory=dict
+    )
     #: total bytes of the temporary chunks the plan's tasks create, per GPU
     #: space (released slots, such as a fused consumer's elided input, are
     #: not counted); the sum ignores that the plan deletes some temps before
@@ -283,16 +311,16 @@ class AccessSummary:
     #: persistent chunks staged into GPU memory before the plan's launch
     #: tasks run (direct launch bindings and same-worker gather sources), in
     #: plan order — the candidates for hierarchy-aware prefetch promotion
-    prefetch_chunks: List[ChunkId] = field(default_factory=list)
+    prefetch_chunks: List[ChunkRef] = field(default_factory=list)
 
 
 @dataclass
 class PlanRecipe:
     """A reusable structural execution-plan template for one driver operation.
 
-    As the passes build it, a recipe names persistent chunks by
-    :class:`ChunkRef`; :meth:`bind` gives the recipe that names one set of
-    arrays' chunk ids instead, which is the one stamped.
+    A recipe names persistent chunks by :class:`ChunkRef`; one recipe serves
+    every set of arrays of its layout, and :func:`stamp_recipe` resolves the
+    names through the :class:`SlotChunks` of the launch it stamps.
     """
 
     description: str = ""
@@ -302,13 +330,14 @@ class PlanRecipe:
     temps: List[Optional[TempChunkSpec]] = field(default_factory=list)
     tag_slots: int = 0
     #: conflict-table bookkeeping applied after stamping: (chunk, proto idx)
-    reads: List[Tuple[object, int]] = field(default_factory=list)
-    writes: List[Tuple[object, int]] = field(default_factory=list)
+    reads: List[Tuple[ChunkRef, int]] = field(default_factory=list)
+    writes: List[Tuple[ChunkRef, int]] = field(default_factory=list)
     #: optimisation-pass statistics recorded while this recipe was built
     notes: Dict[str, float] = field(default_factory=dict)
-    #: metadata of every persistent chunk the recipe references (collected by
-    #: the builder; what lets :meth:`access_summary` size working sets)
-    chunk_metas: Dict[object, ChunkMeta] = field(default_factory=dict)
+    #: metadata of every persistent chunk the recipe references, as the
+    #: arrays it was built for held them (collected by the builder; what
+    #: lets :meth:`access_summary` size working sets)
+    chunk_metas: Dict[ChunkRef, ChunkMeta] = field(default_factory=dict)
     #: write-only parameters (bound to no other parameter) that some
     #: superblock writes through a temporary -> every superblock's write
     #: region and GPU, in superblock order (what a re-chunk of the array
@@ -317,71 +346,15 @@ class PlanRecipe:
         default_factory=dict
     )
     _summary: Optional[AccessSummary] = field(default=None, repr=False)
-    #: bind memo: the (array id, layout epoch) pairs last bound, and the
-    #: recipe bound to them
-    _bound: Optional[Tuple[List[Tuple[int, int]], "PlanRecipe"]] = field(
-        default=None, repr=False, compare=False
-    )
+    #: stamp memo: the arrays (:attr:`SlotChunks.arrays`) the protos' stamp
+    #: splits were compiled for, and :attr:`reads` / :attr:`writes` with
+    #: their chunk ids
+    _served: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def task_count(self) -> int:
         """Number of task protos in the recipe."""
         return len(self.protos)
-
-    def bind(self, arrays: Sequence["DistributedArray"]) -> "PlanRecipe":
-        """This recipe for ``arrays``, in slot order: every :class:`ChunkRef`
-        replaced by the id of the chunk it names.
-
-        The result is kept until the recipe is bound to other arrays or to
-        another layout of these, so binding the arrays it last served costs
-        one comparison.  Protos that name no persistent chunk are shared with
-        this recipe, stamp-time memo included.
-        """
-        served = [(array.array_id, array.layout_epoch) for array in arrays]
-        memo = self._bound
-        if memo is None or memo[0] != served:
-            memo = self._bound = (served, self._substitute([a.chunks for a in arrays]))
-        return memo[1]
-
-    def _substitute(self, chunks: List[List[ChunkMeta]]) -> "PlanRecipe":
-        protos: List[TaskProto] = []
-        for proto in self.protos:
-            values = proto.fields
-            for name, value in proto.fields.items():
-                bound = _bind_value(value, chunks)
-                if bound is not value:
-                    if values is proto.fields:
-                        values = dict(values)
-                    values[name] = bound
-            conflicts = _bind_value(proto.conflicts, chunks)
-            if values is proto.fields and conflicts is proto.conflicts:
-                protos.append(proto)
-                continue
-            protos.append(TaskProto(
-                factory=proto.factory,
-                worker=proto.worker,
-                label=proto.label,
-                fields=values,
-                deps=proto.deps,
-                conflicts=conflicts,
-                gather=proto.gather,
-                _split=proto._split if values is proto.fields else None,
-            ))
-
-        def chunk_of(ref: ChunkRef) -> ChunkMeta:
-            return chunks[ref.slot][ref.index]
-
-        return PlanRecipe(
-            description=self.description,
-            protos=protos,
-            temps=self.temps,
-            tag_slots=self.tag_slots,
-            reads=[(chunk_of(ref).chunk_id, index) for ref, index in self.reads],
-            writes=[(chunk_of(ref).chunk_id, index) for ref, index in self.writes],
-            notes=self.notes,
-            chunk_metas={meta.chunk_id: meta for meta in map(chunk_of, self.chunk_metas)},
-            misaligned_writes=self.misaligned_writes,
-        )
 
     def access_summary(self) -> AccessSummary:
         """The recipe's per-space working set (memoised on first call)."""
@@ -391,15 +364,17 @@ class PlanRecipe:
 
     def _build_summary(self) -> AccessSummary:
         summary = AccessSummary()
+        noted: set = set()
 
         def note(chunk_ref: object, prefetch: bool) -> None:
             meta = self.chunk_metas.get(chunk_ref) if not isinstance(chunk_ref, TempRef) else None
             if meta is None:
                 return
-            space = meta.home.memory_space
-            if chunk_ref not in summary.chunk_bytes:
-                summary.chunk_bytes[chunk_ref] = meta.nbytes
-                summary.chunks_by_space.setdefault(space, []).append(chunk_ref)
+            if chunk_ref not in noted:
+                noted.add(chunk_ref)
+                summary.chunks_by_space.setdefault(meta.home.memory_space, []).append(
+                    (chunk_ref, meta.nbytes)
+                )
             if prefetch and chunk_ref not in summary.prefetch_chunks:
                 summary.prefetch_chunks.append(chunk_ref)
 
@@ -425,48 +400,6 @@ class PlanRecipe:
                 summary.temp_bytes_by_space.get(space, 0) + spec.nbytes
             )
         return summary
-
-
-#: the fields of the protos that can name a persistent chunk
-_PROTO_FIELDS = {
-    cls: tuple(spec.name for spec in fields(cls))
-    for cls in (ArgBindingProto, ReduceEpilogueProto)
-}
-
-
-def _bind_value(value: object, chunks: List[List[ChunkMeta]]) -> object:
-    """``value`` with every :class:`ChunkRef` in it replaced by the id of
-    the chunk it names; ``value`` itself when it names none.
-
-    Found by value type, never by field name: a :class:`ChunkRef` is a leaf,
-    tuples and the binding/epilogue protos are walked, and nothing else can
-    hold one.
-    """
-    kind = type(value)
-    if kind is ChunkRef:
-        return chunks[value.slot][value.index].chunk_id
-    if kind is tuple:
-        items = [_bind_value(item, chunks) for item in value]
-        for new, old in zip(items, value):
-            if new is not old:
-                return tuple(items)
-        return value
-    names = _PROTO_FIELDS.get(kind)
-    if names is None:
-        return value
-    state = value.__dict__
-    changed = None
-    for name in names:
-        old = state[name]
-        new = _bind_value(old, chunks)
-        if new is not old:
-            if changed is None:
-                # A frozen dataclass: copy the instance dict rather than
-                # re-run ``__init__`` over every field (``replace``).
-                changed = object.__new__(kind)
-                changed.__dict__.update(state)
-            changed.__dict__[name] = new
-    return value if changed is None else changed
 
 
 class RecipeBuilder:
@@ -652,37 +585,46 @@ class StampedPlan:
     plan: T.ExecutionPlan
     #: concrete task id of every proto, by recipe index
     task_ids: List[int]
+    #: the recipe's reads / writes with the stamped arrays' chunk ids:
+    #: (chunk id, proto index)
+    reads: List[Tuple[ChunkId, int]]
+    writes: List[Tuple[ChunkId, int]]
 
 
 #: symbolic references that force per-stamp resolution
 _REF_TYPES = (TempRef, TempMetaRef, TagRef, ScalarArgsRef, LaunchIdRef)
 
 
-def _stamp_constant(value: object) -> Tuple[bool, object]:
+def _stamp_constant(
+    value: object, chunk_id: Callable[[ChunkRef], ChunkId]
+) -> Tuple[bool, object]:
     """Fold ``value`` into its stamp-time constant, if it has one.
 
     Returns ``(True, resolved)`` when ``value`` resolves to the *same* object
-    on every stamp of the recipe (no symbolic refs anywhere inside), so the
-    resolution can be done once and shared — the resolved bindings/epilogues
-    are frozen dataclasses and tasks never mutate their field values.
-    Returns ``(False, None)`` when the value mentions a per-stamp ref.
+    on every stamp for one set of arrays (no per-stamp ref anywhere inside;
+    ``chunk_id`` resolves each :class:`ChunkRef`), so the resolution can be
+    done once and shared — the resolved bindings/epilogues are frozen
+    dataclasses and tasks never mutate their field values.  Returns
+    ``(False, None)`` when the value mentions a per-stamp ref.
     """
+    if type(value) is ChunkRef:
+        return True, chunk_id(value)
     if isinstance(value, _REF_TYPES):
         return False, None
     if isinstance(value, ArgBindingProto):
-        const, chunk_id = _stamp_constant(value.chunk_ref)
+        const, chunk = _stamp_constant(value.chunk_ref, chunk_id)
         if not const:
             return False, None
         return True, T.ArrayArgBinding(
             param=value.param,
-            chunk_id=chunk_id,
+            chunk_id=chunk,
             access_region=value.access_region,
             mode=value.mode,
             reduce_op=value.reduce_op,
         )
     if isinstance(value, ReduceEpilogueProto):
-        src_const, src = _stamp_constant(value.src_ref)
-        dst_const, dst = _stamp_constant(value.dst_ref)
+        src_const, src = _stamp_constant(value.src_ref, chunk_id)
+        dst_const, dst = _stamp_constant(value.dst_ref, chunk_id)
         if not (src_const and dst_const):
             return False, None
         return True, T.ReduceEpilogue(
@@ -692,7 +634,7 @@ def _stamp_constant(value: object) -> Tuple[bool, object]:
     if isinstance(value, tuple):
         out = []
         for item in value:
-            const, resolved = _stamp_constant(item)
+            const, resolved = _stamp_constant(item, chunk_id)
             if not const:
                 return False, None
             out.append(resolved)
@@ -706,7 +648,7 @@ class _Parts(tuple):
     true and its compiled form otherwise."""
 
 
-def _compile_stamper(value: object) -> object:
+def _compile_stamper(value: object, chunk_id: Callable[[ChunkRef], ChunkId]) -> object:
     """Compile a non-constant field value into its per-stamp form.
 
     Fused recipes carry large nested tuples (one bindings tuple per segment)
@@ -719,11 +661,11 @@ def _compile_stamper(value: object) -> object:
     if isinstance(value, tuple):
         parts = []
         for item in value:
-            const, resolved = _stamp_constant(item)
+            const, resolved = _stamp_constant(item, chunk_id)
             if const:
                 parts.append((True, resolved))
             else:
-                parts.append((False, _compile_stamper(item)))
+                parts.append((False, _compile_stamper(item, chunk_id)))
         return _Parts(parts)
     return value
 
@@ -735,8 +677,53 @@ def _stamp(compiled: object, resolve: Callable) -> object:
     return resolve(compiled)
 
 
+def _compile_split(proto: TaskProto, chunks: SlotChunks) -> tuple:
+    """The proto's stamp split for ``chunks``: ``(static fields, dynamic
+    items, conflict queries, folded)``.
+
+    Static fields and the conflict queries resolve to the same values on
+    every stamp for these arrays, chunk ids included, so they are resolved
+    here once; only the dynamic items are resolved per stamp.  ``folded``
+    says whether a chunk id was folded, i.e. whether the split holds only
+    for these arrays.
+    """
+    folded = False
+
+    def chunk_id(ref: ChunkRef) -> ChunkId:
+        nonlocal folded
+        folded = True
+        return chunks.chunks[ref.slot][ref.index].chunk_id
+
+    static: Dict[str, object] = {}
+    dynamic: List[Tuple[str, object]] = []
+    for name, value in proto.fields.items():
+        const, resolved = _stamp_constant(value, chunk_id)
+        if const:
+            static[name] = resolved
+        else:
+            dynamic.append((name, _compile_stamper(value, chunk_id)))
+    conflicts = tuple((kind, chunk_id(ref)) for kind, ref in proto.conflicts)
+    return static, dynamic, conflicts, folded
+
+
+def _serve(recipe: PlanRecipe, chunks: SlotChunks) -> tuple:
+    """Point the recipe's stamp memo at ``chunks``' arrays: drop the splits
+    that folded another set's chunk ids, and resolve the reads and writes."""
+    if recipe._served is not None:
+        for proto in recipe.protos:
+            if proto._split is not None and proto._split[3]:
+                proto._split = None
+    recipe._served = (
+        chunks.arrays,
+        [(chunks.meta(ref).chunk_id, index) for ref, index in recipe.reads],
+        [(chunks.meta(ref).chunk_id, index) for ref, index in recipe.writes],
+    )
+    return recipe._served
+
+
 def stamp_recipe(
     recipe: PlanRecipe,
+    chunks: SlotChunks,
     *,
     new_task_id: Callable[[], int],
     new_chunk_id: Callable[[], ChunkId],
@@ -746,14 +733,18 @@ def stamp_recipe(
     launch_ids: Sequence[int],
     cache_status: Optional[str] = None,
 ) -> StampedPlan:
-    """Materialise ``recipe`` into a concrete :class:`ExecutionPlan`.
+    """Materialise ``recipe`` for ``chunks`` into a concrete :class:`ExecutionPlan`.
 
-    Fresh task/chunk/tag identifiers come from the supplied allocators;
-    ``resolve_conflicts`` is the dependency-injection hook that maps a
-    ``(kind, chunk_id)`` conflict query to the task ids of earlier launches
-    that must complete first.  ``scalar_sets``/``launch_ids`` hold one
-    substitution per segment (the plan takes the first launch id).
+    Every :class:`ChunkRef` resolves to the id of the chunk it names in
+    ``chunks``.  Fresh task/chunk/tag identifiers come from the supplied
+    allocators; ``resolve_conflicts`` is the dependency-injection hook that
+    maps a ``(kind, chunk_id)`` conflict query to the task ids of earlier
+    launches that must complete first.  ``scalar_sets``/``launch_ids`` hold
+    one substitution per segment (the plan takes the first launch id).
     """
+    served = recipe._served
+    if served is None or served[0] != chunks.arrays:
+        served = _serve(recipe, chunks)
     temp_chunks: List[Optional[ChunkMeta]] = [
         None if spec is None else ChunkMeta(
             chunk_id=new_chunk_id(),
@@ -782,6 +773,8 @@ def stamp_recipe(
             return segment_scalars[value.segment]
         if isinstance(value, LaunchIdRef):
             return launch_ids[value.segment]
+        if type(value) is ChunkRef:
+            return chunks.meta(value).chunk_id
         if isinstance(value, ArgBindingProto):
             return T.ArrayArgBinding(
                 param=value.param,
@@ -809,29 +802,20 @@ def stamp_recipe(
                            cache_status=cache_status)
     task_ids: List[int] = []
     for proto in recipe.protos:
+        # Resolve only what varies per stamp; constant fields (regions,
+        # labels, chunk-id bindings, ...) and the conflict queries are folded
+        # once per set of arrays and shared by every later stamp for them.
+        split = proto._split
+        if split is None:
+            split = proto._split = _compile_split(proto, chunks)
+        static, dynamic, conflicts, _ = split
         deps: List[int] = [task_ids[i] for i in proto.deps]
-        for kind, chunk_id in proto.conflicts:
+        for kind, chunk_id in conflicts:
             deps.extend(resolve_conflicts(kind, chunk_id))
         if len(deps) > 1:
             deps = list(dict.fromkeys(deps))  # dedupe, preserving order
             if proto.factory is T.LaunchTask:
                 deps = sorted(deps)
-        # Resolve only the fields that actually vary per stamp; constant
-        # fields (regions, labels, concrete chunk-id bindings, ...) are folded
-        # once on the recipe's first stamp and shared by every later stamp.
-        split = proto._split
-        if split is None:
-            static: Dict[str, object] = {}
-            dynamic: List[Tuple[str, object]] = []
-            for name, value in proto.fields.items():
-                const, resolved = _stamp_constant(value)
-                if const:
-                    static[name] = resolved
-                else:
-                    dynamic.append((name, _compile_stamper(value)))
-            split = (static, dynamic)
-            proto._split = split
-        static, dynamic = split
         if dynamic:
             fields = dict(static)
             for name, compiled in dynamic:
@@ -847,4 +831,4 @@ def stamp_recipe(
         )
         plan.add(task)
         task_ids.append(task.task_id)
-    return StampedPlan(plan=plan, task_ids=task_ids)
+    return StampedPlan(plan=plan, task_ids=task_ids, reads=served[1], writes=served[2])

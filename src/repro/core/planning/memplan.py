@@ -8,7 +8,8 @@ drain time:
 
 * **Planned pre-eviction** — the drained group's combined per-space working
   set is assembled from the plan templates' cached access summaries
-  (:meth:`~.ir.PlanRecipe.access_summary`).  Where the bytes the group must
+  (:meth:`~.ir.PlanRecipe.access_summary`), each mapped through its drain
+  unit's own chunks (:class:`~.ir.SlotChunks`).  Where the bytes the group must
   bring into a space exceed what is free, a
   :class:`~repro.core.tasks.MemoryReserveTask` is emitted ahead of the group:
   it picks spill victims up front via the memory manager's existing LRU index
@@ -125,18 +126,22 @@ class WindowMemoryPlanner:
         temp estimate is the *maximum* over units of one unit's temp bytes
         per space.  A unit counts only the temporaries its tasks create (not
         the slots chain fusion released), and the maximum assumes that
-        different units' temporaries are not alive at the same time.
+        different units' temporaries are not alive at the same time.  Each
+        summary names chunks by reference; a unit's own chunks resolve them,
+        since units that share a recipe may stamp it for different arrays.
         """
         chunks_by_space: Dict[MemorySpace, List[ChunkId]] = {}
         chunk_bytes: Dict[ChunkId, int] = {}
         temp_bytes: Dict[MemorySpace, int] = {}
         for unit in units:
-            summary = unit.recipe.access_summary()
-            for space, chunk_ids in summary.chunks_by_space.items():
+            summary = unit.prepared.recipe.access_summary()
+            chunks = unit.prepared.chunks.chunks
+            for space, entries in summary.chunks_by_space.items():
                 bucket = chunks_by_space.setdefault(space, [])
-                for cid in chunk_ids:
+                for (slot, index), nbytes in entries:
+                    cid = chunks[slot][index].chunk_id
                     if cid not in chunk_bytes:
-                        chunk_bytes[cid] = summary.chunk_bytes[cid]
+                        chunk_bytes[cid] = nbytes
                         bucket.append(cid)
             for space, nbytes in summary.temp_bytes_by_space.items():
                 temp_bytes[space] = max(temp_bytes.get(space, 0), nbytes)
@@ -150,8 +155,9 @@ class WindowMemoryPlanner:
         group creates no memory pressure anywhere (the common, uncapped case —
         the pass then costs nothing).
 
-        ``units`` are the window's drain units: each exposes ``recipe`` (the
-        plan template that will be stamped).  Must run *before* the group is
+        ``units`` are the window's drain units: each exposes ``prepared``
+        (the plan template that will be stamped and the chunks it will be
+        stamped for).  Must run *before* the group is
         stamped, while the planner's conflict tables still describe only
         pre-group work.
         """
@@ -265,14 +271,13 @@ class WindowMemoryPlanner:
         host_staged: Dict[MemorySpace, Tuple[Tuple[ChunkId, ...], list]] = {}
         seen: set = set()
         for unit_index, unit in enumerate(units[1:], start=1):
-            summary = unit.recipe.access_summary()
-            for cid in summary.prefetch_chunks:
+            chunks = unit.prepared.chunks
+            for ref in unit.prepared.recipe.access_summary().prefetch_chunks:
+                meta = chunks.meta(ref)
+                cid = meta.chunk_id
                 if cid in seen:
                     continue
                 seen.add(cid)
-                meta = unit.recipe.chunk_metas.get(cid)
-                if meta is None:
-                    continue
                 space = meta.home.memory_space
                 memory = self._memory_of(space)
                 if not memory.knows(cid):

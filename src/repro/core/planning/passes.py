@@ -57,6 +57,7 @@ from .ir import (
     RecipeBuilder,
     ReduceEpilogueProto,
     ScalarArgsRef,
+    StampedPlan,
     TempChunkSpec,
     TransferStep,
     array_slots,
@@ -885,13 +886,14 @@ class DependencyInjectionPass:
             return list(self._writers.get(chunk_id, []))
         return list(self._writers.get(chunk_id, [])) + list(self._readers.get(chunk_id, []))
 
-    def apply_bookkeeping(self, recipe: PlanRecipe, task_ids: List[int]) -> None:
-        """Update the conflict tables with this plan's reads and writes."""
+    def apply_bookkeeping(self, stamped: StampedPlan) -> None:
+        """Update the conflict tables with a stamped plan's reads and writes."""
+        task_ids = stamped.task_ids
         new_writes: Dict[ChunkId, List[int]] = {}
         new_reads: Dict[ChunkId, List[int]] = {}
-        for chunk_id, proto_index in recipe.writes:
+        for chunk_id, proto_index in stamped.writes:
             new_writes.setdefault(chunk_id, []).append(task_ids[proto_index])
-        for chunk_id, proto_index in recipe.reads:
+        for chunk_id, proto_index in stamped.reads:
             new_reads.setdefault(chunk_id, []).append(task_ids[proto_index])
         for chunk_id, writers in new_writes.items():
             self._writers[chunk_id] = list(dict.fromkeys(writers))
@@ -924,27 +926,21 @@ def _arrays_by_id(launch) -> Optional[Dict[int, Tuple[str, AccessMode]]]:
     return out
 
 
-def chain_fusion_prescreen(
-    launches: Sequence[object],
-    allow_reduce_tail: bool = True,
-    allow_compatible: bool = True,
-) -> bool:
+def chain_fusion_prescreen(launches: Sequence[object]) -> bool:
     """Cheap structural legality screen for fusing a chain of launches.
 
     ``launches`` expose ``kernel``, ``grid``, ``block``, ``work_dist`` and
     ``arrays`` (the window's :class:`~.window.PendingLaunch` does).  The
     screen requires, without evaluating any access region:
 
-    * equal grid dimensionality everywhere; with ``allow_compatible`` off,
-      identical grid, block and work distribution (the superblock-map
-      compatibility check then never runs),
+    * equal grid dimensionality everywhere,
     * no array bound twice within one launch,
     * no array written (or reduced) by two different segments — WAW needs
       cross-plan ordering,
-    * ``reduce`` parameters only on the *last* segment (the reduction tail,
-      gated by ``allow_reduce_tail``), and the tail's reduce targets untouched
-      by every earlier segment: the reduction's scatter back into the target
-      array would otherwise race earlier segments' accesses within one plan,
+    * ``reduce`` parameters only on the *last* segment (the reduction tail),
+      and the tail's reduce targets untouched by every earlier segment: the
+      reduction's scatter back into the target array would otherwise race
+      earlier segments' accesses within one plan,
     * every segment after the first reads at least one array an earlier
       segment wrote (the chain is a genuine producer/consumer run).
     """
@@ -953,22 +949,15 @@ def chain_fusion_prescreen(
     id_maps = [_arrays_by_id(launch) for launch in launches]
     if any(id_map is None for id_map in id_maps):
         return False
-    first = launches[0]
-    ndim = len(first.grid)
+    ndim = len(launches[0].grid)
     last = len(launches) - 1
     writer_of: Dict[int, int] = {}
     touched: set = set()
     for segment, (launch, id_map) in enumerate(zip(launches, id_maps)):
         if len(launch.grid) != ndim:
             return False
-        if not allow_compatible and (
-            (tuple(launch.grid), tuple(launch.block))
-            != (tuple(first.grid), tuple(first.block))
-            or launch.work_dist != first.work_dist
-        ):
-            return False
         has_reduce = any(mode is AccessMode.REDUCE for _, mode in id_map.values())
-        if has_reduce and not (allow_reduce_tail and segment == last):
+        if has_reduce and segment != last:
             return False
         produced = False
         for array_id, (_, mode) in id_map.items():
@@ -1071,8 +1060,6 @@ def build_fused_recipe(
     cluster: Cluster,
     launches: Sequence[object],
     cost_model: Optional[TransferCostModel] = None,
-    allow_reduce_tail: bool = True,
-    allow_compatible_dists: bool = True,
     rotation: int = 0,
 ) -> Optional[PlanRecipe]:
     """Try to fuse a chain of back-to-back launches into one plan recipe.
@@ -1089,15 +1076,9 @@ def build_fused_recipe(
     chain may end in a *reduction tail*, whose per-superblock partial
     combines :func:`_emit_launches` places (in-task epilogues where no GPU
     runs more than one superblock, reduce tasks elsewhere).
-    ``allow_reduce_tail`` and ``allow_compatible_dists`` gate the two
-    extensions (the window's pairwise-only fusion mode turns both off).
     """
     launches = list(launches)
-    if not chain_fusion_prescreen(
-        launches,
-        allow_reduce_tail=allow_reduce_tail,
-        allow_compatible=allow_compatible_dists,
-    ):
+    if not chain_fusion_prescreen(launches):
         return None
 
     cost_model = cost_model or TransferCostModel(cluster)

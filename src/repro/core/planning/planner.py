@@ -15,16 +15,16 @@ driver-side steps:
 * :meth:`Planner.prepare_launch` runs at ``Context.launch`` time: it resolves
   the plan-template cache and — on a miss — builds the recipe, so
   planning errors still surface at the launch call site even though
-  submission is deferred; either way the recipe is bound to the launch's
-  arrays (:meth:`~.ir.PlanRecipe.bind`);
+  submission is deferred; either way it returns the cached recipe as it
+  is, with the chunks the launch's arrays hold (:class:`~.ir.SlotChunks`);
 * :meth:`Planner.stamp_launch` runs when the window drains: it stamps each
-  drain unit's recipe — a prepared launch's or a fused chain's — with fresh
-  ids and the cross-launch conflict edges that depend on everything stamped
-  before it.
+  drain unit's recipe — a prepared launch's or a fused chain's — for its
+  chunks, with fresh ids and the cross-launch conflict edges that depend on
+  everything stamped before it.
 
 Fused recipes (the window's kernel-fusion pass) are cached separately, keyed
-by the *chain* of member cache keys (any length >= 2) plus which member
-parameters share an array, with a negative entry for chains that failed the
+by which member parameters share an array plus the *chain* of member cache
+keys (any length >= 2), with a negative entry for chains that failed the
 legality checks so the expensive region analysis runs once per chain shape,
 not once per drain.  The window's greedy chain builder extends chains one
 launch at a time, so successful prefixes and failing extensions each get
@@ -51,7 +51,7 @@ from ..kernel import CompiledKernel
 from .. import tasks as T
 from .cache import PlanTemplateCache
 from .costmodel import TransferCostModel
-from .ir import PlanRecipe, StampedPlan, array_slots, stamp_recipe
+from .ir import PlanRecipe, SlotChunks, StampedPlan, array_slots, stamp_recipe
 from .passes import (
     DependencyInjectionPass,
     PlanningError,
@@ -71,9 +71,12 @@ _FUSION_CACHE_MAX = 512
 
 @dataclass
 class PreparedLaunch:
-    """A launch that has been analysed but not yet stamped/submitted."""
+    """A launch or fused chain that has been analysed but not yet
+    stamped/submitted: its recipe, as cached, and the chunks the recipe's
+    :class:`~.ir.ChunkRef` names resolve to, taken when it was prepared."""
 
     recipe: PlanRecipe
+    chunks: SlotChunks
     key: Optional[Hashable]
     cache_status: Optional[str]
 
@@ -109,9 +112,9 @@ class Planner:
         self.cost_model = TransferCostModel(cluster)
         self.cache_enabled = plan_cache
         self.cache = PlanTemplateCache()
-        #: fused-recipe LRU cache: (flags..., parameter slots, key_0, ...,
-        #: key_n) chain keys -> PlanRecipe | _NO_FUSION (negative entries
-        #: memoise failed chains)
+        #: fused-recipe LRU cache: (parameter slots, key_0, ..., key_n) chain
+        #: keys -> PlanRecipe | _NO_FUSION (negative entries memoise failed
+        #: chains)
         self._fusion_cache: "OrderedDict[Hashable, object]" = OrderedDict()
         self.dependency_injector = DependencyInjectionPass(self._writers, self._readers)
         #: wall-clock seconds spent planning kernel launches (driver hot path)
@@ -370,13 +373,13 @@ class Planner:
         recipe was planned cold for it.
         """
         started = time.perf_counter()
-        recipe, key, cold = self._recipe_for(kernel, grid, block, work_dist, arrays)
+        recipe, slots, key, cold = self._recipe_for(kernel, grid, block, work_dist, arrays)
         if recipe.misaligned_writes:
             paused = time.perf_counter()  # a relayout is not launch planning
             changed = rechunk(recipe, arrays)
             started += time.perf_counter() - paused
             if changed:
-                recipe, key, replanned = self._recipe_for(
+                recipe, slots, key, replanned = self._recipe_for(
                     kernel, grid, block, work_dist, arrays
                 )
                 cold = cold or replanned
@@ -384,14 +387,15 @@ class Planner:
         if key is not None:
             self.cache.record(hit=not cold)
             cache_status = "miss" if cold else "hit"
+        prepared = PreparedLaunch(recipe, SlotChunks.of(slots), key, cache_status)
         self.planning_seconds += time.perf_counter() - started
-        return PreparedLaunch(recipe=recipe, key=key, cache_status=cache_status)
+        return prepared
 
     def _recipe_for(
         self, kernel, grid, block, work_dist, arrays
-    ) -> Tuple[PlanRecipe, Optional[Hashable], bool]:
-        """The launch's recipe bound to its arrays, its cache key (``None``
-        when it has none) and whether the recipe was planned cold."""
+    ) -> Tuple[PlanRecipe, List[DistributedArray], Optional[Hashable], bool]:
+        """The launch's recipe, its arrays in slot order, its cache key
+        (``None`` when it has none) and whether the recipe was planned cold."""
         slots, pattern = array_slots([arrays])
         key = recipe = None
         if self.cache_enabled:
@@ -413,7 +417,7 @@ class Planner:
             self._note_pass_stats(recipe)
             if key is not None:
                 self.cache.store(key, recipe)
-        return recipe.bind(slots), key, cold
+        return recipe, slots, key, cold
 
     def _note_pass_stats(self, recipe: PlanRecipe) -> None:
         for note, value in recipe.notes.items():
@@ -421,29 +425,29 @@ class Planner:
 
     def stamp_launch(
         self,
-        recipe: PlanRecipe,
+        prepared: PreparedLaunch,
         scalar_sets: Sequence[Dict[str, object]],
         launch_ids: Sequence[int],
-        cache_status: Optional[str],
     ) -> StampedPlan:
-        """Stamp one drain unit's recipe into a concrete plan (window drain
-        time), inject its conflict edges and book its accesses.
+        """Stamp one drain unit's prepared recipe into a concrete plan (window
+        drain time), inject its conflict edges and book its accesses.
 
         ``scalar_sets`` and ``launch_ids`` hold one entry per segment: one
         for a plain launch, one per member of a fused chain.
         """
         started = time.perf_counter()
         stamped = stamp_recipe(
-            recipe,
+            prepared.recipe,
+            prepared.chunks,
             new_task_id=self._new_task_id,
             new_chunk_id=self._chunk_ids.next_id,
             new_tag=self._next_tag,
             resolve_conflicts=self.dependency_injector.resolve,
             scalar_sets=scalar_sets,
             launch_ids=launch_ids,
-            cache_status=cache_status,
+            cache_status=prepared.cache_status,
         )
-        self.dependency_injector.apply_bookkeeping(recipe, stamped.task_ids)
+        self.dependency_injector.apply_bookkeeping(stamped)
         stamped.plan.tenant = self.tenant
         self.planning_seconds += time.perf_counter() - started
         return stamped
@@ -451,51 +455,36 @@ class Planner:
     # ------------------------------------------------------------------ #
     # cross-launch kernel fusion (used by the launch window)
     # ------------------------------------------------------------------ #
-    def prepare_fused_chain(
-        self,
-        members: Sequence[object],
-        allow_reduce_tail: bool = True,
-        allow_compatible_dists: bool = True,
-    ) -> Tuple[Optional[PlanRecipe], Optional[str]]:
-        """Fused recipe for a chain of back-to-back launches, bound to their
-        arrays.
+    def prepare_fused_chain(self, members: Sequence[object]) -> Optional[PreparedLaunch]:
+        """Fused recipe for a chain of back-to-back launches, with their
+        chunks.
 
         ``members`` are the window's ``PendingLaunch`` records, in program
-        order.  Returns ``(recipe, cache status)`` — ``(None, None)`` when the
-        chain is not fusable.  The status reflects the *fusion* cache:
-        ``"hit"`` only when the fused recipe was served memoised, ``"miss"``
-        when it was built cold this drain (even if every member hit the
-        per-launch template cache).  Decisions are memoised by the tuple of
-        member cache keys plus which member parameters share an array —
-        including a *negative* entry when the chain is not fusable — with
-        natural prefix reuse: the window's greedy builder extends a chain one
-        launch at a time, so every successful prefix of a chain has its own
-        (positive) entry and the failing extension its own negative one, and
-        iterative applications pay the legality analysis once per chain
-        shape.
+        order.  Returns ``None`` when the chain is not fusable.  The cache
+        status reflects the *fusion* cache: ``"hit"`` only when the fused
+        recipe was served memoised, ``"miss"`` when it was built cold this
+        drain (even if every member hit the per-launch template cache).
+        Decisions are memoised by which member parameters share an array plus
+        the tuple of member cache keys — including a *negative* entry when
+        the chain is not fusable — with natural prefix reuse: the window's
+        greedy builder extends a chain one launch at a time, so every
+        successful prefix of a chain has its own (positive) entry and the
+        failing extension its own negative one, and iterative applications
+        pay the legality analysis once per chain shape.
         """
         slots, pattern = array_slots([m.arrays for m in members])
         chain_key = None
         if self.cache_enabled and all(m.prepared.key is not None for m in members):
-            # The legality flags join the key so pairwise-mode and chain-mode
-            # decisions can never alias (a reduce-tail pair fuses under chain
-            # rules but not under pairwise rules).
-            chain_key = (allow_reduce_tail, allow_compatible_dists, pattern) + tuple(
-                m.prepared.key for m in members
-            )
+            chain_key = (pattern,) + tuple(m.prepared.key for m in members)
             cached = self._fusion_cache.get(chain_key)
             if cached is not None:
                 self._fusion_cache.move_to_end(chain_key)
                 if cached is _NO_FUSION:
-                    return None, None
-                return cached.bind(slots), "hit"  # type: ignore[union-attr]
+                    return None
+                return PreparedLaunch(cached, SlotChunks.of(slots), chain_key, "hit")
         started = time.perf_counter()
         recipe = build_fused_recipe(
-            self.cluster,
-            members,
-            cost_model=self.cost_model,
-            allow_reduce_tail=allow_reduce_tail,
-            allow_compatible_dists=allow_compatible_dists,
+            self.cluster, members, cost_model=self.cost_model,
             rotation=self.device_rotation,
         )
         self.planning_seconds += time.perf_counter() - started
@@ -506,13 +495,8 @@ class Planner:
             while len(self._fusion_cache) > _FUSION_CACHE_MAX:
                 self._fusion_cache.popitem(last=False)
         if recipe is None:
-            return None, None
-        return recipe.bind(slots), "miss" if chain_key is not None else None
-
-    def prepare_fused(self, a, b) -> Tuple[Optional[PlanRecipe], Optional[str]]:
-        """Strict pairwise fusion (the window's ``fusion="pairwise"`` mode):
-        adjacent pairs only, identical work distributions, no reduction tail.
-        """
-        return self.prepare_fused_chain(
-            (a, b), allow_reduce_tail=False, allow_compatible_dists=False
+            return None
+        return PreparedLaunch(
+            recipe, SlotChunks.of(slots), chain_key,
+            "miss" if chain_key is not None else None,
         )

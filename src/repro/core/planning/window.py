@@ -32,7 +32,8 @@ the per-launch stamping:
 
 3. **Window-aware memory planning** (see :mod:`.memplan`) — the group's
    combined per-space working set is computed from the plan templates'
-   access summaries; spaces the group will overflow get planned
+   access summaries, each resolved through its unit's own chunks; spaces
+   the group will overflow get planned
    pre-eviction (spill victims chosen up front, write-backs overlapped with
    compute) and the spilled prefetch candidates of every unit after the
    group's first get up-hierarchy promotion transfers ahead of their use.
@@ -84,23 +85,21 @@ class DrainUnit:
     """One stamping unit of a drained group: a single launch or a fused chain.
 
     The fusion pass produces these; the memory-planning and stamping passes
-    consume them (``recipe`` is the template that will be stamped).
+    consume them (``prepared`` holds the recipe that will be stamped and the
+    chunks it will be stamped for).
     """
 
     members: Tuple[PendingLaunch, ...]
-    recipe: object
-    cache_status: Optional[str]
+    prepared: PreparedLaunch
 
 
 class LaunchWindow:
     """Bounded lookahead buffer of pending launches with cross-launch passes.
 
-    ``fusion`` selects the fusion pass's mode: ``True`` runs the greedy chain
+    ``fusion`` switches the fusion pass: ``True`` runs the greedy chain
     builder — maximal runs of producer/consumer launches, compatible-
-    distribution segments and reduction tails included — while
-    ``"pairwise"`` restores the original adjacent-pair-only behaviour
-    (identical distributions, no reduction tails; the bench harness uses it as
-    the chain-fusion control arm) and ``False`` disables fusion entirely.
+    distribution segments and reduction tails included — and ``False``
+    disables fusion entirely.
     """
 
     def __init__(
@@ -109,7 +108,7 @@ class LaunchWindow:
         planner: Planner,
         counters: "object",
         depth: int = DEFAULT_LOOKAHEAD,
-        fusion: object = True,
+        fusion: bool = True,
         memory_planning: bool = True,
     ):
         self.runtime = runtime
@@ -117,10 +116,9 @@ class LaunchWindow:
         #: the owning context's ``RuntimeStats`` counters
         self.counters = counters
         self.depth = max(1, int(depth))
-        if fusion not in (True, False, "pairwise"):
-            raise ValueError(f"fusion must be True, False or 'pairwise', got {fusion!r}")
+        if fusion not in (True, False):
+            raise ValueError(f"fusion must be True or False, got {fusion!r}")
         self.fusion_enabled = bool(fusion)
-        self.fusion_pairwise_only = fusion == "pairwise"
         self.memplan = WindowMemoryPlanner(runtime, planner, counters) if memory_planning else None
         self._pending: List[PendingLaunch] = []
         self._holding = False
@@ -225,21 +223,16 @@ class LaunchWindow:
         index = 0
         while index < len(group):
             members: List[PendingLaunch] = [group[index]]
-            recipe = group[index].prepared.recipe
-            status = group[index].prepared.cache_status
+            prepared = group[index].prepared
             if self.fusion_enabled:
-                limit = 2 if self.fusion_pairwise_only else len(group) - index
-                while index + len(members) < len(group) and len(members) < limit:
+                while index + len(members) < len(group):
                     candidate = tuple(members) + (group[index + len(members)],)
-                    if self.fusion_pairwise_only:
-                        ext, ext_status = self.planner.prepare_fused(*candidate)
-                    else:
-                        ext, ext_status = self.planner.prepare_fused_chain(candidate)
-                    if ext is None:
+                    fused = self.planner.prepare_fused_chain(candidate)
+                    if fused is None:
                         break
                     members.append(candidate[-1])
-                    recipe, status = ext, ext_status
-            units.append(DrainUnit(tuple(members), recipe, status))
+                    prepared = fused
+            units.append(DrainUnit(tuple(members), prepared))
             index += len(members)
 
         # Whole chains: when the launch that filled the window extends the
@@ -272,27 +265,26 @@ class LaunchWindow:
                 ))
             else:
                 promote_plans.append(None)
+            prepared = unit.prepared
             plan = self.planner.stamp_launch(
-                unit.recipe,
+                prepared,
                 [m.scalars for m in unit.members],
                 [m.launch_id for m in unit.members],
-                unit.cache_status,
             ).plan
-            if unit.cache_status == "hit":
+            if prepared.cache_status == "hit":
                 counters.plan_cache_hits += 1
-            elif unit.cache_status == "miss":
+            elif prepared.cache_status == "miss":
                 counters.plan_cache_misses += 1
             if len(unit.members) > 1:
                 counters.launches_fused += len(unit.members) - 1
                 if len(unit.members) > 2:
-                    # launches that joined a chain longer than a pair — what
-                    # pairwise-only fusion could not have merged
+                    # launches that joined a chain longer than a pair
                     counters.launches_fused_chain += len(unit.members)
                 counters.fused_chain_max_len = max(
                     counters.fused_chain_max_len, len(unit.members)
                 )
                 counters.reductions_fused += int(
-                    unit.recipe.notes.get("fused_reductions", 0)
+                    prepared.recipe.notes.get("fused_reductions", 0)
                 )
             # Only the memory planner consumes launch-id anchors; skip the
             # per-task scan entirely when the pass is disabled.
@@ -329,11 +321,6 @@ class LaunchWindow:
     # ------------------------------------------------------------------ #
     def _extends(self, unit: DrainUnit, incoming: PendingLaunch) -> bool:
         """True when ``incoming`` would fuse onto ``unit``."""
-        if not self.fusion_enabled:
-            return False
-        if self.fusion_pairwise_only:
-            return len(unit.members) == 1 and (
-                self.planner.prepare_fused(unit.members[0], incoming)[0] is not None
-            )
-        chain = unit.members + (incoming,)
-        return self.planner.prepare_fused_chain(chain)[0] is not None
+        return self.fusion_enabled and (
+            self.planner.prepare_fused_chain(unit.members + (incoming,)) is not None
+        )

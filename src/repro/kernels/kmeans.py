@@ -47,17 +47,26 @@ KMEANS_COST = KernelCost(
 UPDATE_COST = KernelCost(flops_per_thread=2.0, bytes_per_thread=12.0)
 
 
+#: points per block of the reference's distance computation, which bounds
+#: its (points, clusters, features) float64 temporary to 1.25 MiB
+REFERENCE_BLOCK = 1024
+
+
 def kmeans_reference(points: np.ndarray, centroids: np.ndarray, iterations: int):
     """NumPy reference for ``iterations`` of Lloyd's algorithm.
 
     Matches the GPU kernels' convention for empty clusters (their centroid
     becomes the zero vector), which keeps reference and kernel bit-for-bit
-    comparable.
+    comparable.  Distances are computed :data:`REFERENCE_BLOCK` points at a
+    time; each point's arithmetic is the same as over all points at once.
     """
     centroids = centroids.astype(np.float64).copy()
+    best = np.empty(len(points), dtype=np.intp)
     for _ in range(iterations):
-        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        best = dist.argmin(axis=1)
+        for start in range(0, len(points), REFERENCE_BLOCK):
+            block = points[start:start + REFERENCE_BLOCK]
+            dist = ((block[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            best[start:start + len(block)] = dist.argmin(axis=1)
         sums = np.zeros_like(centroids)
         counts = np.zeros(centroids.shape[0])
         np.add.at(sums, best, points)

@@ -82,9 +82,9 @@ class RuntimeStats:
     #: fusion pass
     window_flushes: int = _per_context()
     launches_fused: int = _per_context()
-    #: launches that joined a fused *chain* of more than two segments (what
-    #: pairwise-only fusion could not have merged), the longest chain stamped,
-    #: and reduce parameters combined inside fused tasks (reduction tails)
+    #: launches that joined a fused *chain* of more than two segments, the
+    #: longest chain stamped, and reduce parameters combined inside fused
+    #: tasks (reduction tails)
     launches_fused_chain: int = _per_context()
     fused_chain_max_len: int = _per_context(max)
     reductions_fused: int = _per_context()

@@ -318,12 +318,6 @@ def test_incompatible_distribution_rejected():
     assert np.array_equal(gathers[2], (np.arange(N) * 2 + 1) * 2 + 1)
 
 
-def test_pairwise_mode_rejects_compatible_distributions():
-    ops = [("point", 0, "block64"), ("point", 1, "custom64")]
-    _, stats, _ = run_chain_program(ops, fusion="pairwise")
-    assert stats.launches_fused == 0
-
-
 # --------------------------------------------------------------------------- #
 # reduction tails
 # --------------------------------------------------------------------------- #
@@ -418,13 +412,6 @@ def test_mid_chain_reduction_rejected():
     assert np.allclose(ctx.gather(total)[0], expected_b.sum())
 
 
-def test_reduction_tail_rejected_in_pairwise_mode():
-    ops = [("point", 0, "block64"), ("reduce", 1, "block64")]
-    _, stats, _ = run_chain_program(ops, fusion="pairwise")
-    assert stats.launches_fused == 0
-    assert stats.reductions_fused == 0
-
-
 def test_reduction_tail_rejected_under_permuted_distribution():
     """Reordering the tail's superblocks would reorder the floating-point
     partial combines; the builder must refuse rather than drift."""
@@ -448,7 +435,7 @@ def test_reduction_tail_rejected_under_permuted_distribution():
 )
 def test_chain_workloads_fuse_and_stay_bit_identical(name, n, params):
     results = {}
-    for fusion in (True, "pairwise", False):
+    for fusion in (True, False):
         ctx = make_ctx(fusion=fusion, lookahead=6)
         workload = create_workload(name, ctx, n, **params)
         workload.run()
@@ -457,12 +444,11 @@ def test_chain_workloads_fuse_and_stay_bit_identical(name, n, params):
                            if name == "kmeans2" else ctx.gather(workload._final),
                            workload.verify())
     stats_chain, final_chain, ok_chain = results[True]
-    stats_pair, final_pair, ok_pair = results[False]
-    assert ok_chain and ok_pair and results["pairwise"][2]
-    assert np.array_equal(final_chain, final_pair)
-    assert np.array_equal(final_chain, results["pairwise"][1])
-    assert stats_chain.launches_fused > results["pairwise"][0].launches_fused
-    assert stats_chain.events_processed < results["pairwise"][0].events_processed
+    stats_unfused, final_unfused, ok_unfused = results[False]
+    assert ok_chain and ok_unfused
+    assert np.array_equal(final_chain, final_unfused)
+    assert stats_chain.launches_fused > stats_unfused.launches_fused
+    assert stats_chain.events_processed < stats_unfused.events_processed
     if name == "hotspot3":
         assert stats_chain.fused_chain_max_len == 3
     else:

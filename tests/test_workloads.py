@@ -1,10 +1,14 @@
 """Functional correctness of the eight benchmark workloads on small problems,
 plus behaviour of the workload registry and the simulate-mode harness path."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro import Context, ExecutionMode, azure_nc24rsv2
-from repro.kernels import BENCHMARK_ORDER, WORKLOADS, create_workload
+from repro.kernels import BENCHMARK_ORDER, WORKLOADS, create_workload, kmeans_reference
+from repro.kernels.kmeans import CLUSTERS as KMEANS_CLUSTERS, FEATURES as KMEANS_FEATURES
 
 #: small problem configurations that run quickly in functional mode
 SMALL_CONFIGS = {
@@ -100,3 +104,43 @@ def test_spilling_tolerated_by_compute_intensive_benchmark():
         return create_workload("correlator", ctx, n).run().throughput
 
     assert throughput(32768) > 0.7 * throughput(16384)
+
+
+def _kmeans_inputs(n):
+    rng = np.random.default_rng(n)
+    points = rng.random((n, KMEANS_FEATURES), dtype=np.float32)
+    return points, points[rng.integers(0, n, KMEANS_CLUSTERS)]
+
+
+def _kmeans_unblocked(points, centroids, iterations):
+    """The K-Means reference's formula, with distances over all points at once."""
+    centroids = centroids.astype(np.float64).copy()
+    for _ in range(iterations):
+        dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        best = dist.argmin(axis=1)
+        sums = np.zeros_like(centroids)
+        counts = np.zeros(centroids.shape[0])
+        np.add.at(sums, best, points)
+        np.add.at(counts, best, 1.0)
+        centroids = sums / np.maximum(counts, 1.0)[:, None]
+    return centroids
+
+
+@pytest.mark.parametrize("n", [1, 7, 1023, 1024, 1025, 5000, 8192])
+def test_kmeans_reference_matches_the_unblocked_formula_bit_for_bit(n):
+    points, centroids = _kmeans_inputs(n)
+    expected = _kmeans_unblocked(points, centroids, 3)
+    assert kmeans_reference(points, centroids, 3).tobytes() == expected.tobytes()
+
+
+def test_kmeans_reference_needs_no_large_temporary():
+    """Over all 8,192 points at once the distances take a 10 MiB temporary,
+    whose free moves glibc's mmap threshold and so the process's peak RSS."""
+    points, centroids = _kmeans_inputs(8192)
+    tracemalloc.start()
+    try:
+        kmeans_reference(points, centroids, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 ** 2

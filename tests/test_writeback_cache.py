@@ -36,7 +36,7 @@ WORKLOADS = {
 #: the intermediates each workload's first writers re-chunk
 INTERMEDIATES = {"hotspot3": 2, "hotspot2": 1, "kmeans2": 1}
 LOOKAHEADS = (1, 2, 4, 6)
-FUSIONS = (True, "pairwise", False)
+FUSIONS = (True, False)
 
 
 def make_ctx(lookahead=4, fusion=True, **kw):
