@@ -15,7 +15,7 @@ Planning a kernel launch is split into two halves:
 
 * **Stamping** — :func:`stamp_recipe` turns a recipe into a concrete
   :class:`~repro.core.tasks.ExecutionPlan` for one launch's chunks
-  (:class:`SlotChunks`): it resolves every :class:`ChunkRef` to the id of
+  (:data:`SlotChunks`): it resolves every :class:`ChunkRef` to the id of
   the chunk it names, allocates fresh task ids, chunk ids and tags,
   substitutes the launch's scalar arguments, and injects cross-launch
   conflict dependencies by querying the planner's reader/writer tables (the
@@ -46,6 +46,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ChunkRef",
     "SlotChunks",
+    "slot_chunks",
     "array_slots",
     "TempRef",
     "TempMetaRef",
@@ -106,26 +107,17 @@ def array_slots(
     return arrays, tuple(pattern)
 
 
-class SlotChunks(NamedTuple):
-    """What a recipe's :class:`ChunkRef` names resolve to for one launch or
-    fused chain: each array's chunk list, in slot order, and which arrays
-    those are, as ``(array id, layout epoch)`` pairs.  A redistribution
-    bumps the epoch, so the pairs change whenever the chunk ids can."""
+#: What a recipe's :class:`ChunkRef` names resolve to for one launch or fused
+#: chain: each array's chunk list, in slot order (:func:`slot_chunks`).  A
+#: relayout replaces an array's list (and bumps its layout epoch), so equal
+#: tuples name the same chunk ids: the tuple itself identifies the arrays a
+#: recipe's stamp splits fold.
+SlotChunks = Tuple[Sequence[ChunkMeta], ...]
 
-    arrays: Tuple[Tuple[int, int], ...]
-    chunks: Tuple[Sequence[ChunkMeta], ...]
 
-    @classmethod
-    def of(cls, arrays: Sequence["DistributedArray"]) -> "SlotChunks":
-        """The chunks ``arrays`` (in slot order) hold now."""
-        return cls(
-            tuple([(array.array_id, array.layout_epoch) for array in arrays]),
-            tuple([array.chunks for array in arrays]),
-        )
-
-    def meta(self, ref: ChunkRef) -> ChunkMeta:
-        """The chunk ``ref`` names."""
-        return self.chunks[ref.slot][ref.index]
+def slot_chunks(arrays: Sequence["DistributedArray"]) -> SlotChunks:
+    """The chunks ``arrays`` (in slot order) hold now."""
+    return tuple([array.chunks for array in arrays])
 
 
 # --------------------------------------------------------------------------- #
@@ -295,7 +287,7 @@ class AccessSummary:
     combine the summaries of a whole drained group without re-walking any
     protos on the hot path.  It names persistent chunks by
     :class:`ChunkRef`, like the recipe; the pass maps them through each
-    drain unit's own :class:`SlotChunks`.
+    drain unit's own :data:`SlotChunks`.
     """
 
     #: persistent chunks each GPU space must hold, in first-use (proto)
@@ -320,7 +312,7 @@ class PlanRecipe:
 
     A recipe names persistent chunks by :class:`ChunkRef`; one recipe serves
     every set of arrays of its layout, and :func:`stamp_recipe` resolves the
-    names through the :class:`SlotChunks` of the launch it stamps.
+    names through the :data:`SlotChunks` of the launch it stamps.
     """
 
     description: str = ""
@@ -346,9 +338,8 @@ class PlanRecipe:
         default_factory=dict
     )
     _summary: Optional[AccessSummary] = field(default=None, repr=False)
-    #: stamp memo: the arrays (:attr:`SlotChunks.arrays`) the protos' stamp
-    #: splits were compiled for, and :attr:`reads` / :attr:`writes` with
-    #: their chunk ids
+    #: stamp memo: the chunks (:data:`SlotChunks`) the protos' stamp splits
+    #: were compiled for, and :attr:`reads` / :attr:`writes` with their ids
     _served: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
@@ -692,7 +683,7 @@ def _compile_split(proto: TaskProto, chunks: SlotChunks) -> tuple:
     def chunk_id(ref: ChunkRef) -> ChunkId:
         nonlocal folded
         folded = True
-        return chunks.chunks[ref.slot][ref.index].chunk_id
+        return chunks[ref.slot][ref.index].chunk_id
 
     static: Dict[str, object] = {}
     dynamic: List[Tuple[str, object]] = []
@@ -714,9 +705,9 @@ def _serve(recipe: PlanRecipe, chunks: SlotChunks) -> tuple:
             if proto._split is not None and proto._split[3]:
                 proto._split = None
     recipe._served = (
-        chunks.arrays,
-        [(chunks.meta(ref).chunk_id, index) for ref, index in recipe.reads],
-        [(chunks.meta(ref).chunk_id, index) for ref, index in recipe.writes],
+        chunks,
+        [(chunks[slot][index].chunk_id, at) for (slot, index), at in recipe.reads],
+        [(chunks[slot][index].chunk_id, at) for (slot, index), at in recipe.writes],
     )
     return recipe._served
 
@@ -743,7 +734,7 @@ def stamp_recipe(
     one substitution per segment (the plan takes the first launch id).
     """
     served = recipe._served
-    if served is None or served[0] != chunks.arrays:
+    if served is None or served[0] != chunks:
         served = _serve(recipe, chunks)
     temp_chunks: List[Optional[ChunkMeta]] = [
         None if spec is None else ChunkMeta(
@@ -774,7 +765,7 @@ def stamp_recipe(
         if isinstance(value, LaunchIdRef):
             return launch_ids[value.segment]
         if type(value) is ChunkRef:
-            return chunks.meta(value).chunk_id
+            return chunks[value.slot][value.index].chunk_id
         if isinstance(value, ArgBindingProto):
             return T.ArrayArgBinding(
                 param=value.param,

@@ -9,7 +9,7 @@ drain time:
 * **Planned pre-eviction** — the drained group's combined per-space working
   set is assembled from the plan templates' cached access summaries
   (:meth:`~.ir.PlanRecipe.access_summary`), each mapped through its drain
-  unit's own chunks (:class:`~.ir.SlotChunks`).  Where the bytes the group must
+  unit's own chunks (:data:`~.ir.SlotChunks`).  Where the bytes the group must
   bring into a space exceed what is free, a
   :class:`~repro.core.tasks.MemoryReserveTask` is emitted ahead of the group:
   it picks spill victims up front via the memory manager's existing LRU index
@@ -135,7 +135,7 @@ class WindowMemoryPlanner:
         temp_bytes: Dict[MemorySpace, int] = {}
         for unit in units:
             summary = unit.prepared.recipe.access_summary()
-            chunks = unit.prepared.chunks.chunks
+            chunks = unit.prepared.chunks
             for space, entries in summary.chunks_by_space.items():
                 bucket = chunks_by_space.setdefault(space, [])
                 for (slot, index), nbytes in entries:
@@ -273,7 +273,7 @@ class WindowMemoryPlanner:
         for unit_index, unit in enumerate(units[1:], start=1):
             chunks = unit.prepared.chunks
             for ref in unit.prepared.recipe.access_summary().prefetch_chunks:
-                meta = chunks.meta(ref)
+                meta = chunks[ref.slot][ref.index]
                 cid = meta.chunk_id
                 if cid in seen:
                     continue

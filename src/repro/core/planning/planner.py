@@ -16,7 +16,7 @@ driver-side steps:
   the plan-template cache and — on a miss — builds the recipe, so
   planning errors still surface at the launch call site even though
   submission is deferred; either way it returns the cached recipe as it
-  is, with the chunks the launch's arrays hold (:class:`~.ir.SlotChunks`);
+  is, with the chunks the launch's arrays hold (:data:`~.ir.SlotChunks`);
 * :meth:`Planner.stamp_launch` runs when the window drains: it stamps each
   drain unit's recipe — a prepared launch's or a fused chain's — for its
   chunks, with fresh ids and the cross-launch conflict edges that depend on
@@ -51,7 +51,7 @@ from ..kernel import CompiledKernel
 from .. import tasks as T
 from .cache import PlanTemplateCache
 from .costmodel import TransferCostModel
-from .ir import PlanRecipe, SlotChunks, StampedPlan, array_slots, stamp_recipe
+from .ir import PlanRecipe, SlotChunks, StampedPlan, array_slots, slot_chunks, stamp_recipe
 from .passes import (
     DependencyInjectionPass,
     PlanningError,
@@ -387,7 +387,7 @@ class Planner:
         if key is not None:
             self.cache.record(hit=not cold)
             cache_status = "miss" if cold else "hit"
-        prepared = PreparedLaunch(recipe, SlotChunks.of(slots), key, cache_status)
+        prepared = PreparedLaunch(recipe, slot_chunks(slots), key, cache_status)
         self.planning_seconds += time.perf_counter() - started
         return prepared
 
@@ -481,7 +481,7 @@ class Planner:
                 self._fusion_cache.move_to_end(chain_key)
                 if cached is _NO_FUSION:
                     return None
-                return PreparedLaunch(cached, SlotChunks.of(slots), chain_key, "hit")
+                return PreparedLaunch(cached, slot_chunks(slots), chain_key, "hit")
         started = time.perf_counter()
         recipe = build_fused_recipe(
             self.cluster, members, cost_model=self.cost_model,
@@ -497,6 +497,6 @@ class Planner:
         if recipe is None:
             return None
         return PreparedLaunch(
-            recipe, SlotChunks.of(slots), chain_key,
+            recipe, slot_chunks(slots), chain_key,
             "miss" if chain_key is not None else None,
         )
