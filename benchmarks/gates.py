@@ -19,8 +19,10 @@ gates.json``) and one step-summary table (stdout, and ``$GITHUB_STEP_SUMMARY``
 when set), and only then exits non-zero.  ``--refresh`` writes the run's
 records into the baseline instead of comparing them; the gates' own checks
 still run.  ``GATE`` names pick gates; by default ``--suite`` does:
-``smoke`` (CI on every change) runs every gate except ``hotpath_full``,
-the full hot-path sweep that ``full`` (nightly) adds.
+``smoke`` (CI on every change) runs every gate except the ``*_full`` ones
+that ``full`` (nightly) adds: the full hot-path sweep and Fig. 15.  The
+``paper`` gates' arms are the paper's figures (Figs. 10-16, Sec. 4.3 and
+three ablations), recorded in virtual time.
 """
 
 from __future__ import annotations
@@ -40,13 +42,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 import numpy as np  # noqa: E402
 
-import repro.apps  # noqa: E402,F401  (registers the cgc workload)
 from repro import BlockDist, BlockWorkDist, Context, KernelCost, KernelDef  # noqa: E402
-from repro.bench import make_context, write_json  # noqa: E402
+from repro.apps import CGC_DATASETS, CoClusteringApp  # noqa: E402  (registers cgc)
+from repro.baselines import CPUBaseline, SingleGPUBaseline, SingleGpuOutOfMemory  # noqa: E402
+from repro.bench import gpu_memory_limit, make_context, write_json  # noqa: E402
 from repro.errors import FaultError  # noqa: E402
-from repro.hardware import DeviceId, MemoryKind, MemorySpace, azure_nc24rsv2  # noqa: E402
+from repro.hardware import P100, DeviceId, MemoryKind, MemorySpace, azure_nc24rsv2  # noqa: E402
 from repro.kernels import create_workload  # noqa: E402
+from repro.kernels.black_scholes import BS_COST  # noqa: E402
 from repro.kernels.expressions import ExpressionsWorkload  # noqa: E402
+from repro.perfmodel import kernel_time  # noqa: E402
+from repro.runtime.policies import POLICIES  # noqa: E402
 from repro.runtime.serving import ServingSystem, poisson_trace  # noqa: E402
 from repro.simulator.engine import Engine  # noqa: E402
 from repro.simulator.resources import BandwidthResource, ChannelResource  # noqa: E402
@@ -64,7 +70,7 @@ MEASURED = ("events_per_second", "tasks_per_second")
 #: order-of-magnitude hot-loop regressions
 MIN_THROUGHPUT = 0.35
 
-MB = 1 << 20
+MB, GB = 1 << 20, 1 << 30
 
 
 def _sha(*arrays) -> str:
@@ -667,8 +673,9 @@ STREAM = (6, 6, 104_857_600, 2)
 
 
 def _config_key(workload, gpus, per_node, n, params):
+    key = f"{workload}/g{gpus}x{per_node}/n{n}"
     extra = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
-    return f"{workload}/g{gpus}x{per_node}/n{n}/{extra}"
+    return f"{key}/{extra}" if extra else key
 
 
 def _hotpath_record(ctx):
@@ -838,11 +845,332 @@ def hotpath_full(base):
 
 
 # --------------------------------------------------------------------------- #
+# paper: the shapes of the paper's evaluation (Figs. 10-16, Sec. 4.3), ablations
+# --------------------------------------------------------------------------- #
+#: Fig. 10: K-Means chunk sizes in 16-byte records (2 MB ... 800 MB), at a tenth
+#: of the paper's data and GPU memory (1.6 GB against a 1 GiB pool), which
+#: keeps its data-to-memory ratio and so the shape of its curve
+FIG10 = dict(n=100_000_000, gpu_memory=GB, iterations=3)
+FIG10_CHUNKS = (131_072, 1_310_720, 6_553_600, 32_768_000, 50_000_000)
+#: Fig. 11: K-Means from well inside one GPU's memory to past it
+FIG11_SIZES = (10_000_000, 40_000_000, 160_000_000, 640_000_000, 1_280_000_000, 2_560_000_000)
+#: Fig. 12: per benchmark, sizes in GPU memory, near its limit and past it
+FIG12_SIZES = {
+    "md5": (1e10, 1e11),
+    "nbody": (1e10, 1e11),
+    "correlator": (8192, 16384, 32768),
+    "kmeans": (250e6, 800e6, 2e9),
+    "hotspot": (1e9, 2e9, 4e9),
+    "gemm": (1e13, 2e13, 8e13),
+    "spmv": (1e12, 4e12, 8e12),
+    "black_scholes": (250e6, 700e6, 2e9),
+}
+#: past GPU memory the compute-heavy kernels keep their throughput (transfers
+#: hide behind execution) and the data-intensive ones lose most of it
+SPILL_KEEPS, SPILL_HURTS = ("correlator", "kmeans", "gemm"), ("hotspot", "spmv", "black_scholes")
+#: Figs. 13 and 14: one size per benchmark (~2x one GPU's memory for the
+#: data-heavy kernels, so one GPU spills) on 1, 2 and 4 GPUs
+FIG13_SIZES = {"md5": 2e11, "nbody": 2e11, "correlator": 32768, "kmeans": 2e9, "hotspot": 4e9,
+               "gemm": 4e13, "spmv": 4e12, "black_scholes": 1.5e9}
+GPU_COUNTS = (1, 2, 4)
+#: Fig. 13's near-linear scalers
+LINEAR = ("md5", "nbody", "correlator")
+#: Fig. 14 against Fig. 13: K-Means at 96 GB, past 4 x 16 GB of GPU memory
+PCIE_SHARING_N = 6_000_000_000
+#: Fig. 16: Lightning's (nodes, GPUs per node) and its timed iterations
+FIG16_SHAPES = ((1, 1), (1, 4), (2, 4), (4, 4))
+FIG16_ITERATIONS = 2
+#: Sec. 4.3: the correlator across GPU memory, and Black-Scholes' ~10 GB
+CORRELATOR_FITS, CORRELATOR_SPILLS = 16384, 32768
+PCIE_BS_N = 500_000_000
+#: ablations: K-Means past one GPU's memory (24 GB) under staging thresholds,
+#: then under every scheduling policy at a threshold small enough to keep a
+#: backlog; HotSpot with and without a barrier after every launch
+ABLATION_N = 1_500_000_000
+THRESHOLDS = (64 * MB, 512 * MB, 2 * GB, 16 * GB)
+POLICY_THRESHOLD = 512 * MB
+BARRIER_N = 1_000_000_000
+#: Fig. 15: per-GPU sizes, as printed above each panel, on (GPUs, GPUs per node)
+FIG15_SIZES = {"md5": 1.4e11, "nbody": 1.4e11, "correlator": 2.0e3, "kmeans": 2.7e8,
+               "hotspot": 5.4e8, "gemm": 1.8e13, "spmv": 5.5e11, "black_scholes": 2.7e8}
+FIG15_SHAPES = ((1, 1), (4, 4), (8, 4), (16, 4), (32, 4))
+#: communication-light benchmarks that weak-scale nearly perfectly
+WEAK_SCALERS = ("md5", "nbody", "correlator", "kmeans", "hotspot")
+
+
+def _key(workload, n, nodes=1, per_node=1, **options):
+    return _config_key(workload, nodes * per_node, per_node, int(n), options)
+
+
+def _point(runs, workload, n, nodes=1, per_node=1, **options):
+    """``(config, record)`` of one timed workload run, run once per config and
+    kept in ``runs``.  ``options`` are workload parameters, except the
+    ``Context`` keywords ``stage_threshold`` and ``scheduler_policy`` and
+    ``gpu_memory``, a cap on every GPU pool."""
+    config = _key(workload, n, nodes, per_node, **options)
+    if config not in runs:
+        kwargs = {k: options.pop(k) for k in ("stage_threshold", "scheduler_policy")
+                  if k in options}
+        if "gpu_memory" in options:
+            cap = options.pop("gpu_memory")
+            kwargs["memory_capacities"] = {DeviceId(node, local).memory_space: cap
+                                           for node in range(nodes) for local in range(per_node)}
+        ctx = make_context(nodes, per_node, **kwargs)
+        result = create_workload(workload, ctx, int(n), **options).run()
+        runs[config] = {"elapsed": result.elapsed, "throughput": result.throughput,
+                        "data_bytes": result.data_bytes}
+    return config, runs[config]
+
+
+def _fig16():
+    """Fig. 16's bars per CGC dataset in seconds per iteration; ``cuda`` is None
+    where one GPU runs out of memory."""
+    records = {}
+    for label, (side, _) in CGC_DATASETS.items():
+        record = {}
+        for nodes, gpus in FIG16_SHAPES:
+            app = CoClusteringApp(make_context(nodes, gpus), side, side)
+            app.prepare()
+            app.run(iterations=1)  # warm-up, as in Sec. 4.1
+            record[f"lightning_{nodes}x{gpus}"] = app.run(iterations=FIG16_ITERATIONS)
+        sequence = app.kernel_cost_sequence()  # the baselines run the same kernels
+        record.update(data_bytes=app.data_bytes(), numpy=CPUBaseline().run_time(sequence))
+        try:
+            record["cuda"] = SingleGPUBaseline().run_time(sequence, app.data_bytes())
+        except SingleGpuOutOfMemory:
+            record["cuda"] = None
+        records[f"cgc/{label}"] = record
+    return records
+
+
+def _barrier_elapsed():
+    """HotSpot's virtual time with a barrier after every launch, so no planning
+    or communication overlaps execution (the ablation of Sec. 2.4)."""
+    ctx = make_context(1, 4)
+    wl = create_workload("hotspot", ctx, BARRIER_N)
+    wl.prepare()
+    start = ctx.synchronize()
+    src, dst = wl.temp_a, wl.temp_b
+    work = BlockWorkDist(wl.rows_per_chunk, axis=0)
+    for _ in range(wl.iterations):
+        wl.kernel.launch((wl.side, wl.side), (16, 16), work,
+                         (wl.side, wl.side, src, wl.power, dst))
+        end = ctx.synchronize()
+        src, dst = dst, src
+    return end - start
+
+
+def paper(base):
+    """Figs. 10-14 and 16, Sec. 4.3 and three ablations in virtual time, each
+    configuration run once (Figs. 12-14 and Sec. 4.3 share their 1-GPU points)."""
+    del base
+    runs = {}
+    pcie = kernel_time(P100, BS_COST, PCIE_BS_N, {})
+    data_bytes = 5 * PCIE_BS_N * 4  # five float32 arrays; the paper quotes 10.7 GB
+    records = {
+        "fig10": dict(_point(runs, "kmeans", chunk_elems=chunk, **FIG10) for chunk in FIG10_CHUNKS),
+        "fig11": dict(_point(runs, "kmeans", n, iterations=5) for n in FIG11_SIZES),
+        "fig12": dict(_point(runs, name, n) for name, sizes in FIG12_SIZES.items() for n in sizes),
+        "fig13": dict(_point(runs, name, n, 1, gpus)
+                      for name, n in FIG13_SIZES.items() for gpus in GPU_COUNTS),
+        "fig14": dict(_point(runs, name, n, gpus, 1)
+                      for name, n in FIG13_SIZES.items() for gpus in GPU_COUNTS),
+        "fig16": _fig16(),
+        "sec4.3": dict(_point(runs, "correlator", n) for n in (CORRELATOR_FITS, CORRELATOR_SPILLS)),
+        "ablations": dict(_point(runs, "kmeans", ABLATION_N, stage_threshold=threshold)
+                          for threshold in THRESHOLDS),
+    }
+    records["fig14"].update(_point(runs, "kmeans", PCIE_SHARING_N, *shape)
+                            for shape in ((1, 4), (4, 1)))
+    records["sec4.3"][f"black_scholes/n{PCIE_BS_N}/pcie"] = {
+        "data_bytes": data_bytes, "kernel_time": pcie, "required_bandwidth": data_bytes / pcie,
+        "pcie_bandwidth": azure_nc24rsv2(1, 1).node.pcie_bandwidth}
+    records["ablations"].update(_point(runs, "kmeans", ABLATION_N, scheduler_policy=policy,
+                                       stage_threshold=POLICY_THRESHOLD)
+                                for policy in sorted(POLICIES))
+    records["ablations"].update([_point(runs, "hotspot", BARRIER_N, 1, 4)])
+    records["ablations"][_key("hotspot", BARRIER_N, 1, 4, barrier=True)] = {
+        "elapsed": _barrier_elapsed()}
+    return records, paper_checks(records)
+
+
+def paper_checks(records):
+    """The paper's shapes as bounds over the ``paper`` gate's records, each
+    failure naming the gate, figure, config and field."""
+    failures = []
+
+    def need(ok, figure, config, text):
+        if not ok:
+            failures.append(f"paper/{figure}/{config}: {text}")
+
+    # Fig. 10: a U over chunk sizes.  Tiny chunks pay per-task overhead, huge
+    # ones cannot overlap transfers with execution, the mid-range is near best.
+    configs = [_key("kmeans", chunk_elems=chunk, **FIG10) for chunk in FIG10_CHUNKS]
+    times = [records["fig10"][config]["elapsed"] for config in configs]
+    best = min(times)
+    for i, ok, bound in ((0, times[0] > 1.1 * best, "> 1.1x"),
+                         (-1, times[-1] > 1.02 * best, "> 1.02x"),
+                         (2, times[2] <= 1.3 * best, "<= 1.3x")):
+        need(ok, "fig10", configs[i], f"elapsed is {times[i] / best:.3f}x the best chunk "
+                                      f"size's (needs {bound})")
+
+    # Fig. 11: linear in the problem size while the data fits one GPU, and
+    # still growing past it.
+    fig = records["fig11"]
+    series = [(_key("kmeans", n, iterations=5), n) for n in FIG11_SIZES]
+    fits = [(config, n) for config, n in series if fig[config]["data_bytes"] <= gpu_memory_limit(1)]
+    need(len(fits) >= 3, "fig11", series[0][0], f"data_bytes: {len(fits)} sizes fit one GPU "
+                                                 "(needs >= 3)")
+    for (small, n_small), (large, n_large) in zip(fits, fits[1:]):
+        ratio, growth = fig[large]["elapsed"] / fig[small]["elapsed"], n_large / n_small
+        need(0.5 * growth <= ratio <= 1.35 * growth, "fig11", large,
+             f"elapsed grew {ratio:.3f}x for {growth:g}x the size (needs {0.5 * growth:g}x to "
+             f"{1.35 * growth:g}x)")
+    if fits:
+        need(fig[series[-1][0]]["elapsed"] > fig[fits[-1][0]]["elapsed"], "fig11", series[-1][0],
+             "elapsed is not above the largest in-memory size's")
+
+    # Fig. 12: spilling keeps the compute-heavy kernels' throughput and costs
+    # the data-intensive ones most of theirs.
+    fig = records["fig12"]
+    for name, sizes in FIG12_SIZES.items():
+        configs = [_key(name, n) for n in sizes]
+        fits = [config for config in configs if fig[config]["data_bytes"] <= gpu_memory_limit(1)]
+        spilled = [config for config in configs if config not in fits]
+        need(fits, "fig12", configs[0], "data_bytes: no size fits one GPU (needs one)")
+        if not (fits and spilled):
+            continue  # MD5 and N-Body always fit
+        worst = min(spilled, key=lambda config: fig[config]["throughput"])
+        kept = fig[worst]["throughput"] / max(fig[config]["throughput"] for config in fits)
+        if name in SPILL_KEEPS:
+            need(kept > 0.45, "fig12", worst, f"throughput keeps {kept:.3f} of the in-memory "
+                                              "best (needs > 0.45)")
+        if name in SPILL_HURTS:
+            need(kept < 0.5, "fig12", worst, f"throughput keeps {kept:.3f} of the in-memory "
+                                             "best (needs < 0.5)")
+
+    # Figs. 13 and 14: every benchmark gains from 4 GPUs, in one node or four;
+    # compute-bound ones nearly linearly in one node.
+    for name, n in FIG13_SIZES.items():
+        fig13_bound = 2.8 if name in LINEAR else 1.5
+        for figure, config, bound in (("fig13", _key(name, n, 1, 4), fig13_bound),
+                                      ("fig14", _key(name, n, 4, 1), 1.5)):
+            fig = records[figure]
+            speedup = fig[config]["throughput"] / fig[_key(name, n)]["throughput"]
+            need(speedup > bound, figure, config, f"throughput is {speedup:.3f}x the 1-GPU "
+                                                  f"point's (needs > {bound}x)")
+    # Spill traffic shares one PCIe bus in a node; one GPU per node has its own.
+    fig = records["fig14"]
+    shared, private = (_key("kmeans", PCIE_SHARING_N, *shape) for shape in ((1, 4), (4, 1)))
+    gain = fig[private]["throughput"] / fig[shared]["throughput"]
+    need(gain > 1.15, "fig14", private, f"throughput is {gain:.3f}x the 1x4 GPUs' (needs > 1.15x)")
+
+    # Fig. 16: CUDA beats NumPy on 5 GB, Lightning on one GPU is close to CUDA,
+    # only Lightning runs 20 and 80 GB, and 16 GPUs are far ahead of the CPU.
+    fig = records["fig16"]
+    small = fig["cgc/5GB"]
+    need(small["cuda"] is not None, "fig16", "cgc/5GB", "cuda ran out of memory (needs a time)")
+    if small["cuda"] is not None:
+        speedup = small["numpy"] / small["cuda"]
+        need(2.0 < speedup < 12.0, "fig16", "cgc/5GB", f"cuda is {speedup:.3f}x faster than "
+                                                       "numpy (needs 2x to 12x)")
+        overhead = small["lightning_1x1"] / small["cuda"] - 1.0
+        need(overhead < 0.25, "fig16", "cgc/5GB", f"lightning_1x1 is {overhead:.1%} slower than "
+                                                  "cuda (needs < 25%)")
+    for label in ("cgc/20GB", "cgc/80GB"):
+        need(fig[label]["cuda"] is None, "fig16", label,
+             "cuda ran on one GPU (needs out of memory)")
+        for nodes, gpus in FIG16_SHAPES[1:]:
+            field = f"lightning_{nodes}x{gpus}"
+            need(fig[label][field] > 0, "fig16", label, f"{field} is {fig[label][field]!r}")
+    big = fig["cgc/80GB"]
+    speedup = big["numpy"] / big["lightning_4x4"]
+    need(speedup > 15.0, "fig16", "cgc/80GB", f"lightning_4x4 is {speedup:.2f}x faster than numpy "
+                                              "(needs > 15x)")
+    need(big["lightning_4x4"] <= 1.05 * big["lightning_1x4"], "fig16", "cgc/80GB",
+         f"lightning_4x4 is {big['lightning_4x4'] / big['lightning_1x4']:.3f}x lightning_1x4's "
+         "time (needs <= 1.05x)")
+
+    # Sec. 4.3: the correlator loses little past GPU memory; Black-Scholes at
+    # kernel speed needs over ten times the PCIe bandwidth there is.
+    fig = records["sec4.3"]
+    fits, spills = (_key("correlator", n) for n in (CORRELATOR_FITS, CORRELATOR_SPILLS))
+    drop = 1.0 - fig[spills]["throughput"] / fig[fits]["throughput"]
+    need(drop < 0.30, "sec4.3", spills, f"throughput is {drop:.1%} below the in-memory size's "
+                                        "(needs < 30%)")
+    bs = fig[f"black_scholes/n{PCIE_BS_N}/pcie"]
+    need(bs["required_bandwidth"] > 10 * bs["pcie_bandwidth"], "sec4.3",
+         f"black_scholes/n{PCIE_BS_N}/pcie", f"required_bandwidth is "
+         f"{bs['required_bandwidth'] / bs['pcie_bandwidth']:.2f}x pcie_bandwidth (needs > 10x)")
+
+    # Ablations: a tiny staging threshold serialises staging and execution; a
+    # barrier after every launch removes the overlap; the policies do the same
+    # work within a small factor, and locality never loses badly to FIFO.
+    fig = records["ablations"]
+    tiny, default = (_key("kmeans", ABLATION_N, stage_threshold=t) for t in (64 * MB, 2 * GB))
+    need(fig[tiny]["elapsed"] > fig[default]["elapsed"], "ablations", tiny,
+         f"elapsed {fig[tiny]['elapsed']!r} is not above the 2 GiB threshold's "
+         f"{fig[default]['elapsed']!r}")
+    overlapped, barrier = (_key("hotspot", BARRIER_N, 1, 4, **extra)
+                           for extra in ({}, {"barrier": True}))
+    need(fig[barrier]["elapsed"] >= fig[overlapped]["elapsed"], "ablations", barrier,
+         f"elapsed {fig[barrier]['elapsed']!r} is below the asynchronous run's "
+         f"{fig[overlapped]['elapsed']!r}")
+    policies = {policy: _key("kmeans", ABLATION_N, scheduler_policy=policy,
+                             stage_threshold=POLICY_THRESHOLD) for policy in sorted(POLICIES)}
+    times = {policy: fig[config]["elapsed"] for policy, config in policies.items()}
+    for policy, config in policies.items():
+        need(times[policy] > 0, "ablations", config, f"elapsed is {times[policy]!r}")
+    slowest = max(times, key=times.get)
+    spread = times[slowest] / min(times.values())
+    need(spread <= 3.0, "ablations", policies[slowest], f"elapsed is {spread:.3f}x the fastest "
+                                                        "policy's (needs <= 3x)")
+    ratio = times["locality"] / times["fifo"]
+    need(ratio <= 1.2, "ablations", policies["locality"], f"elapsed is {ratio:.3f}x fifo's "
+                                                          "(needs <= 1.2x)")
+    return failures
+
+
+def paper_full(base):
+    """Fig. 15: weak scaling to 32 GPUs, the problem growing with the GPU count."""
+    del base
+    records = {"fig15": dict(_point({}, name, per_gpu * gpus, gpus // per_node, per_node)
+                             for name, per_gpu in FIG15_SIZES.items()
+                             for gpus, per_node in FIG15_SHAPES)}
+    return records, fig15_checks(records)
+
+
+def fig15_checks(records):
+    """Weak-scaling efficiency t(1 GPU) / t(32 GPUs) above 0.7 for the
+    communication-light benchmarks, and GEMM's below K-Means'."""
+    fig, failures = records["fig15"], []
+
+    def efficiency(name):
+        gpus, per_node = FIG15_SHAPES[-1]
+        config = _key(name, FIG15_SIZES[name] * gpus, gpus // per_node, per_node)
+        return config, fig[_key(name, FIG15_SIZES[name])]["elapsed"] / fig[config]["elapsed"]
+
+    for name in WEAK_SCALERS:
+        config, value = efficiency(name)
+        if not value > 0.7:
+            failures.append(f"paper_full/fig15/{config}: elapsed gives a weak-scaling efficiency "
+                            f"of {value:.3f} (needs > 0.7)")
+    config, _ = efficiency("black_scholes")
+    if not fig[config]["elapsed"] > 0:
+        failures.append(f"paper_full/fig15/{config}: elapsed is {fig[config]['elapsed']!r}")
+    (config, gemm), (_, kmeans) = efficiency("gemm"), efficiency("kmeans")
+    if not gemm < kmeans:
+        failures.append(f"paper_full/fig15/{config}: elapsed gives a weak-scaling efficiency of "
+                        f"{gemm:.3f}, not below K-Means' {kmeans:.3f}")
+    return failures
+
+
+# --------------------------------------------------------------------------- #
 # the harness
 # --------------------------------------------------------------------------- #
-GATES = {gate.__name__: gate
-         for gate in (hotpath, engine, expr, disk, faults, serving, plan_cache, hotpath_full)}
-SUITES = {"smoke": [name for name in GATES if name != "hotpath_full"], "full": list(GATES)}
+GATES = {gate.__name__: gate for gate in (hotpath, engine, expr, disk, faults, serving,
+                                          plan_cache, paper, hotpath_full, paper_full)}
+SUITES = {"smoke": [name for name in GATES if not name.endswith("_full")], "full": list(GATES)}
 
 
 def _exact(value):

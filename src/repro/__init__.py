@@ -12,7 +12,8 @@ The package provides:
 * ``repro.kernels`` — the paper's eight benchmark kernels;
 * ``repro.baselines`` — NumPy and single-GPU baselines used by the evaluation;
 * ``repro.apps`` — the CGC geospatial co-clustering application;
-* ``repro.bench`` — harnesses regenerating every figure of the evaluation.
+* ``repro.bench`` — run helpers shared by the CLI, the examples and the
+  gates in ``benchmarks/gates.py``, which check the evaluation's figures.
 """
 
 from .core import (

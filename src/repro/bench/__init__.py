@@ -1,8 +1,9 @@
-"""Benchmark harness shared by the ``benchmarks/`` suite.
+"""Run helpers shared by the CLI, the gate harness and the examples.
 
-The harness runs the registered workloads on simulated clusters of the
-paper's node type, collects throughput series and writes the per-figure
-result tables that EXPERIMENTS.md references.
+``make_context`` builds a context on the paper's node type and
+``run_workload_with_stats`` runs one registered workload on it; the paper's
+figures themselves are checked by the ``paper`` and ``paper_full`` gates of
+``benchmarks/gates.py``.
 """
 
 from .harness import (
@@ -12,10 +13,7 @@ from .harness import (
     host_memory_limit,
     json_text,
     make_context,
-    run_workload,
     run_workload_with_stats,
-    save_json,
-    save_results,
     scaled,
     write_json,
 )
@@ -27,10 +25,7 @@ __all__ = [
     "host_memory_limit",
     "json_text",
     "make_context",
-    "run_workload",
     "run_workload_with_stats",
-    "save_json",
-    "save_results",
     "scaled",
     "write_json",
 ]

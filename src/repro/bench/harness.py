@@ -1,13 +1,12 @@
-"""Helpers for regenerating the paper's figures.
+"""Helpers shared by the CLI, the gate harness and the examples.
 
-Every benchmark file in ``benchmarks/`` uses the same three steps:
+``make_context`` builds a context on the paper's node type,
+``run_workload_with_stats`` runs one registered workload once and returns
+its point and its :class:`RuntimeStats`, and ``format_table`` prints points
+the way the figures group them.  ``write_json`` is the repo's one
+machine-readable result format.
 
-1. build a context for the cluster shape under test (``make_context``),
-2. run one registered workload at one problem size (``run_workload``),
-3. print/save the series in a paper-like table (``format_table`` /
-   ``save_results``).
-
-Benchmarks run in ``simulate`` execution mode so the paper's problem sizes
+Runs default to ``simulate`` execution mode so the paper's problem sizes
 (tens to hundreds of GB of virtual data) can be swept: the planner, the
 scheduler, the memory manager (including spilling) and the communication
 layer all run for real; only the chunk payloads are elided.
@@ -29,13 +28,10 @@ from ..runtime.system import ExecutionMode, RuntimeStats
 __all__ = [
     "BenchPoint",
     "make_context",
-    "run_workload",
     "run_workload_with_stats",
     "gpu_memory_limit",
     "host_memory_limit",
     "format_table",
-    "save_results",
-    "save_json",
     "write_json",
     "json_text",
     "scaled",
@@ -53,9 +49,6 @@ def scaled(n: int, floor: int = 1) -> int:
     scale = float(os.environ.get("REPRO_EXAMPLE_SCALE", "1") or "1")
     return max(int(floor), int(n * scale))
 
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.dirname(os.path.abspath(__file__))))), "benchmarks", "results")
-
 
 @dataclass(frozen=True)
 class BenchPoint:
@@ -68,12 +61,6 @@ class BenchPoint:
     data_gb: float
     elapsed: float
     throughput: float
-    extra: str = ""
-
-    @property
-    def gpus(self) -> int:
-        """Total GPUs of the measured configuration."""
-        return self.nodes * self.gpus_per_node
 
 
 def make_context(
@@ -86,23 +73,6 @@ def make_context(
     return Context(azure_nc24rsv2(nodes=nodes, gpus_per_node=gpus_per_node), mode=mode, **kwargs)
 
 
-def run_workload(
-    name: str,
-    n: int,
-    nodes: int = 1,
-    gpus_per_node: int = 1,
-    mode: ExecutionMode | str = ExecutionMode.SIMULATE,
-    context_kwargs: Optional[Dict] = None,
-    **workload_params,
-) -> BenchPoint:
-    """Run one workload once and return the figure point."""
-    point, _ = run_workload_with_stats(
-        name, n, nodes=nodes, gpus_per_node=gpus_per_node, mode=mode,
-        context_kwargs=context_kwargs, **workload_params,
-    )
-    return point
-
-
 def run_workload_with_stats(
     name: str,
     n: int,
@@ -112,7 +82,7 @@ def run_workload_with_stats(
     context_kwargs: Optional[Dict] = None,
     **workload_params,
 ) -> Tuple[BenchPoint, RuntimeStats]:
-    """Like :func:`run_workload` but also return the run's :class:`RuntimeStats`.
+    """Run one workload once; return its figure point and the run's :class:`RuntimeStats`.
 
     A functional run's result is checked against the workload's NumPy
     reference, raising :class:`VerificationError` on a mismatch.
@@ -155,25 +125,16 @@ def format_table(points: Sequence[BenchPoint], title: str = "") -> str:
         lines.append("=" * len(title))
     header = (
         f"{'benchmark':>14s} {'nodes':>5s} {'gpus/node':>9s} {'n':>12s} "
-        f"{'data[GB]':>9s} {'time[s]':>10s} {'throughput[n/s]':>16s} {'notes':>12s}"
+        f"{'data[GB]':>9s} {'time[s]':>10s} {'throughput[n/s]':>16s}"
     )
     lines.append(header)
     lines.append("-" * len(header))
     for p in points:
         lines.append(
             f"{p.benchmark:>14s} {p.nodes:>5d} {p.gpus_per_node:>9d} {p.problem_size:>12.3g} "
-            f"{p.data_gb:>9.2f} {p.elapsed:>10.4f} {p.throughput:>16.3e} {p.extra:>12s}"
+            f"{p.data_gb:>9.2f} {p.elapsed:>10.4f} {p.throughput:>16.3e}"
         )
     return "\n".join(lines)
-
-
-def save_results(filename: str, text: str) -> str:
-    """Write a result table under ``benchmarks/results/`` and return its path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, filename)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    return path
 
 
 def write_json(path: str, payload) -> str:
@@ -193,11 +154,3 @@ def json_text(payload) -> str:
     """The result-convention JSON serialisation as a string."""
     return json.dumps(payload, indent=2, sort_keys=True)
 
-
-def save_json(filename: str, payload) -> str:
-    """Write a machine-readable result under ``benchmarks/results/``.
-
-    All benchmark harnesses record their measurements this way so the perf
-    trajectory of the repo is diffable and scriptable (``results/*.json``).
-    """
-    return write_json(os.path.join(RESULTS_DIR, filename), payload)

@@ -14,8 +14,8 @@ Exposes the pieces a user needs without writing Python:
     Figs. 11-14.
 
 ``repro-bench figures``
-    List every figure/table of the paper's evaluation and the pytest command
-    that regenerates it.
+    List every figure/table of the paper's evaluation and the gate command
+    that reproduces and checks it.
 
 ``repro-bench advise --annotation "..." --shape name=ROWSxCOLS ...``
     Run the distribution advisor on a kernel annotation and print the
@@ -36,8 +36,8 @@ Exposes the pieces a user needs without writing Python:
     different) simulated cluster and print what came back.
 
 The CLI is intentionally a thin shell over the same public API the examples
-use (`repro.bench`, `repro.autotune`), so its output matches what the
-benchmark suite records under ``benchmarks/results/``.
+and the gates use (`repro.bench`, `repro.autotune`), so ``run`` prints the
+virtual time that the ``paper`` gate records for the same configuration.
 """
 
 from __future__ import annotations
@@ -60,26 +60,20 @@ from .kernels import WORKLOADS
 
 __all__ = ["main", "build_parser"]
 
-#: Figure/table id -> (description, regenerating command).
+_PAPER_GATE = "python benchmarks/gates.py paper"
+
+#: Figure/table id -> (description, the gate command that reproduces and
+#: checks it).  The gates record each figure's series under its id.
 FIGURES: Dict[str, Tuple[str, str]] = {
-    "fig10": ("K-Means run time vs chunk size (1 GPU)",
-              "pytest benchmarks/bench_fig10_chunk_size.py --benchmark-only"),
-    "fig11": ("K-Means run time vs problem size (1 GPU)",
-              "pytest benchmarks/bench_fig11_problem_size.py --benchmark-only"),
-    "fig12": ("Single-GPU throughput vs problem size, 8 benchmarks",
-              "pytest benchmarks/bench_fig12_single_gpu.py --benchmark-only"),
-    "fig13": ("Multi-GPU node (1-4 GPUs) throughput",
-              "pytest benchmarks/bench_fig13_multi_gpu.py --benchmark-only"),
-    "fig14": ("Multi-node (1-4 nodes x 1 GPU) throughput",
-              "pytest benchmarks/bench_fig14_multi_node.py --benchmark-only"),
-    "fig15": ("Weak scaling to 32 GPUs",
-              "pytest benchmarks/bench_fig15_weak_scaling.py --benchmark-only"),
-    "fig16": ("CGC co-clustering full application (5/20/80 GB)",
-              "pytest benchmarks/bench_fig16_full_application.py --benchmark-only"),
-    "sec4.3": ("Spilling analysis (Correlator drop, Black-Scholes PCIe argument)",
-               "pytest benchmarks/bench_sec43_spilling_analysis.py --benchmark-only"),
-    "ablations": ("Staging throttle, async submission, scheduling policy",
-                  "pytest benchmarks/bench_ablations.py --benchmark-only"),
+    "fig10": ("K-Means run time vs chunk size (1 GPU)", _PAPER_GATE),
+    "fig11": ("K-Means run time vs problem size (1 GPU)", _PAPER_GATE),
+    "fig12": ("Single-GPU throughput vs problem size, 8 benchmarks", _PAPER_GATE),
+    "fig13": ("Multi-GPU node (1-4 GPUs) throughput", _PAPER_GATE),
+    "fig14": ("Multi-node (1-4 nodes x 1 GPU) throughput", _PAPER_GATE),
+    "fig15": ("Weak scaling to 32 GPUs", "python benchmarks/gates.py paper_full"),
+    "fig16": ("CGC co-clustering full application (5/20/80 GB)", _PAPER_GATE),
+    "sec4.3": ("Spilling analysis (Correlator drop, Black-Scholes PCIe argument)", _PAPER_GATE),
+    "ablations": ("Staging throttle, async submission, scheduling policy", _PAPER_GATE),
 }
 
 

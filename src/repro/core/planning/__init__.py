@@ -4,9 +4,9 @@ The package splits the old monolithic planner into
 
 * :mod:`.ir` — the plan IR: task protos, plan recipes and stamping;
 * :mod:`.passes` — the analysis passes (access analysis, transfer
-  resolution, reduction planning, redundant-transfer elimination, copy
-  coalescing), the one task emitter that plain launches (one-segment chains)
-  and fused chains share, and the stamp-time dependency-injection pass;
+  resolution, reduction planning, redundant-transfer elimination), the one
+  task emitter that plain launches (one-segment chains) and fused chains
+  share, and the stamp-time dependency-injection pass;
 * :mod:`.costmodel` — topology-aware transfer cost ranking;
 * :mod:`.cache` — the plan-template cache for iterative launches;
 * :mod:`.planner` — the :class:`Planner` facade the driver talks to;
@@ -22,7 +22,6 @@ from .ir import AccessSummary, PlanRecipe, RecipeBuilder, TransferStep, stamp_re
 from .memplan import GroupMemoryPlan, WindowMemoryPlanner
 from .passes import (
     AccessAnalysisPass,
-    CopyCoalescingPass,
     DependencyInjectionPass,
     PlanningError,
     PlanningPass,
@@ -50,7 +49,6 @@ __all__ = [
     "TransferResolutionPass",
     "ReductionPlanningPass",
     "RedundantTransferEliminationPass",
-    "CopyCoalescingPass",
     "DependencyInjectionPass",
     "build_launch_recipe",
     "build_fused_recipe",

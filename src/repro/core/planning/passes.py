@@ -15,13 +15,11 @@ mutable :class:`LaunchState` IR:
 4. :class:`RedundantTransferEliminationPass` — drop or trim gather pieces
    whose region is already covered by a cheaper source (overlapping halos of
    ``StencilDist``, full replicas of ``ReplicatedDist``).
-5. :class:`CopyCoalescingPass` — merge transfers between the same pair of
-   chunks whose regions are adjacent into one larger transfer.
-6. Task emission (:func:`_emit_launches`) — lower the IR to a structural
+5. Task emission (:func:`_emit_launches`) — lower the IR to a structural
    :class:`~.ir.PlanRecipe` (task protos with intra-plan dependencies only).
 
 :func:`build_launch_recipe` plans one launch and :func:`build_fused_recipe`
-a chain of them (the launch window's fusion pass); both run passes 1-5 over
+a chain of them (the launch window's fusion pass); both run passes 1-4 over
 each launch and then the one emitter, for which a plain launch is a
 one-segment chain.
 
@@ -71,7 +69,6 @@ __all__ = [
     "TransferResolutionPass",
     "ReductionPlanningPass",
     "RedundantTransferEliminationPass",
-    "CopyCoalescingPass",
     "DependencyInjectionPass",
     "build_launch_recipe",
     "chain_fusion_prescreen",
@@ -165,7 +162,7 @@ class LaunchState:
     cost_model: TransferCostModel
     superblocks: List[SuperblockIR] = field(default_factory=list)
     reductions: List[ReductionIR] = field(default_factory=list)
-    #: free-form per-pass statistics (bytes eliminated, steps coalesced, ...)
+    #: free-form per-pass statistics (bytes eliminated, ...)
     notes: Dict[str, float] = field(default_factory=dict)
     #: rotate the device list work superblocks round-robin over, so that under
     #: multi-tenant serving each tenant's compute starts on the same GPU its
@@ -510,63 +507,7 @@ class RedundantTransferEliminationPass(PlanningPass):
 
 
 # --------------------------------------------------------------------------- #
-# 5. copy coalescing
-# --------------------------------------------------------------------------- #
-def _mergeable(a: Region, b: Region) -> bool:
-    """True when the union of two boxes is exactly their bounding box."""
-    union = a.union_bounds(b)
-    return union.size == a.size + b.size - a.intersect(b).size
-
-
-class CopyCoalescingPass(PlanningPass):
-    """Merge adjacent transfers between the same two chunks into one.
-
-    With today's stock distributions, resolution emits at most one step per
-    (source, destination) pair, so this pass mostly guards future producers
-    of fragmented transfer lists (elimination trims, the planned kernel-fusion
-    pass) and custom pipelines; the scan is over per-parameter lists whose
-    length is bounded by the chunk count.
-    """
-
-    name = "copy-coalescing"
-
-    @staticmethod
-    def coalesce(steps: List[TransferStep]) -> Tuple[List[TransferStep], int]:
-        """Return (coalesced steps, number of merges)."""
-        merged = 0
-        out: List[TransferStep] = []
-        for step in steps:
-            for prev in out:
-                if (
-                    prev.src.ref == step.src.ref
-                    and prev.dst.ref == step.dst.ref
-                    and prev.purpose == step.purpose
-                    and _mergeable(prev.region, step.region)
-                ):
-                    prev.region = prev.region.union_bounds(step.region)
-                    merged += 1
-                    break
-            else:
-                out.append(step)
-        return out, merged
-
-    def run(self, state: LaunchState) -> None:
-        """Coalesce adjacent transfers between the same chunk pairs."""
-        merged = 0
-        for sbir in state.superblocks:
-            for pir in sbir.params:
-                pir.gather_steps, m = self.coalesce(pir.gather_steps)
-                merged += m
-                pir.writeback_steps, m = self.coalesce(pir.writeback_steps)
-                merged += m
-        for rir in state.reductions:
-            rir.scatter_steps, m = self.coalesce(rir.scatter_steps)
-            merged += m
-        state.notes["coalesced_steps"] = state.notes.get("coalesced_steps", 0) + merged
-
-
-# --------------------------------------------------------------------------- #
-# 6. task emission: IR -> structural PlanRecipe
+# 5. task emission: IR -> structural PlanRecipe
 # --------------------------------------------------------------------------- #
 def _emit_param_inputs(
     builder: RecipeBuilder, pir: ParamIR
@@ -1169,7 +1110,6 @@ _ANALYSIS: Tuple[PlanningPass, ...] = (
     TransferResolutionPass(),
     ReductionPlanningPass(),
     RedundantTransferEliminationPass(),
-    CopyCoalescingPass(),
 )
 
 

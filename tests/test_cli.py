@@ -89,7 +89,9 @@ def test_figures_lists_every_figure(capsys):
     out = capsys.readouterr().out
     for key in FIGURES:
         assert key in out
-    assert "pytest benchmarks/" in out
+    assert out.count("-> python benchmarks/gates.py paper\n") == len(FIGURES) - 1
+    assert "-> python benchmarks/gates.py paper_full\n" in out
+    assert "pytest" not in out
 
 
 def test_advise_prints_distributions(capsys):

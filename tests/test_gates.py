@@ -3,9 +3,10 @@
 Against a baseline edited in memory, a one-ulp drift, a deleted record and a
 ratio below its constant each fail and name the gate, arm, config and field;
 the result JSON and the step summary are written before the failing exit; a
-refreshed baseline passes the next run.  The smoke suite's engine, hotpath,
-expr and faults gates are replayed against the committed baseline by the
-single-tenant regression tests in ``tests/test_serving.py``.
+refreshed baseline passes the next run.  The paper gates' checks run on
+edited copies of their committed records, with no simulation, and name the
+gate, figure, config and field.  ``tests/test_serving.py`` replays the
+engine gate against the committed baseline; CI's gate job replays the rest.
 """
 
 import copy
@@ -76,3 +77,43 @@ def test_a_refreshed_baseline_passes_the_next_run(tmp_path, monkeypatch):
     refreshed = json.loads(baseline.read_text())
     assert refreshed["engine"] == _baseline()["engine"]
     assert gates.main(["expr"]) == 0
+
+
+def test_smoke_runs_the_paper_gate_and_full_adds_fig15():
+    assert "paper" in gates.SUITES["smoke"]
+    assert "paper_full" not in gates.SUITES["smoke"]
+    assert gates.SUITES["full"] == gates.SUITES["smoke"] + ["hotpath_full", "paper_full"]
+
+
+def test_paper_checks_pass_on_the_committed_records():
+    baseline = _baseline()
+    assert gates.paper_checks(baseline["paper"]) == []
+    assert gates.fig15_checks(baseline["paper_full"]) == []
+
+
+def test_paper_checks_name_gate_figure_config_and_field():
+    records = copy.deepcopy(_baseline()["paper"])
+    one, four = (gates._key("md5", gates.FIG13_SIZES["md5"], 1, gpus) for gpus in (1, 4))
+    fig13 = records["fig13"]
+    fig13[four]["throughput"] = 2.7 * fig13[one]["throughput"]
+    big = records["fig16"]["cgc/80GB"]
+    big["lightning_4x4"] = big["numpy"] / 14.9
+    assert gates.paper_checks(records) == [
+        f"paper/fig13/{four}: throughput is 2.700x the 1-GPU point's (needs > 2.8x)",
+        "paper/fig16/cgc/80GB: lightning_4x4 is 14.90x faster than numpy (needs > 15x)",
+    ]
+
+
+def test_fig15_checks_name_gate_figure_config_and_field():
+    records = copy.deepcopy(_baseline()["paper_full"])
+    fig15, sizes = records["fig15"], gates.FIG15_SIZES
+    hotspot = gates._key("hotspot", sizes["hotspot"] * 32, 8, 4)
+    fig15[hotspot]["elapsed"] = fig15[gates._key("hotspot", sizes["hotspot"])]["elapsed"] / 0.69
+    gemm = gates._key("gemm", sizes["gemm"] * 32, 8, 4)
+    fig15[gemm]["elapsed"] = fig15[gates._key("gemm", sizes["gemm"])]["elapsed"]
+    assert gates.fig15_checks(records) == [
+        f"paper_full/fig15/{hotspot}: elapsed gives a weak-scaling efficiency of 0.690 "
+        "(needs > 0.7)",
+        f"paper_full/fig15/{gemm}: elapsed gives a weak-scaling efficiency of 1.000, not below "
+        "K-Means' 0.958",
+    ]

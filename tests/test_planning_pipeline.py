@@ -1,6 +1,6 @@
 """Tests for the pass-based planning pipeline: plan-structure properties,
 the plan-template cache, topology-aware source selection and the
-optimisation passes (redundant-transfer elimination, copy coalescing)."""
+redundant-transfer elimination pass."""
 
 import numpy as np
 import pytest
@@ -17,9 +17,7 @@ from repro import (
 )
 from repro.core.distributions import ChunkPlacement, CustomDist
 from repro.core.geometry import Region
-from repro.core.planning import CopyCoalescingPass, PlanTemplateCache
-from repro.core.planning.ir import ChunkHandle, ChunkRef, TransferStep
-from repro.core.chunk import ChunkMeta
+from repro.core.planning import PlanTemplateCache
 from repro.hardware.topology import DeviceId
 from repro.kernels import create_workload
 
@@ -338,43 +336,6 @@ def test_overlapping_sources_are_trimmed_to_disjoint_pieces():
     assert gather_bytes == n * 4  # float32, no redundant overlap re-transfer
     assert ctx.planner.pass_stats.get("eliminated_bytes", 0) > 0
     assert np.allclose(ctx.gather(out), 2.0)
-
-
-# --------------------------------------------------------------------------- #
-# copy coalescing
-# --------------------------------------------------------------------------- #
-def _handle(chunk_id, lo, hi, device=DeviceId(0, 0)):
-    meta = ChunkMeta(chunk_id=chunk_id, region=Region((lo,), (hi,)),
-                     dtype=np.float32, home=device)
-    return ChunkHandle.of_chunk(meta, ChunkRef(0, chunk_id))
-
-
-def test_copy_coalescing_merges_adjacent_regions_only():
-    src = _handle(1, 0, 100)
-    dst = _handle(2, 0, 100, DeviceId(0, 1))
-    other_dst = _handle(3, 0, 100, DeviceId(0, 1))
-
-    adjacent = [
-        TransferStep(src, dst, Region((0,), (10,)), "writeback"),
-        TransferStep(src, dst, Region((10,), (20,)), "writeback"),
-    ]
-    merged, count = CopyCoalescingPass.coalesce(adjacent)
-    assert count == 1 and len(merged) == 1
-    assert merged[0].region == Region((0,), (20,))
-
-    disjoint = [
-        TransferStep(src, dst, Region((0,), (10,)), "writeback"),
-        TransferStep(src, dst, Region((20,), (30,)), "writeback"),
-    ]
-    merged, count = CopyCoalescingPass.coalesce(disjoint)
-    assert count == 0 and len(merged) == 2
-
-    different_target = [
-        TransferStep(src, dst, Region((0,), (10,)), "writeback"),
-        TransferStep(src, other_dst, Region((10,), (20,)), "writeback"),
-    ]
-    merged, count = CopyCoalescingPass.coalesce(different_target)
-    assert count == 0 and len(merged) == 2
 
 
 # --------------------------------------------------------------------------- #

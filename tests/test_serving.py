@@ -10,11 +10,11 @@ Five groups, mirroring the serving layer's contract:
   for the affected tenant only; unaffected tenants' plan counters are
   untouched and their results stay bit-identical to solo runs.  The disk
   tier, configured on the serving system, leaves results bit-identical.
-* **Single-tenant regression**: the smoke suite's engine, hotpath, expr and
-  faults gates (``benchmarks/gates.py``) replayed in-process against
-  ``benchmarks/BENCH_gates.json`` — the serving layer merged but unused must
-  leave the single-tenant path bit-identical (event counts, virtual times,
-  counters, hashes).
+* **Single-tenant regression**: the engine gate (``benchmarks/gates.py``)
+  replayed in-process against ``benchmarks/BENCH_gates.json`` — the serving
+  layer merged but unused must leave the single-tenant path bit-identical
+  (event counts, virtual times, counters).  CI's gate job replays every
+  other smoke gate against the same baseline.
 * **Stall reports**: a served job that can never finish raises the same
   stall report as the single-tenant path, naming the unfinished dependency.
 * **Determinism**: the same serving seed replays the identical Poisson
@@ -521,26 +521,16 @@ def test_a_tenant_going_idle_wakes_the_stagings_its_quota_blocked():
 
 
 # --------------------------------------------------------------------------- #
-# single-tenant regression: smoke gates replayed against their baseline
+# single-tenant regression: the engine gate replayed against its baseline
 # --------------------------------------------------------------------------- #
-def _replay_gate(name):
-    with open(gates.BASELINE, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    _, failures = gates.check([name], baseline)
-    assert failures == [], (
-        f"gate {name} drifted from its committed baseline:\n" + "\n".join(failures)
-    )
-
-
 def test_single_tenant_engine_bench_bit_identical():
     """Serving merged but unused: the engine gate must not drift a bit."""
-    _replay_gate("engine")
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("bench", ["hotpath", "expr", "faults"])
-def test_single_tenant_gated_benches_bit_identical(bench):
-    _replay_gate(bench)
+    with open(gates.BASELINE, encoding="utf-8") as handle:
+        baseline = json.load(handle)
+    _, failures = gates.check(["engine"], baseline)
+    assert failures == [], (
+        "gate engine drifted from its committed baseline:\n" + "\n".join(failures)
+    )
 
 
 # --------------------------------------------------------------------------- #
