@@ -22,7 +22,7 @@ still run.  ``GATE`` names pick gates; by default ``--suite`` does:
 ``smoke`` (CI on every change) runs every gate except the ``*_full`` ones
 that ``full`` (nightly) adds: the full hot-path sweep and Fig. 15.  The
 ``paper`` gates' arms are the paper's figures (Figs. 10-16, Sec. 4.3 and
-three ablations), recorded in virtual time.
+two ablations), recorded in virtual time.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from repro.kernels import create_workload  # noqa: E402
 from repro.kernels.black_scholes import BS_COST  # noqa: E402
 from repro.kernels.expressions import ExpressionsWorkload  # noqa: E402
 from repro.perfmodel import kernel_time  # noqa: E402
-from repro.runtime.policies import POLICIES  # noqa: E402
 from repro.runtime.serving import ServingSystem, poisson_trace  # noqa: E402
 from repro.simulator.engine import Engine  # noqa: E402
 from repro.simulator.resources import BandwidthResource, ChannelResource  # noqa: E402
@@ -883,12 +882,10 @@ FIG16_ITERATIONS = 2
 #: Sec. 4.3: the correlator across GPU memory, and Black-Scholes' ~10 GB
 CORRELATOR_FITS, CORRELATOR_SPILLS = 16384, 32768
 PCIE_BS_N = 500_000_000
-#: ablations: K-Means past one GPU's memory (24 GB) under staging thresholds,
-#: then under every scheduling policy at a threshold small enough to keep a
-#: backlog; HotSpot with and without a barrier after every launch
+#: ablations: K-Means past one GPU's memory (24 GB) under staging thresholds;
+#: HotSpot with and without a barrier after every launch
 ABLATION_N = 1_500_000_000
 THRESHOLDS = (64 * MB, 512 * MB, 2 * GB, 16 * GB)
-POLICY_THRESHOLD = 512 * MB
 BARRIER_N = 1_000_000_000
 #: Fig. 15: per-GPU sizes, as printed above each panel, on (GPUs, GPUs per node)
 FIG15_SIZES = {"md5": 1.4e11, "nbody": 1.4e11, "correlator": 2.0e3, "kmeans": 2.7e8,
@@ -905,12 +902,13 @@ def _key(workload, n, nodes=1, per_node=1, **options):
 def _point(runs, workload, n, nodes=1, per_node=1, **options):
     """``(config, record)`` of one timed workload run, run once per config and
     kept in ``runs``.  ``options`` are workload parameters, except the
-    ``Context`` keywords ``stage_threshold`` and ``scheduler_policy`` and
-    ``gpu_memory``, a cap on every GPU pool."""
+    ``Context`` keyword ``stage_threshold`` and ``gpu_memory``, a cap on every
+    GPU pool."""
     config = _key(workload, n, nodes, per_node, **options)
     if config not in runs:
-        kwargs = {k: options.pop(k) for k in ("stage_threshold", "scheduler_policy")
-                  if k in options}
+        kwargs = {}
+        if "stage_threshold" in options:
+            kwargs["stage_threshold"] = options.pop("stage_threshold")
         if "gpu_memory" in options:
             cap = options.pop("gpu_memory")
             kwargs["memory_capacities"] = {DeviceId(node, local).memory_space: cap
@@ -961,7 +959,7 @@ def _barrier_elapsed():
 
 
 def paper(base):
-    """Figs. 10-14 and 16, Sec. 4.3 and three ablations in virtual time, each
+    """Figs. 10-14 and 16, Sec. 4.3 and two ablations in virtual time, each
     configuration run once (Figs. 12-14 and Sec. 4.3 share their 1-GPU points)."""
     del base
     runs = {}
@@ -985,9 +983,6 @@ def paper(base):
     records["sec4.3"][f"black_scholes/n{PCIE_BS_N}/pcie"] = {
         "data_bytes": data_bytes, "kernel_time": pcie, "required_bandwidth": data_bytes / pcie,
         "pcie_bandwidth": azure_nc24rsv2(1, 1).node.pcie_bandwidth}
-    records["ablations"].update(_point(runs, "kmeans", ABLATION_N, scheduler_policy=policy,
-                                       stage_threshold=POLICY_THRESHOLD)
-                                for policy in sorted(POLICIES))
     records["ablations"].update([_point(runs, "hotspot", BARRIER_N, 1, 4)])
     records["ablations"][_key("hotspot", BARRIER_N, 1, 4, barrier=True)] = {
         "elapsed": _barrier_elapsed()}
@@ -1104,8 +1099,7 @@ def paper_checks(records):
          f"{bs['required_bandwidth'] / bs['pcie_bandwidth']:.2f}x pcie_bandwidth (needs > 10x)")
 
     # Ablations: a tiny staging threshold serialises staging and execution; a
-    # barrier after every launch removes the overlap; the policies do the same
-    # work within a small factor, and locality never loses badly to FIFO.
+    # barrier after every launch removes the overlap.
     fig = records["ablations"]
     tiny, default = (_key("kmeans", ABLATION_N, stage_threshold=t) for t in (64 * MB, 2 * GB))
     need(fig[tiny]["elapsed"] > fig[default]["elapsed"], "ablations", tiny,
@@ -1116,18 +1110,6 @@ def paper_checks(records):
     need(fig[barrier]["elapsed"] >= fig[overlapped]["elapsed"], "ablations", barrier,
          f"elapsed {fig[barrier]['elapsed']!r} is below the asynchronous run's "
          f"{fig[overlapped]['elapsed']!r}")
-    policies = {policy: _key("kmeans", ABLATION_N, scheduler_policy=policy,
-                             stage_threshold=POLICY_THRESHOLD) for policy in sorted(POLICIES)}
-    times = {policy: fig[config]["elapsed"] for policy, config in policies.items()}
-    for policy, config in policies.items():
-        need(times[policy] > 0, "ablations", config, f"elapsed is {times[policy]!r}")
-    slowest = max(times, key=times.get)
-    spread = times[slowest] / min(times.values())
-    need(spread <= 3.0, "ablations", policies[slowest], f"elapsed is {spread:.3f}x the fastest "
-                                                        "policy's (needs <= 3x)")
-    ratio = times["locality"] / times["fifo"]
-    need(ratio <= 1.2, "ablations", policies["locality"], f"elapsed is {ratio:.3f}x fifo's "
-                                                          "(needs <= 1.2x)")
     return failures
 
 

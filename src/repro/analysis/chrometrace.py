@@ -7,8 +7,9 @@ was busy.  This module turns that record into:
 * Chrome trace-event JSON (``chrome://tracing`` / Perfetto compatible), so a
   run of the reproduction can be inspected on the same kind of timeline the
   paper's authors used to argue that data movement overlaps kernel execution;
-* utilisation and overlap reports used by tests and EXPERIMENTS.md to assert
-  the overlap claim quantitatively.
+* utilisation and overlap reports, which the tests and
+  ``examples/plan_inspection.py`` use to show the overlap claim
+  quantitatively.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ Exposes the pieces a user needs without writing Python:
 ``repro-bench serve --trace seed=42,jobs=16,rate=120 --tenants 4 [...]``
     Serve a multi-tenant job trace (generated Poisson arrivals or a JSON
     trace file) on one shared simulated cluster under weighted fair-share
-    scheduling, and print per-job latencies and per-tenant counters.
+    scheduling, and print per-job latencies and per-tenant counters.  In
+    functional mode every job's result is checked against its NumPy
+    reference, and a mismatch exits 1.
 
 ``repro-bench checkpoint <workload> --n <size> --out job.ckpt [...]``
     Run a workload to completion and write every live array to a chunked,
@@ -48,7 +50,7 @@ from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import __version__
-from .errors import ReproError
+from .errors import ReproError, VerificationError
 from .bench import (
     format_table,
     gpu_memory_limit,
@@ -73,7 +75,7 @@ FIGURES: Dict[str, Tuple[str, str]] = {
     "fig15": ("Weak scaling to 32 GPUs", "python benchmarks/gates.py paper_full"),
     "fig16": ("CGC co-clustering full application (5/20/80 GB)", _PAPER_GATE),
     "sec4.3": ("Spilling analysis (Correlator drop, Black-Scholes PCIe argument)", _PAPER_GATE),
-    "ablations": ("Staging throttle, async submission, scheduling policy", _PAPER_GATE),
+    "ablations": ("Staging throttle, async submission", _PAPER_GATE),
 }
 
 
@@ -93,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload", choices=sorted(WORKLOADS))
     run.add_argument("--n", type=float, required=True, help="problem size n")
     run.add_argument("--mode", choices=("simulate", "functional"), default="simulate")
-    run.add_argument("--scheduler-policy", default=None,
-                     help="scheduler task-selection policy (fifo/locality/priority/smallest)")
     _add_cluster_args(run)
     _add_plan_cache_arg(run)
     _add_window_args(run)
@@ -387,8 +387,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         **_fault_kwargs(args),
         **_disk_kwargs(args),
     }
-    if args.scheduler_policy:
-        context_kwargs["scheduler_policy"] = args.scheduler_policy
     with _maybe_profile(args):
         point, stats = run_workload_with_stats(
             args.workload,
@@ -558,6 +556,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         payload["serving"] = summary
         payload["tenants"] = {ctx.tenant_name: ctx.stats().to_dict() for ctx in serving.contexts}
         _write_stats_json(args.stats_json, payload)
+    if args.mode == "functional":
+        # Checked after the counters are written: verifying gathers every
+        # job's result, which is no part of the served trace.
+        wrong = [f"{job.job_id} ({job.spec.workload}, tenant {job.spec.tenant})"
+                 for job in report.jobs if not job.workload.verify()]
+        if wrong:
+            raise VerificationError(
+                f"served jobs whose result does not match the NumPy reference: "
+                f"{', '.join(wrong)}"
+            )
     return 0
 
 

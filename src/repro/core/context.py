@@ -65,7 +65,6 @@ class Context:
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
         enable_trace: bool = True,
         memory_capacities=None,
-        scheduler_policy=None,
         record_plans: bool = False,
         plan_cache: bool = True,
         lookahead: int = DEFAULT_LOOKAHEAD,
@@ -91,7 +90,6 @@ class Context:
                 "stage_threshold": stage_threshold != DEFAULT_STAGE_THRESHOLD,
                 "enable_trace": not enable_trace,
                 "memory_capacities": memory_capacities is not None,
-                "scheduler_policy": scheduler_policy is not None,
                 "record_plans": record_plans,
                 "faults": faults is not None,
                 "fault_seed": fault_seed != 0,
@@ -123,7 +121,6 @@ class Context:
                 stage_threshold=stage_threshold,
                 enable_trace=enable_trace,
                 memory_capacities=memory_capacities,
-                scheduler_policy=scheduler_policy,
                 record_plans=record_plans,
                 faults=faults,
                 fault_seed=fault_seed,

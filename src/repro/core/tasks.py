@@ -432,7 +432,7 @@ class PromoteChunkTask(Task):
     transfers early, overlapped with the current launch's compute, and is
     throttled by the same per-device staging budget as every other task.
     When that budget is full, the worker's scheduler stages a backlogged
-    promotion before the policy's pick.
+    promotion before the oldest backlogged task.
     """
 
     chunk_id: ChunkId = 0

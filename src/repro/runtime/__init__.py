@@ -12,14 +12,6 @@ same way.
 
 from .system import RuntimeSystem, ExecutionMode, OutOfMemoryError, RuntimeStats
 from .memory import MemoryManager
-from .policies import (
-    FifoPolicy,
-    LocalityPolicy,
-    PriorityPolicy,
-    SchedulingPolicy,
-    SmallestFirstPolicy,
-    get_policy,
-)
 from .scheduler import Scheduler
 from .storage import ChunkStorage
 from .network import NetworkFabric
@@ -33,10 +25,4 @@ __all__ = [
     "Scheduler",
     "ChunkStorage",
     "NetworkFabric",
-    "SchedulingPolicy",
-    "FifoPolicy",
-    "LocalityPolicy",
-    "PriorityPolicy",
-    "SmallestFirstPolicy",
-    "get_policy",
 ]

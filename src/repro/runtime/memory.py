@@ -54,7 +54,7 @@ _NEVER = float("inf")
 
 @dataclass
 class MemoryStats:
-    """Counters exposed for tests, benchmarks and EXPERIMENTS.md."""
+    """Counters exposed for tests, ``benchmarks/gates.py`` and ``--stats-json``."""
 
     bytes_to_gpu: int = 0
     #: bytes spilled out of a GPU over PCIe (a clean chunk dropping straight
@@ -483,24 +483,6 @@ class MemoryManager:
     def footprint(self, requirements: List[Tuple[ChunkId, str]]) -> int:
         """Total bytes of the chunks named in ``requirements``."""
         return sum(self._chunks[cid].meta.nbytes for cid, _ in requirements)
-
-    def staging_bytes_needed(self, requirements: List[Tuple[ChunkId, str]]) -> int:
-        """Bytes that staging ``requirements`` would actually have to move.
-
-        Chunks already resident in the memory space a task needs cost nothing;
-        everything else must be transferred (from host, another space, or be
-        allocated fresh).  Locality-aware scheduling policies use this to
-        prefer tasks whose working set is already in place.
-        """
-        total = 0
-        for chunk_id, kind in requirements:
-            state = self._chunks.get(chunk_id)
-            if state is None:
-                continue
-            target = self._target_space(state, kind)
-            if state.space != target:
-                total += state.meta.nbytes
-        return total
 
     def stage(
         self,

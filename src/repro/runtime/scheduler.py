@@ -17,7 +17,7 @@ The scheduler throttles how many bytes may be staged per executor at once
 overlapping transfers with execution, too many causes contention because
 chunks are staged too far ahead of time.  When the throttle frees room, a
 backlogged promotion (:class:`~repro.core.tasks.PromoteChunkTask`) stages
-before the scheduling policy's pick.
+before the oldest backlogged task.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from ..errors import FaultError
 from ..hardware.topology import WorkerId
 from .executors import TaskExecutor
 from .memory import MemoryManager
-from .policies import SchedulingPolicy, get_policy
 from .resources import WorkerResources
 
 __all__ = ["Scheduler", "DEFAULT_STAGE_THRESHOLD"]
@@ -52,7 +51,6 @@ class Scheduler:
         memory: MemoryManager,
         executor: TaskExecutor,
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
-        policy: "str | SchedulingPolicy | None" = None,
     ):
         self.runtime = runtime
         self.worker = worker
@@ -60,7 +58,6 @@ class Scheduler:
         self.memory = memory
         self.executor = executor
         self.stage_threshold = stage_threshold
-        self.policy = get_policy(policy)
 
         self._staged_bytes: Dict[object, int] = {}
         self._throttled: Dict[object, List[T.Task]] = {}
@@ -209,20 +206,19 @@ class Scheduler:
         while backlog:
             # A backlogged promotion (the window's staging of a spilled chunk
             # back to its GPU ahead of its use) jumps the backlog so its data
-            # moves while earlier work computes; otherwise the scheduling
-            # policy picks which backlogged task to stage next (the paper
-            # picks arbitrarily; locality/priority policies are the future
-            # work of Sec. 3.3).  A promotion too large for the staging
-            # throttle must not block the policy's own pick, so both
-            # candidates are tried; when neither fits we stop draining until
-            # more work unstages.  The maintained promotion count saves a
-            # backlog scan on every completion when there is none.
-            candidates = [self.policy.select(backlog, self)]
+            # moves while earlier work computes; otherwise the oldest
+            # backlogged task stages next (the paper picks arbitrarily,
+            # Sec. 3.3).  A promotion too large for the staging throttle must
+            # not block the oldest task, so both candidates are tried; when
+            # neither fits we stop draining until more work unstages.  The
+            # maintained promotion count saves a backlog scan on every
+            # completion when there is none.
+            candidates = [0]
             if promotions.get(key):
                 preferred = next(
                     i for i, task in enumerate(backlog) if isinstance(task, T.PromoteChunkTask)
                 )
-                if preferred != candidates[0]:
+                if preferred:
                     candidates.insert(0, preferred)
             for index in candidates:
                 task = backlog[index]

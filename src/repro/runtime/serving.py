@@ -24,10 +24,9 @@ Three mechanisms make that safe and fair:
   capacity, but only its overage is evictable by rivals, and residency
   within the quota is protected from foreign spill pressure like a pin.
 * **Tenant-tagged plans**: every plan a tenant's planner builds carries its
-  tenant id, so the runtime tracks per-tenant outstanding work (job
-  completion = the tenant's outstanding count reaching zero) and the
-  ``fairshare`` scheduling policy can drain mixed worker backlogs in WFQ
-  order.
+  tenant id, so the runtime tracks per-tenant outstanding work: a job
+  completes when its tenant's outstanding count reaches zero, and a quota
+  protects residency only while its tenant has work outstanding.
 
 Runtime-wide features are configured once, on the serving system, and
 reach the shared runtime through its keyword arguments:
@@ -39,8 +38,8 @@ rebuilt through its own planner, and tenants with no chunks on the dead
 device see no recovery plans at all.
 
 The whole layer is driver-side orchestration of the single discrete-event
-simulation; with one tenant and the default policy it degenerates to exactly
-the single-tenant code path (no per-tenant branch is ever taken).
+simulation; with one tenant it degenerates to exactly the single-tenant
+code path (no per-tenant branch is ever taken).
 """
 
 from __future__ import annotations
@@ -297,7 +296,6 @@ class ServingSystem:
         cluster: Optional[ClusterSpec] = None,
         mode: object = ExecutionMode.FUNCTIONAL,
         max_active: Optional[int] = None,
-        scheduler_policy: object = "fairshare",
         memory_capacities=None,
         **runtime_kwargs,
     ):
@@ -308,12 +306,10 @@ class ServingSystem:
         self.runtime = RuntimeSystem(
             cluster,
             mode=mode,
-            scheduler_policy=scheduler_policy,
             memory_capacities=memory_capacities,
             **runtime_kwargs,
         )
         self.clock = FairShareClock()
-        self.runtime.fair_share = self.clock
         self.max_active = max_active
         self._tenants: List[_Tenant] = []
         self._jobs: List[JobSpec] = []

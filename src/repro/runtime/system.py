@@ -189,7 +189,6 @@ class RuntimeSystem:
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
         enable_trace: bool = True,
         memory_capacities=None,
-        scheduler_policy=None,
         record_plans: bool = False,
         faults: object = None,
         fault_seed: int = 0,
@@ -240,7 +239,6 @@ class RuntimeSystem:
                 functional=(mode is ExecutionMode.FUNCTIONAL),
                 stage_threshold=stage_threshold,
                 memory_capacities=memory_capacities,
-                scheduler_policy=scheduler_policy,
                 chunk_tenants=self.chunk_tenants,
             )
             worker.resources.set_nic_bandwidth(
@@ -275,9 +273,7 @@ class RuntimeSystem:
         self.contexts: List[object] = []
         #: Multi-tenant serving (:mod:`repro.runtime.serving`).  All of this
         #: is dormant — and the hot path pays a single ``if`` — until the
-        #: first tenant-tagged plan arrives.  ``fair_share`` is set by the
-        #: serving layer to its :class:`~repro.runtime.serving.FairShareClock`
-        #: so the ``fairshare`` scheduling policy can consult it.
+        #: first tenant-tagged plan arrives.
         self._tenancy = False
         self._task_tenant: Dict[TaskId, int] = {}
         self._tenant_outstanding: Dict[int, int] = {}
@@ -286,7 +282,6 @@ class RuntimeSystem:
         self.tenant_tasks_submitted: Dict[int, int] = {}
         self.tenant_tasks_completed: Dict[int, int] = {}
         self.tenant_plans_submitted: Dict[int, int] = {}
-        self.fair_share = None
         #: fired with the tenant id whenever a tenant's outstanding-task
         #: count drops to zero (the serving loop uses it to detect job
         #: completion without polling)

@@ -38,7 +38,6 @@ class Worker:
         functional: bool,
         stage_threshold: int = DEFAULT_STAGE_THRESHOLD,
         memory_capacities=None,
-        scheduler_policy=None,
         chunk_tenants=None,
     ):
         self.node = node
@@ -67,5 +66,4 @@ class Worker:
             memory=self.memory,
             executor=self.executor,
             stage_threshold=stage_threshold,
-            policy=scheduler_policy,
         )

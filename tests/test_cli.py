@@ -41,9 +41,24 @@ def test_functional_run_checks_its_answer(capsys, monkeypatch):
     assert "does not match the NumPy reference" in capsys.readouterr().err
 
 
-def test_run_with_scheduler_policy(capsys):
-    assert main(["run", "md5", "--n", "1e9", "--scheduler-policy", "locality"]) == 0
-    assert "md5" in capsys.readouterr().out
+def test_functional_serve_checks_its_answers(capsys, monkeypatch, tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([
+        {"arrival": 0.0, "tenant": 0, "workload": "hotspot3", "n": 128 * 128,
+         "params": {"iterations": 2}},
+        {"arrival": 0.0, "tenant": 1, "workload": "kmeans2", "n": 8192,
+         "params": {"iterations": 2}},
+    ]))
+    args = ["serve", "--trace", str(trace), "--tenants", "2", "--gpus", "2",
+            "--mode", "functional"]
+    assert main(args) == 0
+    capsys.readouterr()
+    from repro.kernels.kmeans import KMeansTwoPhaseWorkload
+
+    monkeypatch.setattr(KMeansTwoPhaseWorkload, "verify", lambda self: False)
+    assert main(args) == 1
+    assert capsys.readouterr().err.endswith(
+        "does not match the NumPy reference: 1 (kmeans2, tenant 1)\n")
 
 
 def test_serve_stats_json_is_runtime_stats_with_tenant_views(tmp_path):

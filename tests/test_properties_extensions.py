@@ -1,15 +1,11 @@
-"""Property-based tests for the extension modules (policies, weighted work
-distributions, chunk-size advice, plan-graph invariants)."""
+"""Property-based tests for the extension modules (weighted work
+distributions, chunk-size advice)."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import WeightedBlockWorkDist
 from repro.autotune import recommend_chunk_bytes
-from repro.core import tasks as T
-from repro.core.geometry import Region
 from repro.hardware.topology import DeviceId
-from repro.runtime.policies import POLICIES
 
 MB = 1024 ** 2
 GB = 1024 ** 3
@@ -77,58 +73,3 @@ def test_chunk_size_lower_bound_monotone_in_budget(tight, slack):
     a = recommend_chunk_bytes(overhead_budget=tight)
     b = recommend_chunk_bytes(overhead_budget=slack)
     assert a.min_bytes >= b.min_bytes
-
-
-# --------------------------------------------------------------------------- #
-# scheduling policies never invent or lose work
-# --------------------------------------------------------------------------- #
-class _Memory:
-    def __init__(self, rng):
-        self._rng = rng
-
-    def staging_bytes_needed(self, requirements):
-        return int(self._rng.integers(0, 1_000_000)) if requirements else 0
-
-    def footprint(self, requirements):
-        return int(self._rng.integers(1, 1_000_000)) if requirements else 0
-
-
-class _Sched:
-    def __init__(self, memory):
-        self.memory = memory
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    size=st.integers(min_value=1, max_value=12),
-    policy_name=st.sampled_from(sorted(POLICIES)),
-)
-def test_policies_always_return_valid_index(seed, size, policy_name):
-    rng = np.random.default_rng(seed)
-    backlog = []
-    for k in range(size):
-        task = T.LaunchTask(
-            task_id=k + 1,
-            worker=0,
-            kernel_names=("k",),
-            device=None,
-            array_args_list=((
-                T.ArrayArgBinding("a", chunk_id=int(rng.integers(1, 50)),
-                                  access_region=Region.from_shape((4,)), mode="read"),
-            ),),
-            launch_id=int(rng.integers(0, 5)),
-        )
-        backlog.append(task)
-    policy = POLICIES[policy_name]()
-    scheduler = _Sched(_Memory(rng))
-    index = policy.select(backlog, scheduler)
-    assert 0 <= index < len(backlog)
-    # Draining the whole backlog through repeated selection visits every task
-    # exactly once (no starvation, no duplication).
-    remaining = list(backlog)
-    seen = []
-    while remaining:
-        i = policy.select(remaining, scheduler)
-        seen.append(remaining.pop(i).task_id)
-    assert sorted(seen) == [t.task_id for t in backlog]

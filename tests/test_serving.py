@@ -265,7 +265,6 @@ def test_serving_rejects_unknown_tenant_and_tenant_faults():
     ("stage_threshold", 1024),
     ("enable_trace", False),
     ("memory_capacities", {DeviceId(0, 0).memory_space: 1024 ** 2}),
-    ("scheduler_policy", "smallest"),
     ("record_plans", True),
     ("faults", "transfer=0.01"),
     ("fault_seed", 3),
