@@ -52,7 +52,6 @@ __all__ = [
     "TempMetaRef",
     "TagRef",
     "ScalarArgsRef",
-    "LaunchIdRef",
     "TempChunkSpec",
     "ChunkHandle",
     "TransferStep",
@@ -147,13 +146,6 @@ class TagRef:
 @dataclass(frozen=True)
 class ScalarArgsRef:
     """Placeholder for the scalar-argument dict of one launch segment."""
-
-    segment: int
-
-
-@dataclass(frozen=True)
-class LaunchIdRef:
-    """Placeholder for the launch id of one launch segment."""
 
     segment: int
 
@@ -583,7 +575,7 @@ class StampedPlan:
 
 
 #: symbolic references that force per-stamp resolution
-_REF_TYPES = (TempRef, TempMetaRef, TagRef, ScalarArgsRef, LaunchIdRef)
+_REF_TYPES = (TempRef, TempMetaRef, TagRef, ScalarArgsRef)
 
 
 def _stamp_constant(
@@ -721,7 +713,7 @@ def stamp_recipe(
     new_tag: Callable[[], int],
     resolve_conflicts: Callable[[str, ChunkId], List[int]],
     scalar_sets: Sequence[Dict[str, object]],
-    launch_ids: Sequence[int],
+    launch_id: int,
     cache_status: Optional[str] = None,
 ) -> StampedPlan:
     """Materialise ``recipe`` for ``chunks`` into a concrete :class:`ExecutionPlan`.
@@ -730,8 +722,9 @@ def stamp_recipe(
     ``chunks``.  Fresh task/chunk/tag identifiers come from the supplied
     allocators; ``resolve_conflicts`` is the dependency-injection hook that
     maps a ``(kind, chunk_id)`` conflict query to the task ids of earlier
-    launches that must complete first.  ``scalar_sets``/``launch_ids`` hold
-    one substitution per segment (the plan takes the first launch id).
+    launches that must complete first.  ``scalar_sets`` holds one
+    substitution per segment; ``launch_id`` is the first segment's, which
+    the plan takes.
     """
     served = recipe._served
     if served is None or served[0] != chunks:
@@ -762,8 +755,6 @@ def stamp_recipe(
             return tags[value.slot]
         if isinstance(value, ScalarArgsRef):
             return segment_scalars[value.segment]
-        if isinstance(value, LaunchIdRef):
-            return launch_ids[value.segment]
         if type(value) is ChunkRef:
             return chunks[value.slot][value.index].chunk_id
         if isinstance(value, ArgBindingProto):
@@ -786,7 +777,6 @@ def stamp_recipe(
             return tuple(resolve(v) for v in value)
         return value
 
-    launch_id = launch_ids[0]
     # literal substitution: kernel names may contain arbitrary characters
     description = recipe.description.replace("{launch_id}", str(launch_id))
     plan = T.ExecutionPlan(launch_id=launch_id, description=description,

@@ -50,7 +50,6 @@ from .ir import (
     ArgBindingProto,
     ChunkHandle,
     ChunkRef,
-    LaunchIdRef,
     PlanRecipe,
     RecipeBuilder,
     ReduceEpilogueProto,
@@ -682,7 +681,6 @@ def _emit_launches(states: Sequence[LaunchState], builder: RecipeBuilder) -> Non
             reduce_epilogues=(
                 tuple(epilogues) if any(epilogues) else ()
             ),
-            launch_id=LaunchIdRef(0),
         )
         launch_of_sb.append(launch_idx)
         for key in acc_keys:

@@ -427,13 +427,14 @@ class Planner:
         self,
         prepared: PreparedLaunch,
         scalar_sets: Sequence[Dict[str, object]],
-        launch_ids: Sequence[int],
+        launch_id: int,
     ) -> StampedPlan:
         """Stamp one drain unit's prepared recipe into a concrete plan (window
         drain time), inject its conflict edges and book its accesses.
 
-        ``scalar_sets`` and ``launch_ids`` hold one entry per segment: one
-        for a plain launch, one per member of a fused chain.
+        ``scalar_sets`` holds one entry per segment: one for a plain launch,
+        one per member of a fused chain.  ``launch_id`` is the first
+        segment's, which the plan takes.
         """
         started = time.perf_counter()
         stamped = stamp_recipe(
@@ -444,7 +445,7 @@ class Planner:
             new_tag=self._next_tag,
             resolve_conflicts=self.dependency_injector.resolve,
             scalar_sets=scalar_sets,
-            launch_ids=launch_ids,
+            launch_id=launch_id,
             cache_status=prepared.cache_status,
         )
         self.dependency_injector.apply_bookkeeping(stamped)

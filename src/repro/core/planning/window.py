@@ -269,7 +269,7 @@ class LaunchWindow:
             plan = self.planner.stamp_launch(
                 prepared,
                 [m.scalars for m in unit.members],
-                [m.launch_id for m in unit.members],
+                unit.members[0].launch_id,
             ).plan
             if prepared.cache_status == "hit":
                 counters.plan_cache_hits += 1

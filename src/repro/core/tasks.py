@@ -240,8 +240,6 @@ class LaunchTask(Task):
     array_args_list: Tuple[Tuple[ArrayArgBinding, ...], ...] = ()
     array_shapes_list: Tuple[Dict[str, Tuple[int, ...]], ...] = ()
     reduce_epilogues: Tuple[Tuple[ReduceEpilogue, ...], ...] = ()
-    #: launch id of the first (producer) segment, used for priority ordering
-    launch_id: int = 0
 
     @property
     def segment_count(self) -> int:

@@ -176,13 +176,11 @@ def test_sequential_consistency_dependencies_between_launches():
     ctx = _run_stencil(iterations=3)
     graph = PlanGraph.from_context(ctx)
     nxg = graph.to_networkx()
-    launches = sorted(
-        (tid for tid, task in graph.tasks.items() if task.kind == "launch"),
-        key=lambda tid: graph.tasks[tid].launch_id,
-    )
-    by_launch = {}
-    for tid in launches:
-        by_launch.setdefault(graph.tasks[tid].launch_id, []).append(tid)
+    by_launch = {
+        plan.launch_id: [task.task_id for tasks in plan.tasks_by_worker.values()
+                         for task in tasks if task.kind == "launch"]
+        for plan in ctx.recorded_plans if plan.launch_id is not None
+    }
     launch_ids = sorted(by_launch)
     # Every launch generation is reachable from the previous one.
     import networkx as nx
